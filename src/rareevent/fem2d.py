@@ -1,21 +1,31 @@
-"""Mixed RT0 Darcy solver on uniform triangles, particle tracking, travel-time LSF.
+"""Darcy flow cell on uniform triangles: RT0 velocity, particle tracking, travel-time LSF.
 
 The unit square is meshed with m x m cells of size h, each cut along the
-SW-NE diagonal.  Velocity lives in lowest-order Raviart-Thomas space (one
-normal-flux DOF per edge), pressure is piecewise constant.  Pressure data
-(1 on the west boundary, 0 on the east) enters the flux equation naturally;
-the no-flow condition on the horizontal boundaries is essential and is
-eliminated from the system.
+SW-NE diagonal.  The discretisation is the lowest-order Raviart-Thomas mixed
+method (one normal-flux DOF per edge, piecewise-constant pressure) with
+pressure 1 on the west boundary, 0 on the east and no flow through the
+horizontal boundaries.
+
+Its velocity is divergence-free, and on the simply connected square such an
+RT0 field is exactly curl psi for a continuous piecewise-linear stream
+function psi (the discrete de Rham complex).  So the same discrete field is
+computed from an SPD P1 problem instead of the indefinite saddle point: psi
+is 0 on the bottom row, the top row shares one value (the total flux), the
+stiffness has coefficient 1/a per triangle and the load is one on the top
+value.  Edge fluxes are psi differences, so the divergence and the no-flow
+fluxes vanish by construction, and the pressures follow exactly from the
+flux rows of the mixed system.  Numbering the vertex rows bottom to top, top
+value last, keeps the matrix banded for LAPACK's banded Cholesky.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpbsv
 
 from .errors import ModelEvaluationError, NonconvergenceError, StagnationError
 from .models import LimitStateModel
@@ -23,21 +33,31 @@ from .randomfield import KlBasis, kl_basis_2d
 
 DEFAULT_LEVEL_DIMS_2D = (10, 20, 40, 80, 150, 150)
 
+# Tracker step cap per mesh cell.  Every Euler step moves the particle h/2,
+# and an exit path crosses each of the 2 m^2 triangles at most once, so it
+# needs fewer than 6 m^2 steps.
+STEPS_PER_CELL = 16
+
+# Triangle values (samples x triangles) one `travel_time` call holds at once.
+_CHUNK_VALUES = 1 << 20
+
 
 @dataclass(frozen=True)
 class FlowMesh:
-    """Uniform triangulation of the unit square with RT0 edge bookkeeping."""
+    """Uniform triangulation of the unit square with RT0 edge bookkeeping.
+
+    Triangle 2 (j m + i) is the lower and 2 (j m + i) + 1 the upper half of
+    cell (i, j); `offsets` holds, per half, the centroid minus the vertex
+    opposite each local edge.
+    """
 
     h: float
     m: int                      # cells per side
     n_edges: int
-    free_edges: np.ndarray      # edge ids with unknown flux
-    free_index: np.ndarray      # edge id -> position among free edges (-1 if fixed)
     tri_edges: np.ndarray       # (n_tri, 3) edge ids
     tri_signs: np.ndarray       # (n_tri, 3) +-1: global normal vs outward normal
-    tri_opposite: np.ndarray    # (n_tri, 3, 2) vertex opposite each edge
+    offsets: np.ndarray         # (2, 3, 2) centroid minus opposite vertex, lower/upper
     centroids: np.ndarray       # (n_tri, 2)
-    west_edges: np.ndarray      # edge ids on x = 0
 
     @property
     def n_tri(self) -> int:
@@ -47,15 +67,15 @@ class FlowMesh:
     def area(self) -> float:
         return 0.5 * self.h * self.h
 
-    def locate(self, x: float, y: float) -> int:
-        """Triangle containing (x, y); ties on the diagonal go to the lower triangle."""
+    def locate(self, x, y):
+        """Triangles containing the points (x, y); ties on the diagonal go to the lower triangle."""
         m = self.m
-        i = min(max(int(x / self.h), 0), m - 1)
-        j = min(max(int(y / self.h), 0), m - 1)
-        xi = x / self.h - i
-        eta = y / self.h - j
-        lower = eta <= xi
-        return 2 * (j * m + i) + (0 if lower else 1)
+        sx = np.asarray(x) / self.h
+        sy = np.asarray(y) / self.h
+        i = np.minimum(np.maximum(sx.astype(int), 0), m - 1)
+        j = np.minimum(np.maximum(sy.astype(int), 0), m - 1)
+        upper = sy - j > sx - i
+        return 2 * (j * m + i) + upper
 
 
 @lru_cache(maxsize=None)
@@ -64,141 +84,122 @@ def build_mesh(m: int) -> FlowMesh:
     n_h = m * (m + 1)           # horizontal edges H(i,j): j*m + i
     n_v = (m + 1) * m           # vertical edges V(i,j): n_h + j*(m+1) + i
     n_d = m * m                 # diagonal edges D(i,j): n_h + n_v + j*m + i
-    n_edges = n_h + n_v + n_d
 
-    def eh(i, j):
-        return j * m + i
-
-    def ev(i, j):
-        return n_h + j * (m + 1) + i
-
-    def ed(i, j):
-        return n_h + n_v + j * m + i
-
-    ii, jj = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+    jj, ii = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
     i = ii.ravel()
     j = jj.ravel()
-    n_cells = m * m
-    tri_edges = np.empty((2 * n_cells, 3), dtype=int)
-    tri_signs = np.empty((2 * n_cells, 3), dtype=int)
-    tri_opposite = np.empty((2 * n_cells, 3, 2))
-    centroids = np.empty((2 * n_cells, 2))
-
-    cell = j * m + i
-    low = 2 * cell
-    up = low + 1
-    ax, ay = i * h, j * h
+    eh = j * m + i
+    ev = n_h + j * (m + 1) + i
+    ed = n_h + n_v + j * m + i
+    tri_edges = np.empty((m * m, 2, 3), dtype=int)
     # lower triangle (i,j)-(i+1,j)-(i+1,j+1): edges H(i,j), V(i+1,j), D(i,j)
-    tri_edges[low, 0] = eh(i, j)
-    tri_edges[low, 1] = ev(i + 1, j)
-    tri_edges[low, 2] = ed(i, j)
-    tri_signs[low] = (-1, 1, -1)
-    tri_opposite[low, 0] = np.stack([ax + h, ay + h], axis=-1)   # opposite of H: C
-    tri_opposite[low, 1] = np.stack([ax, ay], axis=-1)           # opposite of V: A
-    tri_opposite[low, 2] = np.stack([ax + h, ay], axis=-1)       # opposite of D: B
-    centroids[low] = np.stack([ax + 2 * h / 3, ay + h / 3], axis=-1)
+    tri_edges[:, 0] = np.stack([eh, ev + 1, ed], axis=-1)
     # upper triangle (i,j)-(i+1,j+1)-(i,j+1): edges D(i,j), H(i,j+1), V(i,j)
-    tri_edges[up, 0] = ed(i, j)
-    tri_edges[up, 1] = eh(i, j + 1)
-    tri_edges[up, 2] = ev(i, j)
-    tri_signs[up] = (1, 1, -1)
-    tri_opposite[up, 0] = np.stack([ax, ay + h], axis=-1)        # opposite of D: C
-    tri_opposite[up, 1] = np.stack([ax, ay], axis=-1)            # opposite of H: A
-    tri_opposite[up, 2] = np.stack([ax + h, ay + h], axis=-1)    # opposite of V: B
-    centroids[up] = np.stack([ax + h / 3, ay + 2 * h / 3], axis=-1)
+    tri_edges[:, 1] = np.stack([ed, eh + m, ev], axis=-1)
+    tri_signs = np.broadcast_to(np.array([[-1, 1, -1], [1, 1, -1]]), tri_edges.shape)
 
-    no_flow = np.concatenate([
-        [eh(k, 0) for k in range(m)],        # y = 0
-        [eh(k, m) for k in range(m)],        # y = 1
-    ])
-    free_mask = np.ones(n_edges, dtype=bool)
-    free_mask[no_flow] = False
-    free_edges = np.flatnonzero(free_mask)
-    free_index = np.full(n_edges, -1, dtype=int)
-    free_index[free_edges] = np.arange(free_edges.size)
-    west = np.array([ev(0, k) for k in range(m)])
+    corner = h * np.stack([i, j], axis=-1)
+    centroids = np.stack([corner + [2 * h / 3, h / 3], corner + [h / 3, 2 * h / 3]], axis=1)
+    # opposite vertices: lower C, A, B = (h,h), (0,0), (h,0); upper C, A, B = (0,h), (0,0), (h,h)
+    opposite = h * np.array([[[1, 1], [0, 0], [1, 0]], [[0, 1], [0, 0], [1, 1]]])
+    offsets = centroids[0][:, None, :] - opposite
     return FlowMesh(
-        h=h, m=m, n_edges=n_edges, free_edges=free_edges, free_index=free_index,
-        tri_edges=tri_edges, tri_signs=tri_signs, tri_opposite=tri_opposite,
-        centroids=centroids, west_edges=west,
+        h=h, m=m, n_edges=n_h + n_v + n_d,
+        tri_edges=tri_edges.reshape(-1, 3), tri_signs=tri_signs.reshape(-1, 3).copy(),
+        offsets=offsets, centroids=centroids.reshape(-1, 2),
     )
 
 
-class _Rt0Assembler:
-    """Precomputed sparsity pattern; only the 1/a scaling changes per sample."""
+class _StreamFunctionSolver:
+    """Banded SPD stream-function system of one mesh; only 1/a changes per sample."""
 
     def __init__(self, mesh: FlowMesh):
+        m = mesh.m
         self.mesh = mesh
-        n_free = mesh.free_edges.size
-        n_tri = mesh.n_tri
-        self.n_free = n_free
-        self.size = n_free + n_tri
+        self.n = m * m                  # (m - 1) rows of m + 1 vertices, plus the top row
+        self.kd = m + 2                 # superdiagonals: neighbours (i+1, j+1) are m + 2 apart
+        dof = np.empty((m + 1, m + 1), dtype=int)                  # [j, i]
+        dof[0] = -1                                                # psi = 0, eliminated
+        dof[1:m] = np.arange((m - 1) * (m + 1)).reshape(m - 1, m + 1)
+        dof[m] = self.n - 1
+        jj, ii = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+        lower = np.stack([dof[jj, ii], dof[jj, ii + 1], dof[jj + 1, ii + 1]], axis=-1)
+        upper = np.stack([dof[jj, ii], dof[jj + 1, ii + 1], dof[jj + 1, ii]], axis=-1)
+        tri_dof = np.stack([lower, upper], axis=2).reshape(-1, 3)  # triangle order
+        # P1 stiffness of the lower (a, b, c) and upper (a, c, d) halves, unit
+        # coefficient; the right angle is at b and d respectively
+        k_loc = 0.5 * np.array([[[1, -1, 0], [-1, 2, -1], [0, -1, 1]],
+                                [[1, 0, -1], [0, 1, -1], [-1, -1, 2]]])
+        rows = tri_dof[:, :, None].repeat(3, axis=2)
+        cols = tri_dof[:, None, :].repeat(3, axis=1)
+        # upper band of the symmetric matrix; two top-row vertices of one
+        # triangle both land on the top value's diagonal
+        keep = (rows >= 0) & (rows <= cols)
+        # band entry (r, c) sits at [kd + r - c, c] of the (kd + 1, n) Fortran
+        # array LAPACK reads, i.e. at c (kd + 1) + kd + r - c of its memory
+        self._band_index = (cols * (self.kd + 1) + self.kd + rows - cols)[keep]
+        self._band_tri = np.nonzero(keep)[0]
+        self._band_stiffness = np.tile(k_loc, (m * m, 1, 1))[keep]
 
-        # local integrals S[a,b] = sum_q (m_q - p_a).(m_q - p_b) per shape,
-        # exact for the quadratic integrand via edge-midpoint quadrature
-        h = mesh.h
-        shapes = {
-            0: np.array([[0.0, 0.0], [h, 0.0], [h, h]]),   # lower
-            1: np.array([[0.0, 0.0], [h, h], [0.0, h]]),   # upper
-        }
-        s_loc = {}
-        for key, verts in shapes.items():
-            mids = 0.5 * (verts + np.roll(verts, -1, axis=0))  # AB, BC, CA midpoints
-            opp = np.roll(verts, -2, axis=0)                    # C, A, B
-            s = np.empty((3, 3))
-            for a in range(3):
-                for b in range(3):
-                    s[a, b] = sum((mids[q] - opp[a]) @ (mids[q] - opp[b]) for q in range(3))
-            s_loc[key] = s
+    def stream_functions(self, a_batch: np.ndarray) -> np.ndarray:
+        """Vertex values psi[s, j, i] for a (samples, n_tri) batch of permeabilities."""
+        if np.any(a_batch <= 0) or not np.all(np.isfinite(a_batch)):
+            raise ModelEvaluationError("permeability must be positive and finite")
+        m = self.mesh.m
+        psi = np.zeros((a_batch.shape[0], m + 1, m + 1))
+        size = self.n * (self.kd + 1)
+        for s, a in enumerate(a_batch):
+            weights = self._band_stiffness / a[self._band_tri]
+            band = np.bincount(self._band_index, weights=weights, minlength=size)
+            load = np.zeros(self.n)
+            load[-1] = 1.0
+            _, sol, info = dpbsv(band.reshape(self.n, self.kd + 1).T, load,
+                                 overwrite_ab=1, overwrite_b=1)
+            if info != 0:  # pragma: no cover - SPD for every positive finite field
+                raise ModelEvaluationError(f"banded Cholesky failed (info={info})")
+            psi[s, 1:m] = sol[:-1].reshape(m - 1, m + 1)
+            psi[s, m] = sol[-1]
+        return psi
 
-        area = mesh.area
-        factor = 1.0 / (12.0 * area)
-        sign_outer = mesh.tri_signs[:, :, None] * mesh.tri_signs[:, None, :]
-        s_all = np.where(
-            (np.arange(n_tri) % 2 == 0)[:, None, None], s_loc[0][None], s_loc[1][None]
-        )
-        self._m_base = factor * sign_outer * s_all              # (n_tri, 3, 3)
-
-        rows = mesh.free_index[mesh.tri_edges][:, :, None].repeat(3, axis=2)
-        cols = mesh.free_index[mesh.tri_edges][:, None, :].repeat(3, axis=1)
-        keep = (rows >= 0) & (cols >= 0)
-        self._m_rows = rows[keep]
-        self._m_cols = cols[keep]
-        self._m_keep = keep
-        self._m_tri = np.broadcast_to(np.arange(n_tri)[:, None, None], keep.shape)[keep]
-
-        # coupling block C[e, T] = -sign, plus its transpose
-        e_free = mesh.free_index[mesh.tri_edges]
-        t_ids = np.broadcast_to(np.arange(n_tri)[:, None], e_free.shape)
-        ok = e_free >= 0
-        c_rows = e_free[ok]
-        c_cols = n_free + t_ids[ok]
-        c_vals = -mesh.tri_signs[ok].astype(float)
-        self._fixed_rows = np.concatenate([c_rows, c_cols])
-        self._fixed_cols = np.concatenate([c_cols, c_rows])
-        self._fixed_vals = np.concatenate([c_vals, c_vals])
-
-        rhs = np.zeros(self.size)
-        rhs[mesh.free_index[mesh.west_edges]] = 1.0  # west pressure datum v = 1
-        self.rhs = rhs
+    def velocities(self, psi: np.ndarray) -> np.ndarray:
+        """Constant per-triangle velocities curl psi, shape (samples, n_tri, 2)."""
+        h = self.mesh.h
+        a, b = psi[:, :-1, :-1], psi[:, :-1, 1:]       # vertices (i, j), (i+1, j)
+        c, d = psi[:, 1:, 1:], psi[:, 1:, :-1]         # vertices (i+1, j+1), (i, j+1)
+        # lower (a, b, c): psi_y = (c - b)/h, psi_x = (b - a)/h; upper (a, c, d):
+        # psi_y = (d - a)/h, psi_x = (c - d)/h; velocity (psi_y, -psi_x)
+        u = np.stack([
+            np.stack([(c - b) / h, -(b - a) / h], axis=-1),
+            np.stack([(d - a) / h, -(c - d) / h], axis=-1),
+        ], axis=3)                                     # (samples, j, i, half, xy)
+        return u.reshape(psi.shape[0], -1, 2)
 
     def solve(self, a_tri: np.ndarray) -> "DiscreteVelocity":
-        if np.any(a_tri <= 0) or not np.all(np.isfinite(a_tri)):
-            raise ModelEvaluationError("permeability must be positive and finite")
-        m_vals = (self._m_base / a_tri[:, None, None])[self._m_keep]
-        rows = np.concatenate([self._m_rows, self._fixed_rows])
-        cols = np.concatenate([self._m_cols, self._fixed_cols])
-        vals = np.concatenate([m_vals, self._fixed_vals])
-        mat = sp.csc_matrix((vals, (rows, cols)), shape=(self.size, self.size))
-        try:
-            lu = splu(mat)
-        except RuntimeError as exc:  # pragma: no cover - singular should not occur
-            raise ModelEvaluationError(f"saddle-point factorization failed: {exc}") from exc
-        sol = lu.solve(self.rhs)
-        fluxes = np.zeros(self.mesh.n_edges)
-        fluxes[self.mesh.free_edges] = sol[: self.n_free]
-        pressures = sol[self.n_free:]
-        return DiscreteVelocity(mesh=self.mesh, fluxes=fluxes, pressures=pressures)
+        mesh = self.mesh
+        m = mesh.m
+        psi = self.stream_functions(a_tri[None])
+        u = self.velocities(psi)[0]
+        psi = psi[0]
+        fluxes = np.concatenate([
+            -(psi[:, 1:] - psi[:, :-1]).ravel(),       # H(i,j): normal (0, 1)
+            (psi[1:] - psi[:-1]).ravel(),              # V(i,j): normal (1, 0)
+            (psi[1:, 1:] - psi[:-1, :-1]).ravel(),     # D(i,j): normal (1, -1)/sqrt 2
+        ])
+        # flux rows of the mixed system: (M(a) u)_e - sum_T sign_Te p_T is 1 on
+        # a west edge and 0 elsewhere.  u is constant per triangle, so the RT0
+        # mass product of triangle T with basis function e is
+        # sign_Te (u_T . offset_e) / (2 a_T).
+        offsets = np.tile(mesh.offsets, (m * m, 1, 1))
+        mass_u = mesh.tri_signs * np.einsum("tc,tec->te", u, offsets) / (2.0 * a_tri[:, None])
+        mass_u = np.bincount(mesh.tri_edges.ravel(), weights=mass_u.ravel(),
+                             minlength=mesh.n_edges)
+        n_h = m * (m + 1)
+        vertical = mass_u[n_h:2 * n_h].reshape(m, m + 1)[:, :m]
+        diagonal = mass_u[2 * n_h:].reshape(m, m)
+        # along a cell row, V(0,j), D(0,j), V(1,j), ... give upper(0,j), lower(0,j), upper(1,j), ...
+        along = 1.0 - np.cumsum(np.stack([vertical, diagonal], axis=-1).reshape(m, 2 * m), axis=1)
+        pressures = along.reshape(m, m, 2)[:, :, ::-1].ravel()
+        return DiscreteVelocity(mesh=mesh, fluxes=fluxes, pressures=pressures)
 
 
 @dataclass
@@ -209,18 +210,25 @@ class DiscreteVelocity:
     fluxes: np.ndarray
     pressures: np.ndarray
 
+    def _signed(self) -> np.ndarray:
+        return self.fluxes[self.mesh.tri_edges] * self.mesh.tri_signs
+
     def velocity_at(self, point) -> np.ndarray:
         x, y = float(point[0]), float(point[1])
-        tri = self.mesh.locate(x, y)
-        q = self.fluxes[self.mesh.tri_edges[tri]] * self.mesh.tri_signs[tri]
-        scale = 1.0 / (2.0 * self.mesh.area)
-        rel = np.array([x, y])[None, :] - self.mesh.tri_opposite[tri]
-        return scale * (q @ rel)
+        mesh = self.mesh
+        tri = mesh.locate(x, y)
+        rel = np.array([x, y]) - mesh.centroids[tri] + mesh.offsets[tri % 2]
+        return (self._signed()[tri] @ rel) / (2.0 * mesh.area)
+
+    def triangle_velocities(self) -> np.ndarray:
+        """Velocity at each centroid, shape (n_tri, 2); the whole field if divergence-free."""
+        mesh = self.mesh
+        offsets = np.tile(mesh.offsets, (mesh.m * mesh.m, 1, 1))
+        return np.einsum("te,tec->tc", self._signed(), offsets) / (2.0 * mesh.area)
 
     def divergence(self) -> np.ndarray:
         """Constant per-triangle divergence (net outflux over area)."""
-        signed = self.fluxes[self.mesh.tri_edges] * self.mesh.tri_signs
-        return signed.sum(axis=1) / self.mesh.area
+        return self._signed().sum(axis=1) / self.mesh.area
 
     def boundary_flux(self, side: str) -> float:
         """Net outward flux across the 'west' or 'east' boundary."""
@@ -238,7 +246,7 @@ class DiscreteVelocity:
 
 
 def solve_darcy_rt0(a, h: float) -> DiscreteVelocity:
-    """Solve the mixed Darcy system for one permeability sample.
+    """Solve the mixed Darcy problem for one permeability sample.
 
     `a` is a callable on (n, 2) points or an array of per-triangle values at
     centroids.
@@ -250,53 +258,68 @@ def solve_darcy_rt0(a, h: float) -> DiscreteVelocity:
     a_tri = np.asarray(a(mesh.centroids) if callable(a) else a, dtype=float)
     if a_tri.shape != (mesh.n_tri,):
         raise ValueError(f"expected {mesh.n_tri} triangle values, got {a_tri.shape}")
-    return _Rt0Assembler(mesh).solve(a_tri)
+    return _StreamFunctionSolver(mesh).solve(a_tri)
 
 
-def trace_particle(vel: DiscreteVelocity, start, h: float,
-                   max_steps: int = 10_000_000) -> float:
-    """Forward-Euler travel time from `start` to the first boundary crossing.
+def trace_particle(vel, start, h: float, max_steps: int | None = None):
+    """Forward-Euler travel times from `start` to the first boundary crossing.
+
+    `vel` is a `DiscreteVelocity`, for which the time is returned as a float,
+    or a (samples, n_tri, 2) batch of per-triangle velocities, for which all
+    particles advance in lockstep and an array of times is returned.  The
+    velocity is read as one constant vector per triangle (the centroid value
+    of a `DiscreteVelocity`), which is the whole field when it is
+    divergence-free, as every flow-cell solution is.
 
     Step size is h / (2 ||q||); the final step is clipped to the exact exit
     point.  A crossing requires a strictly outward velocity component through
     the face, so a start on the boundary (or a path grazing a no-flow
     boundary tangentially) keeps moving instead of terminating at time zero.
+    A particle still inside after `max_steps` steps (default STEPS_PER_CELL
+    per mesh cell) raises NonconvergenceError; a zero velocity on any path
+    raises StagnationError.
     """
-    x = float(start[0])
-    y = float(start[1])
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+    x0 = float(start[0])
+    y0 = float(start[1])
+    if not (0.0 <= x0 <= 1.0 and 0.0 <= y0 <= 1.0):
         raise ValueError("start point must lie in the closed unit square")
-    mesh = vel.mesh
-    signed = vel.fluxes[mesh.tri_edges] * mesh.tri_signs
-    scale = 1.0 / (2.0 * mesh.area)
-    opposite = mesh.tri_opposite
-    time = 0.0
+    single = isinstance(vel, DiscreteVelocity)
+    u = vel.triangle_velocities()[None] if single else np.asarray(vel, dtype=float)
+    m = math.isqrt(u.shape[1] // 2) if u.ndim == 3 else 0
+    if u.ndim != 3 or u.shape[2] != 2 or m == 0 or 2 * m * m != u.shape[1]:
+        raise ValueError("expected per-triangle velocities of shape (samples, 2 m^2, 2)")
+    mesh = build_mesh(m)
+    if max_steps is None:
+        max_steps = STEPS_PER_CELL * m * m
+
+    times = np.empty(u.shape[0])
+    moving = np.arange(u.shape[0])
+    x = np.full(moving.size, x0)
+    y = np.full(moving.size, y0)
+    time = np.zeros(moving.size)
     for _ in range(max_steps):
-        tri = mesh.locate(x, y)
-        q = signed[tri]
-        qx = scale * (q[0] * (x - opposite[tri, 0, 0]) + q[1] * (x - opposite[tri, 1, 0])
-                      + q[2] * (x - opposite[tri, 2, 0]))
-        qy = scale * (q[0] * (y - opposite[tri, 0, 1]) + q[1] * (y - opposite[tri, 1, 1])
-                      + q[2] * (y - opposite[tri, 2, 1]))
+        q = u[moving, mesh.locate(x, y)]
+        qx, qy = q[:, 0], q[:, 1]
         speed = np.hypot(qx, qy)
-        if speed == 0.0:
-            raise StagnationError(f"zero velocity at ({x:.6g}, {y:.6g})")
+        stalled = np.flatnonzero(speed == 0.0)
+        if stalled.size:
+            k = stalled[0]
+            raise StagnationError(f"zero velocity at ({x[k]:.6g}, {y[k]:.6g})")
         dt = h / (2.0 * speed)
         nx = x + dt * qx
         ny = y + dt * qy
-        s = np.inf
-        if qx > 0 and nx >= 1.0:
-            s = min(s, (1.0 - x) / (dt * qx))
-        elif qx < 0 and nx <= 0.0:
-            s = min(s, (0.0 - x) / (dt * qx))
-        if qy > 0 and ny >= 1.0:
-            s = min(s, (1.0 - y) / (dt * qy))
-        elif qy < 0 and ny <= 0.0:
-            s = min(s, (0.0 - y) / (dt * qy))
-        if np.isfinite(s):
-            return time + min(max(s, 0.0), 1.0) * dt
-        x, y = nx, ny
-        time += dt
+        s = np.full(moving.size, np.inf)     # fraction of the step to the exit face
+        for qc, pos, new in ((qx, x, nx), (qy, y, ny)):
+            high = (qc > 0) & (new >= 1.0)
+            hit = high | ((qc < 0) & (new <= 0.0))
+            wall = np.where(high[hit], 1.0, 0.0)
+            s[hit] = np.minimum(s[hit], (wall - pos[hit]) / (dt[hit] * qc[hit]))
+        out = np.isfinite(s)
+        times[moving[out]] = time[out] + np.minimum(np.maximum(s[out], 0.0), 1.0) * dt[out]
+        stay = ~out
+        moving, x, y, time = moving[stay], nx[stay], ny[stay], time[stay] + dt[stay]
+        if moving.size == 0:
+            return float(times[0]) if single else times
     raise NonconvergenceError(f"particle did not exit within {max_steps} steps")
 
 
@@ -325,7 +348,7 @@ class FlowCellModel(LimitStateModel):
             raise ValueError("level dimensions must be non-decreasing")
         if self.level_dims[-1] > basis.truncation:
             raise ValueError("finest level dimension exceeds KL truncation")
-        self._assemblers: dict[int, _Rt0Assembler] = {}
+        self._solvers: dict[int, _StreamFunctionSolver] = {}
         self._mode_matrices: dict[int, np.ndarray] = {}
 
     @classmethod
@@ -340,11 +363,11 @@ class FlowCellModel(LimitStateModel):
     def dim(self, level: int) -> int:
         return self.level_dims[level - 1]
 
-    def _assembler(self, level: int) -> _Rt0Assembler:
-        if level not in self._assemblers:
+    def _assembler(self, level: int) -> _StreamFunctionSolver:
+        if level not in self._solvers:
             mesh = build_mesh(round(1.0 / self.mesh_size(level)))
-            self._assemblers[level] = _Rt0Assembler(mesh)
-        return self._assemblers[level]
+            self._solvers[level] = _StreamFunctionSolver(mesh)
+        return self._solvers[level]
 
     def _modes(self, level: int) -> np.ndarray:
         if level not in self._mode_matrices:
@@ -360,10 +383,24 @@ class FlowCellModel(LimitStateModel):
         z = self.basis.mean + np.sqrt(self.basis.variance) * (modes @ xi)
         return np.exp(z)
 
-    def travel_time(self, xi, level: int) -> float:
-        assembler = self._assembler(level)
-        vel = assembler.solve(self.permeability(xi, level))
-        return trace_particle(vel, self.start, self.mesh_size(level))
+    def travel_time(self, xis, level: int) -> np.ndarray:
+        """Travel times for an (m, n) batch of coefficient vectors, one per row.
+
+        The permeabilities take one mat-vec per row: a batched mat-mul rounds
+        differently from a mat-vec, and a sample's value must not depend on
+        the batch it arrives in.
+        """
+        solver = self._assembler(level)
+        a = np.array([self.permeability(xi, level) for xi in xis])
+        u = solver.velocities(solver.stream_functions(a))
+        return trace_particle(u, self.start, self.mesh_size(level))
 
     def _evaluate(self, xi, level):
-        return self.travel_time(xi, level) - self.tau0
+        return self.travel_time(xi[None], level)[0] - self.tau0
+
+    def _evaluate_batch(self, xis, level):
+        chunk = max(1, _CHUNK_VALUES // self._assembler(level).mesh.n_tri)
+        times = np.empty(len(xis))
+        for k in range(0, len(xis), chunk):
+            times[k:k + chunk] = self.travel_time(xis[k:k + chunk], level)
+        return times - self.tau0

@@ -65,7 +65,8 @@ def resample_multinomial(weights, count: int, rng: np.random.Generator) -> np.nd
     if not (total > 0) or not np.isfinite(total):
         raise DegenerateWeightsError("cannot resample from zero or non-finite weights")
     idx = rng.choice(w.size, size=count, p=w / total)
-    assert np.all(w[idx] > 0), "zero-weight sample selected by resampling"
+    if not np.all(w[idx] > 0):
+        raise DegenerateWeightsError("zero-weight sample selected by resampling")
     return idx
 
 

@@ -39,10 +39,6 @@ class EvalCounter:
         with self._lock:
             return sum(self._counts.values())
 
-    def reset(self) -> None:
-        with self._lock:
-            self._counts.clear()
-
 
 class LimitStateModel(ABC):
     """A hierarchy of limit-state approximations G_l on growing input spaces.

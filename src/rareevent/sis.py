@@ -196,8 +196,9 @@ def tempering_step(model: LimitStateModel, ensemble: SampleEnsemble,
     g = ensemble.level_values()
     evals_before = model.counter.total()
     sigma, delta, boundary = solve_sigma(g, ensemble.sigma, delta_target)
-    if np.isfinite(ensemble.sigma):
-        assert sigma < ensemble.sigma, "bandwidth schedule must strictly decrease"
+    if np.isfinite(ensemble.sigma) and not sigma < ensemble.sigma:
+        raise FailedTemperingError(
+            f"bandwidth schedule must strictly decrease: {sigma} after {ensemble.sigma}")
     log_w = tempering_log_weights(g, sigma, ensemble.sigma)
     s_hat = float(np.exp(log_mean_exp(log_w)))
 

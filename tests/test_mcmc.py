@@ -83,6 +83,14 @@ class TestResampleMultinomial:
         with pytest.raises(DegenerateWeightsError):
             resample_multinomial([0.0, 0.0], 3, rng)
 
+    def test_zero_weight_draw_rejected(self):
+        class ZeroWeightChoice:
+            def choice(self, n, size, p):
+                return np.zeros(size, dtype=int)
+
+        with pytest.raises(DegenerateWeightsError):
+            resample_multinomial([0.0, 1.0], 3, ZeroWeightChoice())
+
 
 class TestMhChain:
     def test_identity_kernel_freezes_chain(self, rng):

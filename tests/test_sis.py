@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from rareevent.errors import NonconvergenceError
+from rareevent import sis
+from rareevent.errors import FailedTemperingError, NonconvergenceError
 from rareevent.mcmc import make_kernel
 from rareevent.models import ConstantModel, LinearLsfModel
 from rareevent.sis import (
@@ -134,6 +135,15 @@ class TestTemperingStep:
             ens, record = tempering_step(model, ens, 0.3, make_kernel("acs"), 0.1, 0, rng)
             if not record.boundary:
                 assert record.delta == pytest.approx(0.3, rel=0.2)
+
+    def test_non_decreasing_bandwidth_raises(self, rng, monkeypatch):
+        model = LinearLsfModel(2.0, 4)
+        samples = rng.standard_normal((50, 4))
+        ens = SampleEnsemble(samples, {1: model.evaluate_batch(samples, 1)}, 1, sigma=0.5)
+        monkeypatch.setattr(sis, "solve_sigma",
+                            lambda g, sigma_prev, target: (sigma_prev, target, False))
+        with pytest.raises(FailedTemperingError):
+            tempering_step(model, ens, 0.3, make_kernel("acs"), 0.5, 0, rng)
 
 
 class TestSisEstimate:
