@@ -45,7 +45,6 @@ from .mcmc import (
     cov_of_weights,
     extend_dimension,
     make_kernel,
-    mh_chain,
     resample_multinomial,
 )
 from .mlsis import bridge_level, mlsis_estimate, peek_level_update, solve_beta
@@ -56,7 +55,7 @@ from .models import (
     LinearLsfModel,
     mc_estimate,
 )
-from .randomfield import KlBasis, evaluate_log_field, kl_basis_1d, kl_basis_2d, lognormal_params
+from .randomfield import KlBasis, kl_basis_1d, kl_basis_2d, lognormal_params
 from .sis import SampleEnsemble, sis_estimate, solve_sigma, stopping_cov, tempering_step
 from .subset import mlsus_estimate, sus_estimate
 

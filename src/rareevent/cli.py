@@ -11,9 +11,12 @@ import argparse
 import itertools
 import os
 import sys
-from dataclasses import fields
+import typing
 
 from .harness import (
+    KERNELS,
+    METHODS,
+    MODELS,
     ExperimentConfig,
     mc_reference,
     records_to_csv,
@@ -26,20 +29,17 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NONCONVERGED = 3
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-_BOOL_FIELDS = {"stable_timing"}
-_INT_FIELDS = {"n", "levels", "n_b", "reps", "seed", "workers"}
-_FLOAT_FIELDS = {"delta_target", "c", "p0", "ns_frac", "beta", "tau0", "reference"}
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def _coerce(key: str, raw: str):
-    if key in _BOOL_FIELDS:
+    """Parse `raw` as the type of config field `key`; `X | None` parses as X."""
+    kind = _FIELD_TYPES[key]
+    if typing.get_args(kind):
+        kind = typing.get_args(kind)[0]
+    if kind is bool:
         return raw.strip().lower() in ("1", "true", "yes", "on")
-    if key in _INT_FIELDS:
-        return int(raw)
-    if key in _FLOAT_FIELDS:
-        return float(raw)
-    return raw.strip()
+    return kind(raw.strip())
 
 
 def read_config_file(path: str) -> dict:
@@ -62,11 +62,11 @@ def read_config_file(path: str) -> dict:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--model", choices=("linear", "diffusion1d", "flowcell2d"))
-    parser.add_argument("--method", choices=("mc", "sis", "mlsis", "sus", "mlsus"))
+    parser.add_argument("--model", choices=MODELS)
+    parser.add_argument("--method", choices=METHODS)
     parser.add_argument("--n", type=int, help="samples per repetition")
     parser.add_argument("--delta-target", type=float, dest="delta_target")
-    parser.add_argument("--kernel", choices=("acs", "vmfn"))
+    parser.add_argument("--kernel", choices=KERNELS)
     parser.add_argument("--c", type=float, help="seed fraction for MCMC chains")
     parser.add_argument("--p0", type=float, help="subset conditional probability")
     parser.add_argument("--nb", type=int, dest="n_b", help="MCMC burn-in length")
@@ -180,15 +180,13 @@ def cmd_selftest(args) -> int:
     """Fast end-to-end check against the analytic linear limit state."""
     from scipy.special import ndtr
 
-    from .harness import run_experiment as run
-
     exact = float(ndtr(-3.5))
     checks = []
     for method, kernel, tol in (("sis", "vmfn", 0.25), ("sus", "acs", 0.3)):
         config = ExperimentConfig(model="linear", method=method, n=1000,
                                   levels=1, kernel=kernel, reps=10, seed=20240801,
                                   reference=exact, stable_timing=True)
-        summary = summarize(run(config), exact)
+        summary = summarize(run_experiment(config), exact)
         ok = summary.n_ok == 10 and abs(summary.mean / exact - 1.0) < tol
         checks.append(ok)
         print(f"selftest {method}/{kernel}: mean={summary.mean:.4e} "

@@ -126,9 +126,6 @@ class Diffusion1dModel(LimitStateModel):
         z = self.basis.mean + np.sqrt(self.basis.variance) * (xis @ modes.T)
         return np.exp(z)
 
-    def _evaluate(self, xi, level):
-        return self._evaluate_batch(xi[None, :], level)[0]
-
     def _evaluate_batch(self, xis, level):
         a_mid = self._coefficient(xis, level)
         sol = _solve_from_midpoint_values(a_mid, self.mesh_size(level))

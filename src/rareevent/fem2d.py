@@ -395,9 +395,6 @@ class FlowCellModel(LimitStateModel):
         u = solver.velocities(solver.stream_functions(a))
         return trace_particle(u, self.start, self.mesh_size(level))
 
-    def _evaluate(self, xi, level):
-        return self.travel_time(xi[None], level)[0] - self.tau0
-
     def _evaluate_batch(self, xis, level):
         chunk = max(1, _CHUNK_VALUES // self._assembler(level).mesh.n_tri)
         times = np.empty(len(xis))

@@ -19,13 +19,40 @@ from .errors import RareEventError
 from .fem1d import Diffusion1dModel
 from .fem2d import FlowCellModel
 from .mcmc import make_kernel
-from .mlsis import mlsis_estimate
+from .mlsis import _peek_count, mlsis_estimate
 from .models import LimitStateModel, LinearLsfModel, mc_estimate
-from .sis import sis_estimate
-from .subset import mlsus_estimate, sus_estimate
+from .sis import _seed_count, sis_estimate
+from .subset import _validate_p0, mlsus_estimate, sus_estimate
+
+# method name -> estimator call returning (estimate, n_temper, n_bridge); the
+# subset methods report subset levels and level updates in those columns
+_METHODS = {
+    "mc": lambda model, cfg, rng: (mc_estimate(model, cfg.levels, cfg.n, rng), 0, 0),
+    "sis": lambda model, cfg, rng: _tempering_counts(sis_estimate(
+        model, cfg.levels, cfg.n, cfg.delta_target, make_kernel(cfg.kernel), cfg.c, rng,
+        burn_in=cfg.n_b)),
+    "mlsis": lambda model, cfg, rng: _tempering_counts(mlsis_estimate(
+        model, cfg.levels, cfg.n, cfg.delta_target, make_kernel(cfg.kernel), cfg.c, rng,
+        subset_fraction=cfg.ns_frac, burn_in=cfg.n_b)),
+    "sus": lambda model, cfg, rng: _subset_counts(sus_estimate(
+        model, cfg.levels, cfg.n, cfg.p0, make_kernel(cfg.kernel), cfg.n_b, rng)),
+    "mlsus": lambda model, cfg, rng: _subset_counts(mlsus_estimate(
+        model, cfg.levels, cfg.n, cfg.p0, make_kernel(cfg.kernel), cfg.n_b, rng)),
+}
+
+
+def _tempering_counts(result):
+    estimate, trace = result
+    return estimate, trace.n_temper, trace.n_bridge
+
+
+def _subset_counts(result):
+    estimate, trace = result
+    return estimate, trace.n_levels, trace.n_level_updates
+
 
 MODELS = ("linear", "diffusion1d", "flowcell2d")
-METHODS = ("mc", "sis", "mlsis", "sus", "mlsus")
+METHODS = tuple(_METHODS)
 KERNELS = ("acs", "vmfn")
 
 
@@ -71,32 +98,24 @@ class ExperimentConfig:
         if self.method in ("sis", "mlsis"):
             if not (self.delta_target > 0):
                 raise ValueError("delta_target must be positive")
-            inv_c = round(1.0 / self.c)
-            if not (0 < self.c <= 1) or abs(inv_c * self.c - 1.0) > 1e-9:
-                raise ValueError("1/c must be a positive integer")
-            if abs(round(self.c * self.n) - self.c * self.n) > 1e-9:
-                raise ValueError("c*N must be an integer")
+            _seed_count(self.n, self.c)
             if not (0 < self.ns_frac < 1):
                 raise ValueError("ns_frac must lie in (0, 1)")
+            if self.method == "mlsis" and self.levels > 1:
+                _peek_count(self.n, self.ns_frac)
         if self.method in ("sus", "mlsus"):
             if self.kernel != "acs":
                 raise ValueError("subset methods use the acs kernel")
-            if abs(round(self.p0 * self.n) - self.p0 * self.n) > 1e-9 or not (0 < self.p0 < 1):
-                raise ValueError("p0*N must be an integer with p0 in (0, 1)")
-            if abs(round(1.0 / self.p0) - 1.0 / self.p0) > 1e-9:
-                raise ValueError("1/p0 must be an integer")
+            _validate_p0(self.n, self.p0)
         if self.n_b < 0:
             raise ValueError("burn-in must be nonnegative")
+        if self.workers < 1:
+            raise ValueError("worker count must be positive")
 
 
 @dataclass
 class RunRecord:
-    """One repetition: estimate, cost accounting and a trace summary.
-
-    For tempering methods sigma_schedule/beta_schedule hold the adaptive
-    bandwidths and bridging exponents; for subset methods sigma_schedule
-    holds the intermediate thresholds.
-    """
+    """One repetition: estimate, cost accounting and step counts."""
 
     run_id: str
     config: ExperimentConfig
@@ -105,8 +124,6 @@ class RunRecord:
     n_temper: int = 0
     n_bridge: int = 0
     eval_counts: dict[int, int] = field(default_factory=dict)
-    sigma_schedule: list[float] = field(default_factory=list)
-    beta_schedule: list[float] = field(default_factory=list)
     wall_ms: int = 0
     status: str = "ok"
 
@@ -136,30 +153,14 @@ def rel_rmse(estimates, reference: float) -> float:
 
 
 def build_model(config: ExperimentConfig) -> LimitStateModel:
+    dims = (150,) * config.levels if config.level_dims == "fixed" else None
     if config.model == "linear":
         return LinearLsfModel(config.beta, 150)
     if config.model == "diffusion1d":
-        if config.level_dims == "fixed":
-            return Diffusion1dModel(max_level=config.levels,
-                                    level_dims=(150,) * config.levels)
-        from .fem1d import DEFAULT_LEVEL_DIMS
-
-        return Diffusion1dModel(max_level=config.levels,
-                                level_dims=DEFAULT_LEVEL_DIMS[: config.levels])
+        return Diffusion1dModel(max_level=config.levels, level_dims=dims)
     if config.model == "flowcell2d":
-        if config.level_dims == "fixed":
-            return FlowCellModel(tau0=config.tau0, max_level=config.levels,
-                                 level_dims=(150,) * config.levels)
-        from .fem2d import DEFAULT_LEVEL_DIMS_2D
-
-        return FlowCellModel(tau0=config.tau0, max_level=config.levels,
-                             level_dims=DEFAULT_LEVEL_DIMS_2D[: config.levels])
+        return FlowCellModel(tau0=config.tau0, max_level=config.levels, level_dims=dims)
     raise ValueError(f"unknown model '{config.model}'")
-
-
-def _fill_schedules(record: RunRecord, trace) -> None:
-    record.sigma_schedule = [s.sigma for s in trace.steps if s.kind == "temper"]
-    record.beta_schedule = [s.beta for s in trace.steps if s.kind == "bridge"]
 
 
 def run_single(config: ExperimentConfig, rep: int) -> RunRecord:
@@ -169,44 +170,8 @@ def run_single(config: ExperimentConfig, rep: int) -> RunRecord:
     record = RunRecord(run_id=str(rep), config=config)
     start = time.perf_counter()
     try:
-        if config.method == "mc":
-            record.estimate = mc_estimate(model, config.levels, config.n, rng)
-        elif config.method == "sis":
-            kernel = make_kernel(config.kernel)
-            est, trace = sis_estimate(model, config.levels, config.n,
-                                      config.delta_target, kernel, config.c, rng,
-                                      burn_in=config.n_b)
-            record.estimate = est
-            record.n_temper = trace.n_temper
-            record.n_bridge = trace.n_bridge
-            _fill_schedules(record, trace)
-        elif config.method == "mlsis":
-            kernel = make_kernel(config.kernel)
-            est, trace = mlsis_estimate(model, config.levels, config.n,
-                                        config.delta_target, kernel, config.c, rng,
-                                        subset_fraction=config.ns_frac,
-                                        burn_in=config.n_b)
-            record.estimate = est
-            record.n_temper = trace.n_temper
-            record.n_bridge = trace.n_bridge
-            _fill_schedules(record, trace)
-        elif config.method == "sus":
-            kernel = make_kernel(config.kernel)
-            est, trace = sus_estimate(model, config.levels, config.n, config.p0,
-                                      kernel, config.n_b, rng)
-            record.estimate = est
-            record.n_temper = trace.n_levels
-            record.sigma_schedule = [r.threshold for r in trace.records]
-        elif config.method == "mlsus":
-            kernel = make_kernel(config.kernel)
-            est, trace = mlsus_estimate(model, config.levels, config.n, config.p0,
-                                        kernel, config.n_b, rng)
-            record.estimate = est
-            record.n_temper = trace.n_levels
-            record.n_bridge = trace.n_level_updates
-            record.sigma_schedule = [r.threshold for r in trace.records]
-        else:
-            raise ValueError(f"unknown method '{config.method}'")
+        record.estimate, record.n_temper, record.n_bridge = _METHODS[config.method](
+            model, config, rng)
     except RareEventError as exc:
         record.status = f"error:{type(exc).__name__}"
     record.eval_counts = model.counter.counts()

@@ -279,12 +279,3 @@ def run_chains(model: LimitStateModel, target, kernel, seeds: np.ndarray,
     states = np.concatenate(kept_states, axis=0)
     out_values = {lvl: np.concatenate(kept_values[lvl]) for lvl in target.levels}
     return states, out_values
-
-
-def mh_chain(model: LimitStateModel, target, kernel, seed: np.ndarray,
-             seed_values: dict[int, float], c: float, burn_in: int,
-             rng: np.random.Generator):
-    """Single-seed convenience wrapper around `run_chains`."""
-    seeds = np.asarray(seed, dtype=float)[None, :]
-    vals = {lvl: np.array([v]) for lvl, v in seed_values.items()}
-    return run_chains(model, target, kernel, seeds, vals, c, burn_in, rng)

@@ -198,6 +198,14 @@ def bridge_level(model: LimitStateModel, ensemble: SampleEnsemble,
     raise NonconvergenceError(f"bridge did not reach beta=1 in {max_bridge_steps} steps")
 
 
+def _peek_count(n_samples: int, subset_fraction: float) -> int:
+    """Size of the random subset that `peek_level_update` evaluates."""
+    n_subset = max(1, round(subset_fraction * n_samples))
+    if not n_subset < n_samples:
+        raise ValueError(f"a peek subset of {n_subset} leaves no sample of N={n_samples} out")
+    return n_subset
+
+
 def mlsis_estimate(model: LimitStateModel, max_level: int, n_samples: int,
                    delta_target: float, kernel, c: float, rng: np.random.Generator,
                    subset_fraction: float = 0.1, burn_in: int = 0,
@@ -216,7 +224,7 @@ def mlsis_estimate(model: LimitStateModel, max_level: int, n_samples: int,
     if not (delta_target > 0):
         raise ValueError("delta_target must be positive")
     _seed_count(n_samples, c)
-    n_subset = max(1, round(subset_fraction * n_samples))
+    n_subset = _peek_count(n_samples, subset_fraction) if max_level > 1 else 0
     counts_before = model.counter.counts()
 
     samples = rng.standard_normal((n_samples, model.dim(1)))
@@ -278,9 +286,5 @@ def mlsis_estimate(model: LimitStateModel, max_level: int, n_samples: int,
     correction = final_correction(ensemble)
     trace.final_correction = correction
     trace.estimate = trace.s_product() * correction
-    counts_after = model.counter.counts()
-    trace.eval_counts = {
-        lvl: counts_after.get(lvl, 0) - counts_before.get(lvl, 0)
-        for lvl in sorted(counts_after)
-    }
+    trace.eval_counts = model.counter.since(counts_before)
     return trace.estimate, trace

@@ -39,6 +39,11 @@ class EvalCounter:
         with self._lock:
             return sum(self._counts.values())
 
+    def since(self, before: dict[int, int]) -> dict[int, int]:
+        """Per-level counts added after `before` was taken by `counts()`."""
+        now = self.counts()
+        return {lvl: now[lvl] - before.get(lvl, 0) for lvl in sorted(now)}
+
 
 class LimitStateModel(ABC):
     """A hierarchy of limit-state approximations G_l on growing input spaces.
@@ -59,8 +64,8 @@ class LimitStateModel(ABC):
         ...
 
     @abstractmethod
-    def _evaluate(self, xi: np.ndarray, level: int) -> float:
-        ...
+    def _evaluate_batch(self, xis: np.ndarray, level: int) -> np.ndarray:
+        """Limit-state values of an (m, dim(level)) batch, one per row."""
 
     def _check(self, xi: np.ndarray, level: int) -> np.ndarray:
         if not (1 <= level <= self.max_level):
@@ -73,10 +78,8 @@ class LimitStateModel(ABC):
         return xi
 
     def evaluate(self, xi, level: int) -> float:
-        xi = self._check(xi, level)
-        value = float(self._evaluate(xi, level))
-        self.counter.add(level, 1)
-        return value
+        """One evaluation: a batch of one."""
+        return float(self.evaluate_batch(np.asarray(xi, dtype=float)[None], level)[0])
 
     def evaluate_batch(self, xis, level: int) -> np.ndarray:
         """Evaluate a (m, n_level) batch; counts m evaluations at `level`."""
@@ -84,9 +87,6 @@ class LimitStateModel(ABC):
         out = self._evaluate_batch(xis, level)
         self.counter.add(level, xis.shape[0])
         return out
-
-    def _evaluate_batch(self, xis: np.ndarray, level: int) -> np.ndarray:
-        return np.array([self._evaluate(row, level) for row in xis])
 
 
 class LinearLsfModel(LimitStateModel):
@@ -107,9 +107,6 @@ class LinearLsfModel(LimitStateModel):
     def exact_probability(self) -> float:
         return float(special.ndtr(-self.beta))
 
-    def _evaluate(self, xi, level):
-        return self.beta - xi[0]
-
     def _evaluate_batch(self, xis, level):
         return self.beta - xis[:, 0]
 
@@ -126,9 +123,6 @@ class ConstantModel(LimitStateModel):
 
     def dim(self, level: int) -> int:
         return self.n
-
-    def _evaluate(self, xi, level):
-        return self.value
 
     def _evaluate_batch(self, xis, level):
         return np.full(xis.shape[0], self.value)
@@ -155,18 +149,13 @@ class PinnedLevelModel(LimitStateModel):
     def dim(self, level: int) -> int:
         return self.base.dim(self.level)
 
-    def _evaluate(self, xi, level):
-        return self.base._evaluate(xi, self.level)
-
-    def evaluate(self, xi, level: int = 1) -> float:
-        xi = self._check(xi, level)
-        value = float(self.base._evaluate(xi, self.level))
-        self.counter.add(self.level, 1)
-        return value
+    def _evaluate_batch(self, xis, level):
+        return self.base._evaluate_batch(xis, self.level)
 
     def evaluate_batch(self, xis, level: int = 1) -> np.ndarray:
+        """Tallied at the pinned level of the base model, not at level 1."""
         xis = np.atleast_2d(self._check(xis, level))
-        out = self.base._evaluate_batch(xis, self.level)
+        out = self._evaluate_batch(xis, level)
         self.counter.add(self.level, xis.shape[0])
         return out
 

@@ -124,10 +124,6 @@ class KlBasis:
         return self.mean + np.sqrt(self.variance) * (theta @ coeff)
 
 
-def evaluate_log_field(basis: KlBasis, xi, points) -> np.ndarray:
-    return basis.evaluate_log_field(xi, points)
-
-
 def kl_basis_1d(corr_length: float, truncation: int,
                 mean: float = 0.0, variance: float = 1.0) -> KlBasis:
     """KL basis of exp(-|x-y|/corr_length) on [0,1], largest `truncation` modes."""

@@ -104,45 +104,15 @@ class _StallGuard:
 
 def sus_estimate(model: LimitStateModel, level: int, n_samples: int, p0: float,
                  kernel, burn_in: int, rng: np.random.Generator):
-    """Subset simulation at a fixed discretization level."""
-    n_seeds = _validate_p0(n_samples, p0)
+    """Subset simulation at a fixed discretization level.
+
+    Runs the multilevel loop on a single-level view of the model, so its
+    records report the view's level 1.  Unlike MLSuS, every subset step
+    discards `burn_in` chain states.
+    """
     pinned = model if (model.max_level == 1 and level == 1) else PinnedLevelModel(model, level)
-    counts_before = pinned.counter.counts()
-    trace = SubsetTrace()
-
-    samples = rng.standard_normal((n_samples, pinned.dim(1)))
-    g = pinned.evaluate_batch(samples, 1)
-    guard = _StallGuard()
-    for _ in range(MAX_SUBSET_LEVELS):
-        evals_at = pinned.counter.total()
-        order = np.argsort(g, kind="stable")
-        threshold = g[order[n_seeds - 1]]
-        if threshold <= 0:
-            frac = float(np.mean(is_failure(g)))
-            trace.records.append(SubsetLevelRecord(level=level, threshold=0.0, factor=frac))
-            break
-        guard.check(threshold)
-        factor = float(np.mean(g <= threshold))
-        seeds = order[:n_seeds]
-        target = DomainTarget(level=1, threshold=threshold)
-        kernel.prepare(samples, np.zeros(n_samples), pinned.dim(1), rng, round(1.0 / p0))
-        samples, values = run_chains(pinned, target, kernel, samples[seeds],
-                                     {1: g[seeds]}, p0, burn_in, rng)
-        g = values[1]
-        trace.records.append(SubsetLevelRecord(
-            level=level, threshold=float(threshold), factor=factor,
-            n_evals=pinned.counter.total() - evals_at,
-        ))
-    else:
-        raise NonconvergenceError(f"no failure domain within {MAX_SUBSET_LEVELS} subsets")
-
-    trace.estimate = trace.product()
-    counts_after = pinned.counter.counts()
-    trace.eval_counts = {
-        lvl: counts_after.get(lvl, 0) - counts_before.get(lvl, 0)
-        for lvl in sorted(counts_after)
-    }
-    return trace.estimate, trace
+    return _subset_simulation(pinned, 1, n_samples, p0, kernel, burn_in, rng,
+                              burn_in_every_step=True)
 
 
 def mlsus_estimate(model: LimitStateModel, max_level: int, n_samples: int, p0: float,
@@ -155,6 +125,12 @@ def mlsus_estimate(model: LimitStateModel, max_level: int, n_samples: int, p0: f
     values cached on the refreshed ensemble.  Burn-in applies to the chains
     of level-update steps.
     """
+    return _subset_simulation(model, max_level, n_samples, p0, kernel, burn_in, rng,
+                              burn_in_every_step=False)
+
+
+def _subset_simulation(model, max_level, n_samples, p0, kernel, burn_in, rng,
+                       burn_in_every_step: bool):
     if not (1 <= max_level <= model.max_level):
         raise ValueError(f"max_level must lie in 1..{model.max_level}")
     n_seeds = _validate_p0(n_samples, p0)
@@ -204,8 +180,9 @@ def mlsus_estimate(model: LimitStateModel, max_level: int, n_samples: int, p0: f
         if is_update:
             seed_values[level - 1] = prev_level_values[seeds]
         kernel.prepare(samples, np.zeros(n_samples), model.dim(level), rng, round(1.0 / p0))
+        step_burn_in = burn_in if (is_update or burn_in_every_step) else 0
         samples, values = run_chains(model, target, kernel, samples[seeds], seed_values,
-                                     p0, burn_in if is_update else 0, rng)
+                                     p0, step_burn_in, rng)
         g = values[level]
 
         denominator = 1.0
@@ -223,9 +200,5 @@ def mlsus_estimate(model: LimitStateModel, max_level: int, n_samples: int, p0: f
         raise NonconvergenceError(f"no failure domain within {MAX_SUBSET_LEVELS} subsets")
 
     trace.estimate = trace.product()
-    counts_after = model.counter.counts()
-    trace.eval_counts = {
-        lvl: counts_after.get(lvl, 0) - counts_before.get(lvl, 0)
-        for lvl in sorted(counts_after)
-    }
+    trace.eval_counts = model.counter.since(counts_before)
     return trace.estimate, trace

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,6 +85,20 @@ class TestConfigValidation:
     def test_valid_config_passes(self):
         ExperimentConfig(model="diffusion1d", method="mlsis", n=100,
                          levels=8).validate()
+
+    def test_peek_subset_must_leave_samples_out(self):
+        # round(0.96 * 10) = 10: the peek would need every sample
+        config = ExperimentConfig(model="diffusion1d", method="mlsis", n=10, levels=2,
+                                  c=0.5, ns_frac=0.96)
+        with pytest.raises(ValueError):
+            config.validate()
+        # a single-level run never peeks
+        replace(config, levels=1).validate()
+
+    def test_workers_must_be_positive(self):
+        config = ExperimentConfig(model="linear", method="mc", n=10, workers=0)
+        with pytest.raises(ValueError):
+            config.validate()
 
 
 class TestRunExperiment:

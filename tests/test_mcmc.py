@@ -12,7 +12,6 @@ from rareevent.mcmc import (
     cov_of_weights,
     extend_dimension,
     make_kernel,
-    mh_chain,
     resample_multinomial,
     run_chains,
 )
@@ -97,8 +96,8 @@ class TestMhChain:
         model = ConstantModel(-1.0, n=3)
         target = TemperingTarget(level=1, sigma=1.0)
         seed = np.array([0.5, -0.2, 1.0])
-        states, values = mh_chain(model, target, IdentityKernel(), seed,
-                                  {1: -1.0}, c=0.25, burn_in=0, rng=rng)
+        states, values = run_chains(model, target, IdentityKernel(), seed[None],
+                                    {1: np.array([-1.0])}, c=0.25, burn_in=0, rng=rng)
         assert np.all(states == seed)
         assert states.shape == (4, 3)
 
@@ -115,16 +114,16 @@ class TestMhChain:
                 return p
 
         kernel = Recording(+1e9)
-        states, _ = mh_chain(model, target, kernel, np.zeros(2), {1: -1.0},
-                             c=0.5, burn_in=0, rng=rng)
+        states, _ = run_chains(model, target, kernel, np.zeros((1, 2)),
+                               {1: np.array([-1.0])}, c=0.5, burn_in=0, rng=rng)
         assert np.array_equal(states, np.concatenate(kernel.proposals))
 
     def test_burn_in_discarded(self, rng):
         # N_b=2, c=0.5: four steps simulated, two returned
         model = CountingModel(-1.0, n=2)
         target = TemperingTarget(level=1, sigma=1.0)
-        states, _ = mh_chain(model, target, ForcedKernel(+1e9), np.zeros(2),
-                             {1: -1.0}, c=0.5, burn_in=2, rng=rng)
+        states, _ = run_chains(model, target, ForcedKernel(+1e9), np.zeros((1, 2)),
+                               {1: np.array([-1.0])}, c=0.5, burn_in=2, rng=rng)
         assert states.shape == (2, 2)
         assert model.counter.counts() == {1: 4}
 

@@ -29,9 +29,6 @@ class TwoLevelLinear(LimitStateModel):
     def dim(self, level):
         return self.dims[level - 1]
 
-    def _evaluate(self, xi, level):
-        return self.betas[level - 1] - xi[0]
-
     def _evaluate_batch(self, xis, level):
         return self.betas[level - 1] - xis[:, 0]
 

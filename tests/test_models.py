@@ -94,8 +94,8 @@ class TestEvalCounter:
 class TestPinnedLevelModel:
     def test_forwards_to_pinned_level(self):
         class TwoLevel(ConstantModel):
-            def _evaluate(self, xi, level):
-                return float(level)
+            def _evaluate_batch(self, xis, level):
+                return np.full(xis.shape[0], float(level))
 
         base = TwoLevel(0.0, n=2, max_level=3)
         pinned = PinnedLevelModel(base, 2)

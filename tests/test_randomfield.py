@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from rareevent.randomfield import (
-    evaluate_log_field,
     kl_basis_1d,
     kl_basis_2d,
     lognormal_params,
@@ -98,15 +97,15 @@ class TestKl2d:
 class TestEvaluateLogField:
     def test_zero_coefficients_give_mean(self):
         basis = kl_basis_1d(0.1, 30, mean=-0.7, variance=2.0)
-        vals = evaluate_log_field(basis, np.zeros(30), np.linspace(0, 1, 11))
+        vals = basis.evaluate_log_field(np.zeros(30), np.linspace(0, 1, 11))
         assert np.allclose(vals, -0.7)
 
     def test_linearity_in_coefficients(self, rng):
         basis = kl_basis_1d(0.1, 30, mean=0.3, variance=1.5)
         xi = rng.standard_normal(30)
         x = np.linspace(0, 1, 7)
-        doubled = evaluate_log_field(basis, 2 * xi, x) - 0.3
-        single = evaluate_log_field(basis, xi, x) - 0.3
+        doubled = basis.evaluate_log_field(2 * xi, x) - 0.3
+        single = basis.evaluate_log_field(xi, x) - 0.3
         assert np.allclose(doubled, 2 * single, rtol=1e-12)
 
     def test_pointwise_variance_matches_mercer_sum(self, rng):
@@ -128,17 +127,17 @@ class TestEvaluateLogField:
         xi_big = np.concatenate([xi_small, np.zeros(110)])
         x = np.linspace(0, 1, 13)
         assert np.allclose(
-            evaluate_log_field(basis, xi_small, x),
-            evaluate_log_field(basis, xi_big, x),
+            basis.evaluate_log_field(xi_small, x),
+            basis.evaluate_log_field(xi_big, x),
             rtol=0, atol=0,
         )
 
     def test_out_of_domain_rejected(self):
         basis = kl_basis_1d(0.1, 5)
         with pytest.raises(ValueError):
-            evaluate_log_field(basis, np.zeros(5), [1.5])
+            basis.evaluate_log_field(np.zeros(5), [1.5])
 
     def test_truncation_exceeded_rejected(self):
         basis = kl_basis_1d(0.1, 5)
         with pytest.raises(ValueError):
-            evaluate_log_field(basis, np.zeros(6), [0.5])
+            basis.evaluate_log_field(np.zeros(6), [0.5])

@@ -43,6 +43,15 @@ class TestSusEstimate:
             sus_estimate(ConstantModel(1.0, n=2), 1, 100, 0.1,
                          make_kernel("acs"), 0, rng)
 
+    def test_pinned_run_counts_at_the_pinned_level(self, rng):
+        # the records report the single-level view's level; the tally stays
+        # at the base model's level
+        model = Diffusion1dModel(max_level=3)
+        _, trace = sus_estimate(model, 2, 100, 0.1, make_kernel("acs"), 2, rng)
+        assert {r.level for r in trace.records} == {1}
+        assert set(trace.eval_counts) == {2}
+        assert model.counter.counts() == trace.eval_counts
+
     def test_parameter_validation(self, rng):
         model = LinearLsfModel(2.0, 4)
         with pytest.raises(ValueError):
