@@ -33,7 +33,6 @@ from .harness import (
     ExperimentConfig,
     RunRecord,
     cost_units,
-    mc_reference,
     rel_rmse,
     run_experiment,
     summarize,

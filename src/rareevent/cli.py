@@ -18,7 +18,6 @@ from .harness import (
     METHODS,
     MODELS,
     ExperimentConfig,
-    mc_reference,
     records_to_csv,
     run_experiment,
     summarize,
@@ -126,19 +125,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_mc_reference(args) -> int:
-    if getattr(args, "method", None) is None:
-        args.method = "mc"
-    config = build_config(args)
-    record = mc_reference(config)
-    summary = summarize([record], config.reference)
-    text = records_to_csv([record], summary)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    print(f"mc reference estimate: {record.estimate:.6e} (cost {record.cost:.6g})")
-    return EXIT_OK
+    args.method = "mc"
+    return cmd_estimate(args)
 
 
 def _parse_grid(specs: list[str]) -> list[dict]:

@@ -9,9 +9,10 @@ excluded from the summary statistics with a reported count.
 
 from __future__ import annotations
 
-import concurrent.futures
+import os
 import time
-from dataclasses import dataclass, field, replace
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -215,22 +216,18 @@ def summarize(records: list[RunRecord], reference: float | None) -> ExperimentSu
 
 
 def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
-    """All repetitions of one configuration, in repetition order."""
+    """All repetitions of one configuration, in repetition order.
+
+    The pool gets no more workers than there are repetitions or CPUs, and a
+    run that would get one worker runs in this process.
+    """
     config.validate()
     reps = range(config.reps)
-    if config.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
-            records = list(pool.map(run_single, [config] * config.reps, reps))
-    else:
-        records = [run_single(config, rep) for rep in reps]
-    return records
-
-
-def mc_reference(config: ExperimentConfig) -> RunRecord:
-    """Crude Monte Carlo run at the configured level, for reference values."""
-    mc_config = replace(config, method="mc")
-    mc_config.validate()
-    return run_single(mc_config, 0)
+    workers = min(config.workers, config.reps, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run_single, [config] * config.reps, reps))
+    return [run_single(config, rep) for rep in reps]
 
 
 def csv_header(levels: int) -> str:

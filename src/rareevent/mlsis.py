@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .distributions import std_normal_log_cdf
 from .errors import NonconvergenceError
@@ -27,7 +28,6 @@ from .sis import (
     EstimatorTrace,
     SampleEnsemble,
     TraceStep,
-    _audited_minimum,
     _seed_count,
     final_correction,
     stopping_cov,
@@ -43,10 +43,12 @@ def bridging_log_ratios(g_coarse, g_fine, sigma: float) -> np.ndarray:
 
 def solve_beta(g_coarse, g_fine, sigma: float, beta_prev: float,
                delta_target: float) -> tuple[float, float, bool]:
-    """Next bridging exponent in (beta_prev, 1] matching the weight-COV target.
+    """Next bridging exponent in (beta_prev, 1]: the root of COV(w) = target.
 
     Returns exactly 1.0 whenever the full remaining step already satisfies the
-    target.  Returns (beta, realized_cov, hit_boundary).
+    target.  Otherwise the COV rises from 0 at beta_prev to above the target
+    at 1, so Brent's method on [beta_prev, 1] finds the crossing.  Returns
+    (beta, realized_cov, hit_boundary).
     """
     if not (0.0 <= beta_prev < 1.0):
         raise ValueError("beta_prev must lie in [0, 1)")
@@ -58,30 +60,12 @@ def solve_beta(g_coarse, g_fine, sigma: float, beta_prev: float,
     full = delta_at(1.0)
     if full <= delta_target:
         return 1.0, float(full), False
-
-    def objective(beta: float) -> float:
-        return (delta_at(beta) - delta_target) ** 2
-
-    # the COV rises from 0 at beta_prev and can saturate well before 1, so
-    # bisect onto the crossing before the golden-section/grid refinement
-    lo = beta_prev
-    hi = 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if delta_at(mid) >= delta_target:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-12 * (1.0 - beta_prev):
-            break
-    pad = hi - lo
-    lo = max(beta_prev + 1e-12 * (1.0 - beta_prev), lo - pad)
-    hi = min(1.0, hi + pad)
-    beta = float(_audited_minimum(objective, lo, hi, tol=1e-8))
+    beta = brentq(lambda b: delta_at(b) - delta_target, beta_prev, 1.0, xtol=1e-12)
+    beta = max(beta, np.nextafter(beta_prev, 1.0))
     delta = delta_at(beta)
     span = 1.0 - beta_prev
     on_edge = (beta - beta_prev < 1e-3 * span) or (1.0 - beta < 1e-3 * span)
-    return beta, float(delta), bool(on_edge)
+    return float(beta), float(delta), bool(on_edge)
 
 
 @dataclass

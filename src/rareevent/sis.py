@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .distributions import std_normal_log_cdf
 from .errors import DegenerateWeightsError, FailedTemperingError
@@ -27,7 +28,6 @@ from .models import LimitStateModel, PinnedLevelModel, is_failure
 
 SIGMA_MIN = 1e-8
 SIGMA_MAX = 1e8
-GRID_AUDIT_POINTS = 50
 
 
 @dataclass
@@ -57,7 +57,7 @@ class TraceStep:
     s_hat: float | None = None
     beta: float | None = None
     delta: float | None = None           # realized weight COV of the step
-    boundary: bool = False               # minimizer hit the search-interval edge
+    boundary: bool = False               # root on the search-interval edge
     delta_wopt: float | None = None      # stopping COV after the step
     n_evals: int = 0                     # model evaluations spent by this step
     wasted: bool = False                 # peek evaluations not reused by a bridge
@@ -93,50 +93,17 @@ def tempering_log_weights(g, sigma: float, sigma_prev: float) -> np.ndarray:
     return logw
 
 
-def _golden_section(f, lo: float, hi: float, tol: float = 1e-4) -> float:
-    inv_phi = 0.5 * (np.sqrt(5.0) - 1.0)
-    a, b = lo, hi
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = f(x2)
-    return 0.5 * (a + b)
-
-
-def _audited_minimum(f, lo: float, hi: float, tol: float) -> float:
-    """Golden section plus a coarse grid audit; ties resolve to the smallest x.
-
-    The weight-COV objective is close to monotone but not provably unimodal,
-    so the grid guards against a wrong golden-section bracket.
-    """
-    candidates = list(np.linspace(lo, hi, GRID_AUDIT_POINTS))
-    candidates.append(_golden_section(f, lo, hi, tol=tol))
-    candidates.sort()
-    best_x, best_val = None, np.inf
-    for x in candidates:
-        val = f(x)
-        if val < best_val:
-            best_x, best_val = x, val
-    return best_x
-
-
 def solve_sigma(g, sigma_prev: float, delta_target: float,
                 sigma_min: float = SIGMA_MIN, sigma_max: float = SIGMA_MAX):
-    """Next tempering bandwidth minimizing (COV(w) - target)^2 over (0, sigma_prev).
+    """Next tempering bandwidth: the root of COV(w) = target in (0, sigma_prev).
 
     The weight COV vanishes at sigma_prev and grows as sigma shrinks, with
     the whole transition often squeezed into a thin sliver below sigma_prev,
     so the crossing is first bracketed by a geometric walk down from
-    sigma_prev before the golden-section/grid refinement runs.  Reuses cached
-    limit-state values only.  Returns (sigma, realized_cov, hit_boundary).
+    sigma_prev and then found by Brent's method in log sigma.  When the COV
+    stays below the target down to sigma_min, sigma_min is returned as a
+    boundary value.  Reuses cached limit-state values only.  Returns
+    (sigma, realized_cov, hit_boundary).
     """
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
@@ -146,45 +113,33 @@ def solve_sigma(g, sigma_prev: float, delta_target: float,
     hi = min(sigma_prev, sigma_max)
     if hi <= sigma_min:
         raise FailedTemperingError("bandwidth interval collapsed below sigma_min")
+    log_prev = std_normal_log_cdf(-g / sigma_prev) if np.isfinite(sigma_prev) else 0.0
 
-    def delta_at(log_sigma: float) -> float:
+    def cov_at(sigma: float) -> float:
         try:
-            return cov_from_log_weights(
-                tempering_log_weights(g, np.exp(log_sigma), sigma_prev)
-            )
+            return cov_from_log_weights(std_normal_log_cdf(-g / sigma) - log_prev)
         except DegenerateWeightsError:
             return np.inf
 
-    def objective(log_sigma: float) -> float:
-        delta = delta_at(log_sigma)
-        return (delta - delta_target) ** 2 if np.isfinite(delta) else np.inf
-
     log_lo, log_hi = np.log(sigma_min), np.log(hi)
-    # walk down from sigma_prev until the COV exceeds its target
+    # walk down from sigma_prev until the COV reaches its target
     step = 0.5 * np.log(2.0)
-    bracket_lo, bracket_hi = log_lo, log_hi
-    x = log_hi
-    crossed = False
-    while x > log_lo:
-        x_next = max(x - step, log_lo)
-        if delta_at(x_next) >= delta_target:
-            bracket_lo, bracket_hi = x_next, x
-            crossed = True
-            break
-        x = x_next
-    if not crossed:
-        # COV below target everywhere: boundary minimizer at sigma_min
-        sigma = sigma_min
-        return sigma, float(delta_at(log_lo)), True
-    log_best = _audited_minimum(objective, bracket_lo, bracket_hi, tol=1e-4)
-    if not np.isfinite(objective(log_best)):
-        raise FailedTemperingError("no bandwidth produced usable weights")
-    sigma = float(np.exp(log_best))
+    x_above, x = None, log_hi
+    while (delta := cov_at(np.exp(x))) < delta_target:
+        if x == log_lo:
+            # COV below target everywhere: boundary value sigma_min
+            return sigma_min, float(delta), True
+        x_above, x = x, max(x - step, log_lo)
+    if x_above is not None:     # else the COV reaches the target at hi already
+        x = brentq(lambda t: cov_at(np.exp(t)) - delta_target, x, x_above, xtol=1e-10)
+    sigma = float(np.exp(x))
     if np.isfinite(sigma_prev):
         sigma = min(sigma, sigma_prev * (1.0 - 1e-12))
-    delta = cov_from_log_weights(tempering_log_weights(g, sigma, sigma_prev))
+    delta = cov_at(sigma)
+    if not np.isfinite(delta):
+        raise FailedTemperingError("no bandwidth produced usable weights")
     span = log_hi - log_lo
-    on_edge = (log_best - log_lo < 1e-3 * span) or (log_hi - log_best < 1e-3 * span)
+    on_edge = (x - log_lo < 1e-3 * span) or (log_hi - x < 1e-3 * span)
     return sigma, float(delta), bool(on_edge)
 
 

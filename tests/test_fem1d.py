@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from rareevent.errors import ModelEvaluationError
 from rareevent.fem1d import Diffusion1dModel, solve_diffusion_1d
@@ -29,6 +30,27 @@ class TestSolver:
         seg = (edges[:-1] - edges[1:]) * (0.5 * (edges[:-1] + edges[1:]) - 1.0)
         exact = np.concatenate([[0.0], np.cumsum(seg / a_vals)])
         assert np.allclose(sol, exact, atol=1e-12)
+
+    @pytest.mark.parametrize("level", range(1, 9))
+    def test_matches_banded_stiffness_solve(self, rng, level):
+        # independent reference: assemble the midpoint-coefficient stiffness
+        # matrix and load, and solve the tridiagonal system with LAPACK
+        model = Diffusion1dModel()
+        h = model.mesh_size(level)
+        m = round(1 / h)
+        a_mid = model._coefficient(rng.standard_normal((3, model.dim(level))), level)
+        for a in a_mid:
+            bands = np.zeros((3, m))
+            bands[0, 1:] = -a[1:] / h
+            bands[1, :-1] = (a[:-1] + a[1:]) / h
+            bands[1, -1] = a[-1] / h
+            bands[2, :-1] = -a[1:] / h
+            load = np.full(m, h)
+            load[-1] = 0.5 * h
+            reference = solve_banded((1, 1), bands, load)
+            sol = solve_diffusion_1d(a, h)
+            assert sol[0] == 0.0
+            assert np.all(np.abs(sol[1:] - reference) <= 1e-11 * np.abs(reference))
 
     def test_solution_monotone_nonnegative(self, rng):
         a_vals = np.exp(0.5 * rng.standard_normal(64))

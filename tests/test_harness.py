@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rareevent import harness
 from rareevent.harness import (
     ExperimentConfig,
     RunRecord,
     cost_units,
     csv_header,
-    mc_reference,
     records_to_csv,
     rel_rmse,
     run_experiment,
@@ -146,11 +146,39 @@ class TestRunExperiment:
     def test_mc_reference_linear(self):
         config = ExperimentConfig(model="linear", method="mc", n=200_000,
                                   seed=5, stable_timing=True)
-        record = mc_reference(config)
+        record = run_experiment(replace(config, method="mc"))[0]
         exact = 2.326290790355250e-04
         bound = 3 * np.sqrt(exact / 200_000)
         assert abs(record.estimate - exact) < bound
         assert record.eval_counts == {1: 200_000}
+
+    def test_pool_sized_from_the_work(self, monkeypatch):
+        # a recording stand-in for the pool: it runs the map in this process
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 16)
+        config = ExperimentConfig(model="linear", method="mc", n=10, stable_timing=True)
+        assert len(run_experiment(replace(config, reps=1, workers=3))) == 1
+        assert requested == []
+        assert len(run_experiment(replace(config, reps=2, workers=8))) == 2
+        assert requested == [2]
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        assert len(run_experiment(replace(config, reps=8, workers=8))) == 8
+        assert requested == [2, 3]
 
     def test_run_single_counts_costs(self):
         config = ExperimentConfig(model="diffusion1d", method="mlsis", n=100,
@@ -178,6 +206,20 @@ class TestCli:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == csv_header(1)
         assert len(lines) == 4  # header, two runs, summary
+
+    def test_mc_reference_runs_every_repetition(self, tmp_path):
+        out = tmp_path / "ref.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "rareevent.cli", "mc-reference",
+             "--model", "linear", "--n", "1000", "--reps", "3", "--seed", "6",
+             "--stable-timing", "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = out.read_text().strip().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "summary"]
+        assert all(line.split(",")[1] == "mc" for line in lines[1:])
+        assert "n_ok=3" in lines[-1]
 
     def test_config_error_exit_code(self):
         proc = subprocess.run(

@@ -69,6 +69,18 @@ class TestSolveBeta:
         if not boundary:
             assert delta == pytest.approx(0.25, rel=0.2)
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("beta_prev", [0.0, 0.4])
+    @pytest.mark.parametrize("target", [0.25, 0.5])
+    def test_realized_cov_is_the_root(self, seed, beta_prev, target):
+        rng = np.random.default_rng([29, seed])
+        g_coarse = rng.standard_normal(500)
+        g_fine = g_coarse + 0.8 * rng.standard_normal(500)
+        beta, delta, boundary = solve_beta(g_coarse, g_fine, 0.5, beta_prev, target)
+        assert beta_prev < beta < 1.0
+        assert not boundary
+        assert delta == pytest.approx(target, rel=1e-8)
+
     def test_beta_prev_validated(self):
         with pytest.raises(ValueError):
             solve_beta(np.zeros(2), np.zeros(2), 1.0, 1.0, 0.5)

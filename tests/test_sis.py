@@ -82,6 +82,16 @@ class TestSolveSigma:
             assert delta == pytest.approx(target, rel=0.2)
 
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("sigma_prev", [np.inf, 5.0, 0.8])
+    @pytest.mark.parametrize("target", [0.25, 0.5, 1.0])
+    def test_realized_cov_is_the_root(self, seed, sigma_prev, target):
+        g = np.random.default_rng([23, seed]).normal(1.5, 1.0, size=200)
+        sigma, delta, boundary = solve_sigma(g, sigma_prev, target)
+        assert not boundary
+        assert delta == pytest.approx(target, rel=1e-8)
+
+
 class TestStoppingCov:
     def test_deep_failure_gives_zero(self):
         ens = SampleEnsemble(np.zeros((5, 2)), {1: np.full(5, -10.0)}, 1, sigma=1.0)
