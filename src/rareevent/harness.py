@@ -9,6 +9,8 @@ excluded from the summary statistics with a reported count.
 
 from __future__ import annotations
 
+import ctypes
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -215,6 +217,27 @@ def summarize(records: list[RunRecord], reference: float | None) -> ExperimentSu
     )
 
 
+def _init_worker(slot, cpus: tuple[int, ...]) -> None:
+    """Pool initializer: worker k starts on cpus[k] and runs one BLAS thread.
+
+    A forked worker starts on its parent's CPU, where the scheduler may keep
+    two busy workers for most of a second while a core idles, so it moves to
+    a CPU of its own and then gets the whole set back.  The workers fill the
+    cores, so every OpenBLAS loaded (found in /proc/self/maps) runs one thread.
+    """
+    with slot.get_lock():
+        os.sched_setaffinity(0, {cpus[slot.value % len(cpus)]})
+        slot.value += 1
+    os.sched_setaffinity(0, cpus)
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line}
+    for lib in map(ctypes.CDLL, sorted(paths)):
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                getattr(lib, name)(ctypes.c_int(1))
+
+
 def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     """All repetitions of one configuration, in repetition order.
 
@@ -225,7 +248,11 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     reps = range(config.reps)
     workers = min(config.workers, config.reps, os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        setup = {}
+        if hasattr(os, "sched_getaffinity"):        # Linux
+            setup = dict(initializer=_init_worker, initargs=(
+                multiprocessing.Value("i", 0), tuple(sorted(os.sched_getaffinity(0)))))
+        with ProcessPoolExecutor(max_workers=workers, **setup) as pool:
             return list(pool.map(run_single, [config] * config.reps, reps))
     return [run_single(config, rep) for rep in reps]
 

@@ -1,3 +1,5 @@
+import ctypes
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -101,7 +103,56 @@ class TestConfigValidation:
             config.validate()
 
 
+_affinity_calls = []
+
+
+def _report_worker_setup(slot, cpus, queue):
+    """Run the pool initializer, then report its CPU moves and BLAS threads."""
+    harness._init_worker(slot, cpus)
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    threads = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                threads.append(getattr(lib, name)())
+                break
+    queue.put((_affinity_calls, threads))
+
+
 class TestRunExperiment:
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                        or len(os.sched_getaffinity(0)) < 2
+                        or not os.path.exists("/proc/self/maps"),
+                        reason="needs two CPUs and /proc/self/maps")
+    def test_workers_start_on_own_cpu_with_one_blas_thread(self, monkeypatch):
+        real = os.sched_setaffinity
+
+        def recording(pid, cpus):
+            _affinity_calls.append(sorted(cpus))
+            real(pid, cpus)
+
+        monkeypatch.setattr(os, "sched_setaffinity", recording)
+        ctx = multiprocessing.get_context("fork")
+        cpus = tuple(sorted(os.sched_getaffinity(0)))
+        slot, queue = ctx.Value("i", 0), ctx.Queue()
+        procs = [ctx.Process(target=_report_worker_setup, args=(slot, cpus, queue))
+                 for _ in range(2)]
+        for proc in procs:
+            proc.start()
+        reports = sorted(queue.get(timeout=60) for _ in procs)
+        for proc in procs:
+            proc.join(timeout=60)
+            assert not proc.is_alive()
+        # each worker moves to its own CPU, then gets the whole set back
+        assert [calls for calls, _ in reports] == [[[cpus[0]], list(cpus)],
+                                                   [[cpus[1]], list(cpus)]]
+        for _, threads in reports:
+            assert threads and all(n == 1 for n in threads)
+        assert _affinity_calls == []
+
     def test_deterministic_csv_across_workers(self):
         base = dict(model="linear", method="sis", n=200, levels=1,
                     delta_target=0.5, kernel="vmfn", reps=4, seed=77,
@@ -157,8 +208,10 @@ class TestRunExperiment:
         requested = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None, initargs=()):
                 requested.append(max_workers)
+                linux = hasattr(os, "sched_getaffinity")
+                assert initializer is (harness._init_worker if linux else None)
 
             def __enter__(self):
                 return self
