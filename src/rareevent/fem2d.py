@@ -15,7 +15,10 @@ stiffness has coefficient 1/a per triangle and the load is one on the top
 value.  Edge fluxes are psi differences, so the divergence and the no-flow
 fluxes vanish by construction, and the pressures follow exactly from the
 flux rows of the mixed system.  Numbering the vertex rows bottom to top, top
-value last, keeps the matrix banded for LAPACK's banded Cholesky.
+value last, keeps the matrix banded for LAPACK's banded Cholesky.  Those
+solves run with OpenBLAS set to one thread for the whole process, and the
+caller's thread counts come back when they end: threading only slows the
+small level-2 BLAS calls the banded Cholesky makes, and the bits are the same.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg.lapack import dpbsv
 
+from ._blas import single_blas_thread
 from .errors import ModelEvaluationError, NonconvergenceError, StagnationError
 from .models import LimitStateModel
 from .randomfield import KlBasis, kl_basis_2d
@@ -142,23 +146,30 @@ class _StreamFunctionSolver:
         self._band_stiffness = np.tile(k_loc, (m * m, 1, 1))[keep]
 
     def stream_functions(self, a_batch: np.ndarray) -> np.ndarray:
-        """Vertex values psi[s, j, i] for a (samples, n_tri) batch of permeabilities."""
+        """Vertex values psi[s, j, i] for a (samples, n_tri) batch of permeabilities.
+
+        The solves run with every loaded OpenBLAS on one thread, a setting of
+        the whole process that holds for the loop and is then restored: below
+        32 superdiagonals LAPACK's banded Cholesky makes two tiny level-2 BLAS
+        calls per column, and a second thread only adds a wake-up to each.
+        """
         if np.any(a_batch <= 0) or not np.all(np.isfinite(a_batch)):
             raise ModelEvaluationError("permeability must be positive and finite")
         m = self.mesh.m
         psi = np.zeros((a_batch.shape[0], m + 1, m + 1))
         size = self.n * (self.kd + 1)
-        for s, a in enumerate(a_batch):
-            weights = self._band_stiffness / a[self._band_tri]
-            band = np.bincount(self._band_index, weights=weights, minlength=size)
-            load = np.zeros(self.n)
-            load[-1] = 1.0
-            _, sol, info = dpbsv(band.reshape(self.n, self.kd + 1).T, load,
-                                 overwrite_ab=1, overwrite_b=1)
-            if info != 0:  # pragma: no cover - SPD for every positive finite field
-                raise ModelEvaluationError(f"banded Cholesky failed (info={info})")
-            psi[s, 1:m] = sol[:-1].reshape(m - 1, m + 1)
-            psi[s, m] = sol[-1]
+        with single_blas_thread():
+            for s, a in enumerate(a_batch):
+                weights = self._band_stiffness / a[self._band_tri]
+                band = np.bincount(self._band_index, weights=weights, minlength=size)
+                load = np.zeros(self.n)
+                load[-1] = 1.0
+                _, sol, info = dpbsv(band.reshape(self.n, self.kd + 1).T, load,
+                                     overwrite_ab=1, overwrite_b=1)
+                if info != 0:  # pragma: no cover - SPD for every positive finite field
+                    raise ModelEvaluationError(f"banded Cholesky failed (info={info})")
+                psi[s, 1:m] = sol[:-1].reshape(m - 1, m + 1)
+                psi[s, m] = sol[-1]
         return psi
 
     def velocities(self, psi: np.ndarray) -> np.ndarray:
@@ -292,28 +303,34 @@ def trace_particle(vel, start, h: float, max_steps: int | None = None):
     if max_steps is None:
         max_steps = STEPS_PER_CELL * m * m
 
+    n_tri = u.shape[1]
+    flat = u.reshape(-1, 2)                  # row s, triangle t at s n_tri + t
     times = np.empty(u.shape[0])
     moving = np.arange(u.shape[0])
     x = np.full(moving.size, x0)
     y = np.full(moving.size, y0)
     time = np.zeros(moving.size)
     for _ in range(max_steps):
-        q = u[moving, mesh.locate(x, y)]
+        q = flat[moving * n_tri + mesh.locate(x, y)]
         qx, qy = q[:, 0], q[:, 1]
         speed = np.hypot(qx, qy)
-        stalled = np.flatnonzero(speed == 0.0)
-        if stalled.size:
-            k = stalled[0]
+        if not speed.all():
+            k = np.flatnonzero(speed == 0.0)[0]
             raise StagnationError(f"zero velocity at ({x[k]:.6g}, {y[k]:.6g})")
         dt = h / (2.0 * speed)
         nx = x + dt * qx
         ny = y + dt * qy
-        s = np.full(moving.size, np.inf)     # fraction of the step to the exit face
-        for qc, pos, new in ((qx, x, nx), (qy, y, ny)):
-            high = (qc > 0) & (new >= 1.0)
-            hit = high | ((qc < 0) & (new <= 0.0))
-            wall = np.where(high[hit], 1.0, 0.0)
-            s[hit] = np.minimum(s[hit], (wall - pos[hit]) / (dt[hit] * qc[hit]))
+        high_x, high_y = (qx > 0) & (nx >= 1.0), (qy > 0) & (ny >= 1.0)
+        hit_x = high_x | ((qx < 0) & (nx <= 0.0))
+        hit_y = high_y | ((qy < 0) & (ny <= 0.0))
+        if not (hit_x.any() or hit_y.any()):
+            x, y, time = nx, ny, time + dt
+            continue
+        # fraction of the step to the exit face, inf on an axis not crossed;
+        # the face is 1 where `high` holds and 0 otherwise
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.minimum(np.where(hit_x, (high_x - x) / (dt * qx), np.inf),
+                           np.where(hit_y, (high_y - y) / (dt * qy), np.inf))
         out = np.isfinite(s)
         times[moving[out]] = time[out] + np.minimum(np.maximum(s[out], 0.0), 1.0) * dt[out]
         stay = ~out

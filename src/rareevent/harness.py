@@ -9,7 +9,6 @@ excluded from the summary statistics with a reported count.
 
 from __future__ import annotations
 
-import ctypes
 import multiprocessing
 import os
 import time
@@ -18,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import set_blas_threads
 from .errors import RareEventError
 from .fem1d import Diffusion1dModel
 from .fem2d import FlowCellModel
@@ -229,13 +229,7 @@ def _init_worker(slot, cpus: tuple[int, ...]) -> None:
         os.sched_setaffinity(0, {cpus[slot.value % len(cpus)]})
         slot.value += 1
     os.sched_setaffinity(0, cpus)
-    with open("/proc/self/maps", encoding="utf-8") as fh:
-        paths = {line.split()[-1] for line in fh if "openblas" in line}
-    for lib in map(ctypes.CDLL, sorted(paths)):
-        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
-            if hasattr(lib, name):
-                getattr(lib, name)(ctypes.c_int(1))
+    set_blas_threads(1)
 
 
 def run_experiment(config: ExperimentConfig) -> list[RunRecord]:

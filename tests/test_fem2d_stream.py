@@ -1,4 +1,5 @@
-"""Regression tests for the stream-function flow-cell solver and the lockstep tracker.
+"""Regression tests for the stream-function flow-cell solver, its one-thread
+BLAS scope and the lockstep tracker.
 
 `data/fem2d_rt0_golden.json` holds travel times and every `stride`-th
 triangle pressure for five fixed coefficient vectors on levels 1-4, computed
@@ -12,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpbsv
 
-from rareevent import fem2d
+from rareevent import _blas, fem2d
 from rareevent.errors import ModelEvaluationError, NonconvergenceError, StagnationError
 from rareevent.fem2d import FlowCellModel, build_mesh, trace_particle
 
@@ -73,3 +75,66 @@ def test_nonpositive_permeability_rejected_in_batch():
     a[2, 5] = 0.0
     with pytest.raises(ModelEvaluationError):
         solver.stream_functions(a)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS on two threads, so a one-thread scope shows on any host."""
+    saved = _blas.blas_threads()
+    if not saved:
+        pytest.skip("no OpenBLAS found in /proc/self/maps")
+    _blas.set_blas_threads(2)
+    yield [2] * len(saved)
+    for (_, set_threads), n in zip(_blas._libraries(), saved):
+        set_threads(n)
+
+
+def _recording_dpbsv(monkeypatch, seen, fail=False):
+    real = fem2d.dpbsv
+
+    def recording(*args, **kwargs):
+        seen.append(_blas.blas_threads())
+        if fail:
+            raise RuntimeError("injected solver failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fem2d, "dpbsv", recording)
+
+
+def test_banded_solves_run_on_one_blas_thread_and_restore(two_blas_threads, rng, monkeypatch):
+    model = FlowCellModel()
+    xis = rng.standard_normal((4, model.dim(3)))
+    seen = []
+    _recording_dpbsv(monkeypatch, seen)
+    model.evaluate_batch(xis, 3)
+    assert seen == [[1] * len(two_blas_threads)] * len(xis)
+    assert _blas.blas_threads() == two_blas_threads
+
+
+def test_blas_threads_restored_when_a_solve_raises(two_blas_threads, rng, monkeypatch):
+    model = FlowCellModel()
+    seen = []
+    _recording_dpbsv(monkeypatch, seen, fail=True)
+    with pytest.raises(RuntimeError, match="injected"):
+        model.evaluate_batch(rng.standard_normal((2, model.dim(3))), 3)
+    assert seen == [[1] * len(two_blas_threads)]
+    assert _blas.blas_threads() == two_blas_threads
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_one_thread_solve_matches_two_thread_solve_bit_for_bit(level, two_blas_threads, rng):
+    model = FlowCellModel()
+    solver = model._assembler(level)
+    m, n, kd = solver.mesh.m, solver.n, solver.kd
+    for xi in rng.standard_normal((3, model.dim(level))):
+        a = model.permeability(xi, level)
+        band = np.bincount(solver._band_index, weights=solver._band_stiffness / a[solver._band_tri],
+                           minlength=n * (kd + 1))
+        load = np.zeros(n)
+        load[-1] = 1.0
+        assert _blas.blas_threads() == two_blas_threads
+        _, sol, info = dpbsv(band.reshape(n, kd + 1).T, load)
+        assert info == 0
+        psi = solver.stream_functions(a[None])[0]
+        assert np.array_equal(psi[1:m].ravel(), sol[:-1])
+        assert np.all(psi[m] == sol[-1])
