@@ -15,10 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .errors import DegenerateWeightsError, NonconvergenceError
 
 S_SHAPE_MIN = 0.5
 S_SHAPE_MAX = 1e6
 CHI_MAX = 0.95
+# Wood's envelope accepts about two thirds of its draws or more at every kappa
+# and dimension, so a draw still pending after this many rounds (chance below
+# 1e-45) means the acceptance test is broken, not unlucky.
+VMF_REJECTION_ROUNDS = 100
 
 
 def std_normal_log_cdf(x):
@@ -62,8 +67,8 @@ class VmfnParams:
         object.__setattr__(self, "nu", nu)
         if abs(np.linalg.norm(nu) - 1.0) > 1e-12:
             raise ValueError("mean direction nu must be a unit vector")
-        if not (self.kappa >= 0.0):
-            raise ValueError("concentration kappa must be >= 0")
+        if not (0.0 <= self.kappa < np.inf):
+            raise ValueError("concentration kappa must be finite and >= 0")
         if not (self.s >= S_SHAPE_MIN):
             raise ValueError(f"shape s must be >= {S_SHAPE_MIN}")
         if not (self.gamma > 0.0):
@@ -128,14 +133,19 @@ def vmf_log_density(a, nu, kappa: float) -> float:
 
 
 def _sample_vmf_cosines(kappa: float, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw `size` cosines W = nu . a via the beta-envelope rejection scheme."""
+    """Draw `size` cosines W = nu . a via Wood's beta-envelope rejection scheme."""
     d = n - 1
     b = d / (np.sqrt(4.0 * kappa * kappa + d * d) + 2.0 * kappa)
     x0 = (1.0 - b) / (1.0 + b)
     c = kappa * x0 + d * np.log(1.0 - x0 * x0)
     out = np.empty(size)
-    filled = 0
+    filled = rounds = 0
     while filled < size:
+        if rounds == VMF_REJECTION_ROUNDS:
+            raise NonconvergenceError(
+                f"vMF cosine sampler left {size - filled} of {size} draws rejected "
+                f"after {rounds} rounds (kappa={kappa}, n={n})")
+        rounds += 1
         m = size - filled
         z = rng.beta(0.5 * d, 0.5 * d, size=m)
         w = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
@@ -146,32 +156,42 @@ def _sample_vmf_cosines(kappa: float, n: int, size: int, rng: np.random.Generato
     return out
 
 
+def _sample_scaled_vmf(nu: np.ndarray, kappa: float, n: int, r, m: int,
+                       rng: np.random.Generator) -> np.ndarray:
+    """m rows r * a, a ~ vMF(nu, kappa), built in the normals' array z as
+    r w nu + r sqrt(1 - w^2) z_perp / |z_perp| from the cosines w.
+
+    z_perp = z - (z . nu) nu is formed explicitly: |z|^2 - (z . nu)^2 cancels.
+    """
+    if kappa == 0.0:
+        z = rng.standard_normal((m, n))
+        z *= (r / np.sqrt(np.einsum("ij,ij->i", z, z)))[:, None]
+        return z
+    if n == 1:
+        # S^0 = {-1, +1}
+        p_plus = 1.0 / (1.0 + np.exp(-2.0 * kappa * nu[0]))
+        return np.where(rng.uniform(size=(m, 1)) < p_plus, 1.0, -1.0) * np.reshape(r, (-1, 1))
+    w = _sample_vmf_cosines(kappa, n, m, rng)
+    z = rng.standard_normal((m, n))
+    z -= np.multiply.outer(z @ nu, nu)
+    norms = np.sqrt(np.einsum("ij,ij->i", z, z))
+    norms[norms == 0.0] = 1.0
+    z *= (r * np.sqrt(np.clip(1.0 - w * w, 0.0, None)) / norms)[:, None]
+    z += np.multiply.outer(r * w, nu)
+    return z
+
+
 def sample_vmf(nu, kappa: float, n: int, rng: np.random.Generator, size: int | None = None):
     """Sample directions from the vMF law; (n,) for size=None, else (size, n)."""
     nu = np.asarray(nu, dtype=float)
-    if kappa < 0:
-        raise ValueError("kappa must be >= 0")
+    if not (0.0 <= kappa < np.inf):
+        raise ValueError("kappa must be finite and >= 0")
     if abs(np.linalg.norm(nu) - 1.0) > 1e-9:
         raise ValueError("nu must be a unit vector")
     if nu.shape[0] != n:
         raise ValueError("nu dimension mismatch")
     m = 1 if size is None else int(size)
-    if kappa == 0.0:
-        z = rng.standard_normal((m, n))
-        a = z / np.linalg.norm(z, axis=1, keepdims=True)
-    elif n == 1:
-        # S^0 = {-1, +1}
-        p_plus = 1.0 / (1.0 + np.exp(-2.0 * kappa * nu[0]))
-        a = np.where(rng.uniform(size=(m, 1)) < p_plus, 1.0, -1.0)
-    else:
-        w = _sample_vmf_cosines(kappa, n, m, rng)
-        z = rng.standard_normal((m, n))
-        z -= (z @ nu)[:, None] * nu[None, :]
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        tangent = z / norms
-        a = w[:, None] * nu[None, :] + np.sqrt(np.clip(1.0 - w * w, 0.0, None))[:, None] * tangent
-        a /= np.linalg.norm(a, axis=1, keepdims=True)
+    a = _sample_scaled_vmf(nu, kappa, n, 1.0, m, rng)
     return a[0] if size is None else a
 
 
@@ -235,8 +255,7 @@ def sample_vmfn(params: VmfnParams, n: int, rng: np.random.Generator, size: int 
         raise ValueError("dimension mismatch between n and params")
     m = 1 if size is None else int(size)
     r = sample_nakagami(params.s, params.gamma, rng, size=m)
-    a = sample_vmf(params.nu, params.kappa, n, rng, size=m)
-    u = r[:, None] * a
+    u = _sample_scaled_vmf(params.nu, params.kappa, n, r, m, rng)
     return u[0] if size is None else u
 
 
@@ -256,21 +275,19 @@ def fit_vmfn(samples, weights) -> VmfnParams:
         raise ValueError("weights must be one per sample")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
-    from .errors import DegenerateWeightsError
-
     active = w > 0
-    w_sum = float(w[active].sum())
+    if not active.all():
+        u, w = u[active], w[active]
+    w_sum = float(w.sum())
     if not (w_sum > 0) or not np.isfinite(w_sum):
         raise DegenerateWeightsError("total fitting weight is zero")
-    u = u[active]
-    w = w[active]
-    r = np.linalg.norm(u, axis=1)
+    r2 = np.einsum("ij,ij->i", u, u)
+    r = np.sqrt(r2)
     if np.any(r == 0):
         raise ValueError("samples must be nonzero to define directions")
-    a = u / r[:, None]
     n = u.shape[1]
 
-    resultant = w @ a
+    resultant = (w / r) @ u
     res_norm = float(np.linalg.norm(resultant))
     if res_norm > 0:
         nu = resultant / res_norm
@@ -281,8 +298,8 @@ def fit_vmfn(samples, weights) -> VmfnParams:
     chi = min(res_norm / w_sum, CHI_MAX)
     kappa = (chi * n - chi**3) / (1.0 - chi * chi)
 
-    gamma = float(w @ (r * r) / w_sum)
-    nu4 = float(w @ (r**4) / w_sum)
+    gamma = float(w @ r2 / w_sum)
+    nu4 = float(w @ (r2 * r2) / w_sum)
     excess = nu4 - gamma * gamma
     if excess <= 0:
         s = S_SHAPE_MAX

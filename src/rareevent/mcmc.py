@@ -1,10 +1,10 @@
 """Metropolis-Hastings machinery for the tempering/bridging targets.
 
 Targets are the smoothed densities Phi(-G/sigma)^(...) * phi_n(u); kernels
-supply proposals plus whatever prior/proposal terms do not cancel in the
-acceptance ratio.  Chains from all seeds advance in lockstep so every
-iteration evaluates the limit state once per proposal and per involved level,
-as one batched call.
+supply proposals plus a per-state score holding whatever prior/proposal terms
+do not cancel in the acceptance ratio.  Chains from all seeds advance in
+lockstep so every iteration evaluates the limit state once per proposal and
+per involved level, as one batched call.
 """
 
 from __future__ import annotations
@@ -173,8 +173,12 @@ class AcsKernel:
         eps = rng.standard_normal(current.shape)
         return rho * current + np.sqrt(1.0 - rho * rho) * eps
 
+    def log_score(self, states) -> np.ndarray:
+        # the pCN proposal is phi_n-reversible: nothing is left to score
+        return np.zeros(states.shape[0])
+
     def log_accept_extra(self, current, proposal) -> np.ndarray:
-        return np.zeros(current.shape[0])
+        return self.log_score(proposal) - self.log_score(current)
 
     def feedback(self, accepted: np.ndarray) -> None:
         self.stats.proposals += accepted.size
@@ -207,14 +211,12 @@ class VmfnIndependentKernel:
     def propose(self, current: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return sample_vmfn(self.params, current.shape[1], rng, size=current.shape[0])
 
+    def log_score(self, states) -> np.ndarray:
+        # log phi_n - log q: the independence proposal's terms in the MH ratio
+        return std_normal_log_pdf(states) - vmfn_log_density(states, self.params)
+
     def log_accept_extra(self, current, proposal) -> np.ndarray:
-        # phi_n(prop)/phi_n(cur) * q(cur)/q(prop) for the independence proposal
-        return (
-            std_normal_log_pdf(proposal)
-            - std_normal_log_pdf(current)
-            + vmfn_log_density(current, self.params)
-            - vmfn_log_density(proposal, self.params)
-        )
+        return self.log_score(proposal) - self.log_score(current)
 
     def feedback(self, accepted: np.ndarray) -> None:
         self.stats.proposals += accepted.size
@@ -247,7 +249,8 @@ def run_chains(model: LimitStateModel, target, kernel, seeds: np.ndarray,
     of every chain (count = len(seeds) / c) and values carries the cached
     limit-state evaluations per level of the target.  Seed values are reused,
     never recomputed; each iteration costs one batched model evaluation per
-    target level.
+    target level.  The kernel scores the seeds and each batch of proposals
+    once; accepted scores are carried like the limit-state values.
     """
     inv_c = round(1.0 / c)
     if abs(inv_c * c - 1.0) > 1e-9:
@@ -261,14 +264,17 @@ def run_chains(model: LimitStateModel, target, kernel, seeds: np.ndarray,
     kept_states = []
     kept_values = {lvl: [] for lvl in target.levels}
     log_smooth_cur = target.log_smooth(values)
+    score_cur = kernel.log_score(current)
     for step in range(steps):
         proposals = kernel.propose(current, rng)
         prop_values = _evaluate_levels(model, proposals, target.levels)
         log_smooth_prop = target.log_smooth(prop_values)
-        log_alpha = log_smooth_prop - log_smooth_cur + kernel.log_accept_extra(current, proposals)
+        score_prop = kernel.log_score(proposals)
+        log_alpha = log_smooth_prop - log_smooth_cur + (score_prop - score_cur)
         accept = np.log(rng.uniform(size=current.shape[0])) < log_alpha
         current[accept] = proposals[accept]
         log_smooth_cur = np.where(accept, log_smooth_prop, log_smooth_cur)
+        score_cur = np.where(accept, score_prop, score_cur)
         for lvl in target.levels:
             values[lvl] = np.where(accept, prop_values[lvl], values[lvl])
         kernel.feedback(accept)

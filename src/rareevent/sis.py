@@ -100,9 +100,10 @@ def solve_sigma(g, sigma_prev: float, delta_target: float,
     The weight COV vanishes at sigma_prev and grows as sigma shrinks, with
     the whole transition often squeezed into a thin sliver below sigma_prev,
     so the crossing is first bracketed by a geometric walk down from
-    sigma_prev and then found by Brent's method in log sigma.  When the COV
-    stays below the target down to sigma_min, sigma_min is returned as a
-    boundary value.  Reuses cached limit-state values only.  Returns
+    sigma_prev and then found by Brent's method in log sigma.  From
+    sigma_prev = inf the walk starts near the large-sigma root instead, when
+    the COV there is below the target.  When the COV stays below the target
+    down to sigma_min, sigma_min is returned as a boundary value.  Reuses cached limit-state values only.  Returns
     (sigma, realized_cov, hit_boundary).
     """
     g = np.asarray(g, dtype=float)
@@ -125,6 +126,12 @@ def solve_sigma(g, sigma_prev: float, delta_target: float,
     # walk down from sigma_prev until the COV reaches its target
     step = 0.5 * np.log(2.0)
     x_above, x = None, log_hi
+    if not np.isfinite(sigma_prev) and (spread := float(np.std(g))) > 0:
+        # for large sigma the COV is about 0.8 std(g) / sigma: start three
+        # steps above std(g) / target, if the COV there is still below it
+        x_start = np.log(spread / delta_target) + 3 * step
+        if log_lo < x_start < log_hi and cov_at(np.exp(x_start)) < delta_target:
+            x_above, x = x_start, max(x_start - step, log_lo)
     while (delta := cov_at(np.exp(x))) < delta_target:
         if x == log_lo:
             # COV below target everywhere: boundary value sigma_min

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from rareevent.distributions import (
+    VMF_REJECTION_ROUNDS,
     VmfnParams,
+    _sample_vmf_cosines,
     fit_vmfn,
     nakagami_log_density,
     sample_nakagami,
@@ -16,7 +18,58 @@ from rareevent.distributions import (
     vmf_log_density,
     vmfn_log_density,
 )
-from rareevent.errors import DegenerateWeightsError
+from rareevent.errors import DegenerateWeightsError, NonconvergenceError
+
+
+def _reference_sample_vmf(nu, kappa, n, rng, m):
+    """The vMF draw built the long way: unit tangent, then renormalisation."""
+    if kappa == 0.0:
+        z = rng.standard_normal((m, n))
+        return z / np.linalg.norm(z, axis=1, keepdims=True)
+    w = _sample_vmf_cosines(kappa, n, m, rng)
+    z = rng.standard_normal((m, n))
+    z -= (z @ nu)[:, None] * nu[None, :]
+    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    tangent = z / norms
+    a = w[:, None] * nu[None, :] + np.sqrt(np.clip(1.0 - w * w, 0.0, None))[:, None] * tangent
+    return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+
+def _reference_sample_vmfn(params, n, rng, m):
+    r = sample_nakagami(params.s, params.gamma, rng, size=m)
+    return r[:, None] * _reference_sample_vmf(params.nu, params.kappa, n, rng, m)
+
+
+def _reference_fit_vmfn(u, w):
+    """Two-pass fit: copy the active rows, build unit directions, then moments."""
+    active = w > 0
+    w_sum = w[active].sum()
+    u, w = u[active], w[active]
+    r = np.linalg.norm(u, axis=1)
+    resultant = w @ (u / r[:, None])
+    res_norm = np.linalg.norm(resultant)
+    chi = min(res_norm / w_sum, 0.95)
+    n = u.shape[1]
+    kappa = (chi * n - chi**3) / (1.0 - chi * chi)
+    gamma = w @ (r * r) / w_sum
+    nu4 = w @ (r**4) / w_sum
+    s = min(max(gamma * gamma / (nu4 - gamma * gamma), 0.5), 1e6)
+    return resultant / res_norm, kappa, s, gamma
+
+
+class _RejectingGenerator:
+    """Beta draws of 0 (cosine 1) and uniforms of 1: every cosine is rejected."""
+
+    def __init__(self):
+        self.rounds = 0
+
+    def beta(self, a, b, size):
+        self.rounds += 1
+        return np.zeros(size)
+
+    def uniform(self, size):
+        return np.ones(size)
 
 
 class TestStdNormalLogCdf:
@@ -121,6 +174,28 @@ class TestSampleVmf:
         a = sample_vmf(np.array([1.0]), 2.0, 1, rng, size=20_000)
         p_plus = 1.0 / (1.0 + np.exp(-4.0))
         assert np.mean(a == 1.0) == pytest.approx(p_plus, abs=0.01)
+
+    @pytest.mark.parametrize("kappa", [float("nan"), float("inf")])
+    def test_non_finite_kappa_rejected(self, rng, kappa):
+        with pytest.raises(ValueError):
+            sample_vmf(np.eye(5)[0], kappa, 5, rng, size=3)
+
+    def test_rejection_rounds_capped(self):
+        gen = _RejectingGenerator()
+        with pytest.raises(NonconvergenceError):
+            sample_vmf(np.eye(3)[0], 5.0, 3, gen, size=4)
+        assert gen.rounds == VMF_REJECTION_ROUNDS
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 20, 150])
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 5.0, 50.0, 500.0])
+    def test_matches_reference_construction(self, n, kappa):
+        nu = np.random.default_rng([5, n]).standard_normal(n)
+        nu /= np.linalg.norm(nu)
+        gen, ref_gen = np.random.default_rng([6, n]), np.random.default_rng([6, n])
+        a = sample_vmf(nu, kappa, n, gen, size=400)
+        ref = _reference_sample_vmf(nu, kappa, n, ref_gen, 400)
+        assert np.max(np.abs(a - ref)) <= 1e-12
+        assert gen.random() == ref_gen.random()
 
     def test_angles_match_density(self, rng):
         # chi-square of binned angles against the analytic vMF law
@@ -252,6 +327,18 @@ class TestSampleVmfn:
         mean_dir /= np.linalg.norm(mean_dir)
         assert mean_dir @ nu > np.cos(np.radians(1.5))
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 20, 150])
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 5.0, 50.0, 500.0])
+    def test_matches_reference_construction(self, n, kappa):
+        nu = np.random.default_rng([7, n]).standard_normal(n)
+        params = VmfnParams(nu=nu / np.linalg.norm(nu), kappa=kappa, s=2.0, gamma=float(n))
+        gen, ref_gen = np.random.default_rng([8, n]), np.random.default_rng([8, n])
+        u = sample_vmfn(params, n, gen, size=400)
+        ref = _reference_sample_vmfn(params, n, ref_gen, 400)
+        r = np.linalg.norm(ref, axis=1)
+        assert np.max(np.abs(u - ref) / r[:, None]) <= 1e-12
+        assert gen.random() == ref_gen.random()
+
     def test_deterministic_given_seed(self):
         params = VmfnParams(nu=np.array([1.0, 0.0]), kappa=2.0, s=1.0, gamma=1.0)
         a = sample_vmfn(params, 2, np.random.default_rng(3), size=5)
@@ -317,6 +404,20 @@ class TestFitVmfn:
         assert a.gamma == pytest.approx(b.gamma, rel=1e-12)
         assert np.allclose(a.nu, b.nu, rtol=1e-12)
 
+    @pytest.mark.parametrize("zero_weights", [False, True])
+    def test_matches_two_pass_fit(self, zero_weights):
+        rng = np.random.default_rng([9, int(zero_weights)])
+        samples = rng.standard_normal((2000, 150)) + 0.3 * np.eye(150)[0]
+        weights = rng.uniform(0.0, 1.0, size=2000)
+        if zero_weights:
+            weights[rng.uniform(size=2000) < 0.3] = 0.0
+        fitted = fit_vmfn(samples, weights)
+        nu, kappa, s, gamma = _reference_fit_vmfn(samples, weights)
+        assert np.linalg.norm(fitted.nu - nu) <= 1e-13
+        assert fitted.kappa == pytest.approx(kappa, rel=1e-13)
+        assert fitted.s == pytest.approx(s, rel=1e-13)
+        assert fitted.gamma == pytest.approx(gamma, rel=1e-13)
+
     def test_chi_never_exceeds_cap(self, rng):
         # the capped chi bounds the fitted concentration for any input
         for _ in range(20):
@@ -334,8 +435,9 @@ class TestVmfnParamsValidation:
 
     def test_requires_valid_shape_and_spread(self):
         nu = np.array([1.0, 0.0])
-        with pytest.raises(ValueError):
-            VmfnParams(nu=nu, kappa=-1.0, s=1.0, gamma=1.0)
+        for kappa in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                VmfnParams(nu=nu, kappa=kappa, s=1.0, gamma=1.0)
         with pytest.raises(ValueError):
             VmfnParams(nu=nu, kappa=1.0, s=0.2, gamma=1.0)
         with pytest.raises(ValueError):

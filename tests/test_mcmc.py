@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from rareevent import mcmc
 from rareevent.distributions import VmfnParams, sample_vmfn, vmfn_log_density
 from rareevent.errors import DegenerateWeightsError
 from rareevent.mcmc import (
@@ -32,24 +33,22 @@ class IdentityKernel:
     def propose(self, current, rng):
         return current.copy()
 
-    def log_accept_extra(self, current, proposal):
-        return np.zeros(current.shape[0])
+    def log_score(self, states):
+        return np.zeros(states.shape[0])
 
     def feedback(self, accepted):
         pass
 
 
 class ForcedKernel(IdentityKernel):
-    """Gaussian proposals with the acceptance forced on or off."""
+    """Gaussian proposals, every one accepted on a constant model.
 
-    def __init__(self, log_alpha):
-        self.log_alpha = log_alpha
+    The score is 0, and a constant limit state has a constant smooth part,
+    so each proposal has log alpha = 0 > log U.
+    """
 
     def propose(self, current, rng):
         return rng.standard_normal(current.shape)
-
-    def log_accept_extra(self, current, proposal):
-        return np.full(current.shape[0], self.log_alpha)
 
 
 class TestCovOfWeights:
@@ -113,7 +112,7 @@ class TestMhChain:
                 self.proposals.append(p.copy())
                 return p
 
-        kernel = Recording(+1e9)
+        kernel = Recording()
         states, _ = run_chains(model, target, kernel, np.zeros((1, 2)),
                                {1: np.array([-1.0])}, c=0.5, burn_in=0, rng=rng)
         assert np.array_equal(states, np.concatenate(kernel.proposals))
@@ -122,7 +121,7 @@ class TestMhChain:
         # N_b=2, c=0.5: four steps simulated, two returned
         model = CountingModel(-1.0, n=2)
         target = TemperingTarget(level=1, sigma=1.0)
-        states, _ = run_chains(model, target, ForcedKernel(+1e9), np.zeros((1, 2)),
+        states, _ = run_chains(model, target, ForcedKernel(), np.zeros((1, 2)),
                                {1: np.array([-1.0])}, c=0.5, burn_in=2, rng=rng)
         assert states.shape == (2, 2)
         assert model.counter.counts() == {1: 4}
@@ -218,6 +217,26 @@ class TestVmfnKernel:
                                pool[idx], {1: g[idx]}, c=0.1, burn_in=0, rng=rng)
         # compare the dominant coordinate of the mean (others are ~0)
         assert states.mean(axis=0)[0] == pytest.approx(target_mean[0], rel=0.05)
+
+    def test_each_state_scored_once(self, rng, monkeypatch):
+        # seeds once, then each lockstep batch of proposals once
+        rows = []
+
+        def counting(u, params):
+            rows.append(np.atleast_2d(u).shape[0])
+            return vmfn_log_density(u, params)
+
+        monkeypatch.setattr(mcmc, "vmfn_log_density", counting)
+        model = LinearLsfModel(2.0, 10)
+        pool = rng.standard_normal((2000, 10))
+        g = model.evaluate_batch(pool, 1)
+        log_w = tempering_log_weights(g, 1.0, np.inf)
+        kernel = VmfnIndependentKernel()
+        kernel.prepare(pool, log_w, 10, rng, 5)
+        seeds, burn_in, inv_c = 100, 3, 5
+        run_chains(model, TemperingTarget(level=1, sigma=1.0), kernel, pool[:seeds],
+                   {1: g[:seeds]}, c=1.0 / inv_c, burn_in=burn_in, rng=rng)
+        assert sum(rows) == seeds + (burn_in + inv_c) * seeds
 
 
 class TestExtendDimension:

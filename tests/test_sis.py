@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.optimize import brentq
 
 from rareevent import sis
+from rareevent.distributions import std_normal_log_cdf
 from rareevent.errors import FailedTemperingError, NonconvergenceError
-from rareevent.mcmc import make_kernel
+from rareevent.mcmc import cov_from_log_weights, make_kernel
 from rareevent.models import ConstantModel, LinearLsfModel
 from rareevent.sis import (
     SampleEnsemble,
@@ -19,6 +21,27 @@ from rareevent.sis import (
     stopping_cov,
     tempering_step,
 )
+
+
+def _walk_from_sigma_max(g, delta_target):
+    """First-step solve as a plain sqrt(2)-walk down from SIGMA_MAX, then Brent.
+
+    Returns (sigma, hit_boundary).
+    """
+    def excess(x):
+        return cov_from_log_weights(std_normal_log_cdf(-g / np.exp(x))) - delta_target
+
+    log_lo, log_hi = np.log(sis.SIGMA_MIN), np.log(sis.SIGMA_MAX)
+    step = 0.5 * np.log(2.0)
+    x_above, x = None, log_hi
+    while excess(x) < 0:
+        if x == log_lo:
+            return sis.SIGMA_MIN, True
+        x_above, x = x, max(x - step, log_lo)
+    if x_above is not None:
+        x = brentq(excess, x, x_above, xtol=1e-10)
+    span = log_hi - log_lo
+    return float(np.exp(x)), (x - log_lo < 1e-3 * span) or (log_hi - x < 1e-3 * span)
 
 
 class TestSolveSigma:
@@ -81,6 +104,23 @@ class TestSolveSigma:
         if not boundary:
             assert delta == pytest.approx(target, rel=0.2)
 
+
+    @pytest.mark.parametrize("mean, std", [(1.5, 1.0), (3.5, 1.0), (0.05, 0.01), (300.0, 50.0)])
+    @pytest.mark.parametrize("target", [0.25, 0.5, 1.0])
+    def test_first_walk_starts_near_the_root(self, monkeypatch, mean, std, target):
+        g = np.random.default_rng([29, int(mean)]).normal(mean, std, size=2000)
+        calls = []
+
+        def counting(log_weights):
+            calls.append(1)
+            return cov_from_log_weights(log_weights)
+
+        monkeypatch.setattr(sis, "cov_from_log_weights", counting)
+        sigma, _, boundary = solve_sigma(g, np.inf, target)
+        assert len(calls) <= 25
+        ref_sigma, ref_boundary = _walk_from_sigma_max(g, target)
+        assert sigma == pytest.approx(ref_sigma, rel=1e-8)
+        assert boundary == ref_boundary
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("sigma_prev", [np.inf, 5.0, 0.8])
@@ -228,8 +268,10 @@ class PerfectLinearKernel:
         rest = rng.standard_normal((m, n - 1))
         return np.concatenate([u1[:, None], rest], axis=1)
 
-    def log_accept_extra(self, current, proposal):
-        return np.full(current.shape[0], 1e12)  # exact draws: always accept
+    def log_score(self, states):
+        # exact independence-sampler score for a proposal equal to the
+        # target: phi_n / (Phi((u1 - beta)/sigma) phi_n), so alpha = 1
+        return -stats.norm.logcdf((states[:, 0] - self.beta) / self.sigma)
 
     def feedback(self, accepted):
         pass
