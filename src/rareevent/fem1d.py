@@ -9,7 +9,15 @@ The linear FEM solve is done in closed form.  Summing the stiffness rows from
 node k to the free end leaves one equation per element: the discrete flux
 a_e (v_{e+1} - v_e) / h equals the load to the element's right, 1 - x_mid,e.
 So the nodal values are a cumulative sum of h (1 - x_mid,e) / a_e, which is
-also the exact solution for the elementwise-constant coefficient.
+also the exact solution for the elementwise-constant coefficient;
+`solve_diffusion_1d` returns them.
+
+The limit state reads only v(1) = sum_e h (1 - x_mid,e) / a_e, and
+1/a_e = exp(-mu - sqrt(zeta2) (Theta sqrt(nu) xi)_e) for the log-normal field.
+The mean, the field scale and the division fold into two per-level constants,
+the scaled modes S = -sqrt(zeta2) Theta sqrt(nu) and the weights
+w = h (1 - x_mid) exp(-mu), so a batch costs one GEMM, one in-place `exp`
+and one GEMV: v(1) = exp(xi S^T) w.
 """
 
 from __future__ import annotations
@@ -37,16 +45,9 @@ def solve_diffusion_1d(a, h: float) -> np.ndarray:
     a_mid = np.asarray(a(x_mid) if callable(a) else a, dtype=float)
     if a_mid.shape != (m,):
         raise ValueError(f"expected {m} element coefficients, got {a_mid.shape}")
-    sol = _solve_from_midpoint_values(a_mid[None, :], h)
-    return np.concatenate([[0.0], sol[0]])
-
-
-def _solve_from_midpoint_values(a_mid: np.ndarray, h: float) -> np.ndarray:
-    """Batch solve; a_mid is (batch, m), returns interior nodes (batch, m)."""
-    if np.any(a_mid <= 0):
+    if not np.all(a_mid > 0):
         raise ModelEvaluationError("coefficient field must be positive")
-    x_mid = (np.arange(a_mid.shape[1]) + 0.5) * h
-    return np.cumsum(h * (1.0 - x_mid) / a_mid, axis=1)
+    return np.concatenate([[0.0], np.cumsum(h * (1.0 - x_mid) / a_mid)])
 
 
 class Diffusion1dModel(LimitStateModel):
@@ -77,8 +78,8 @@ class Diffusion1dModel(LimitStateModel):
             raise ValueError("level dimensions must be non-decreasing")
         if self.level_dims[-1] > basis.truncation:
             raise ValueError("finest level dimension exceeds KL truncation")
-        # sqrt(nu_m) theta_m at element midpoints, cached per level
-        self._mode_matrices: dict[int, np.ndarray] = {}
+        # (scaled modes S_l, weights w_l) per level, see the module docstring
+        self._level_forms: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def fixed_dimension(cls, **kwargs) -> "Diffusion1dModel":
@@ -92,21 +93,23 @@ class Diffusion1dModel(LimitStateModel):
     def dim(self, level: int) -> int:
         return self.level_dims[level - 1]
 
-    def _modes(self, level: int) -> np.ndarray:
-        if level not in self._mode_matrices:
+    def _level_form(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        if level not in self._level_forms:
             h = self.mesh_size(level)
             m = round(1.0 / h)
             x_mid = (np.arange(m) + 0.5) * h
             theta = self.basis.eigenfunction_matrix(x_mid, self.basis.truncation)
-            self._mode_matrices[level] = theta * np.sqrt(self.basis.eigenvalues)[None, :]
-        return self._mode_matrices[level]
-
-    def _coefficient(self, xis: np.ndarray, level: int) -> np.ndarray:
-        modes = self._modes(level)[:, : xis.shape[1]]
-        z = self.basis.mean + np.sqrt(self.basis.variance) * (xis @ modes.T)
-        return np.exp(z)
+            scale = -np.sqrt(self.basis.variance) * np.sqrt(self.basis.eigenvalues)
+            weights = h * (1.0 - x_mid) * np.exp(-self.basis.mean)
+            self._level_forms[level] = (theta * scale[None, :], weights)
+        return self._level_forms[level]
 
     def _evaluate_batch(self, xis, level):
-        a_mid = self._coefficient(xis, level)
-        sol = _solve_from_midpoint_values(a_mid, self.mesh_size(level))
-        return self.threshold - sol[:, -1]
+        modes, weights = self._level_form(level)
+        z = xis @ modes[:, : xis.shape[1]].T
+        np.exp(z, out=z)  # exp(mu) / a at the element midpoints
+        g = self.threshold - z @ weights
+        # 1/a overflows where a underflows; a NaN input stays NaN
+        if not np.all(np.isfinite(g)):
+            raise ModelEvaluationError("coefficient field must be positive and finite")
+        return g

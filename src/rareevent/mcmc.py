@@ -170,8 +170,10 @@ class AcsKernel:
 
     def propose(self, current: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         rho = self._rho()
-        eps = rng.standard_normal(current.shape)
-        return rho * current + np.sqrt(1.0 - rho * rho) * eps
+        step = rng.standard_normal(current.shape)
+        step *= np.sqrt(1.0 - rho * rho)
+        step += rho * current
+        return step
 
     def log_score(self, states) -> np.ndarray:
         # the pCN proposal is phi_n-reversible: nothing is left to score

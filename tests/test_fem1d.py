@@ -7,6 +7,13 @@ from rareevent.fem1d import Diffusion1dModel, solve_diffusion_1d
 from rareevent.randomfield import lognormal_params
 
 
+def midpoint_coefficients(model, xis, level):
+    """a = exp(Z) at the element midpoints, straight from the KL basis."""
+    h = model.mesh_size(level)
+    x_mid = (np.arange(round(1 / h)) + 0.5) * h
+    return np.array([np.exp(model.basis.evaluate_log_field(xi, x_mid)) for xi in xis])
+
+
 class TestSolver:
     def test_unit_coefficient_nodally_exact(self):
         # -v'' = 1, v(0)=0, v'(1)=0 has v(x) = x - x^2/2
@@ -38,8 +45,7 @@ class TestSolver:
         model = Diffusion1dModel()
         h = model.mesh_size(level)
         m = round(1 / h)
-        a_mid = model._coefficient(rng.standard_normal((3, model.dim(level))), level)
-        for a in a_mid:
+        for a in midpoint_coefficients(model, rng.standard_normal((3, model.dim(level))), level):
             bands = np.zeros((3, m))
             bands[0, 1:] = -a[1:] / h
             bands[1, :-1] = (a[:-1] + a[1:]) / h
@@ -117,6 +123,28 @@ class TestDiffusionModel:
         batch = model.evaluate_batch(xis, 3)
         singles = [Diffusion1dModel().evaluate(xi, 3) for xi in xis]
         assert np.allclose(batch, singles, rtol=1e-14)
+
+    @pytest.mark.parametrize("level", range(1, 9))
+    def test_limit_state_matches_nodal_solve(self, rng, level):
+        # the GEMM/exp/GEMV endpoint against the nodal cumsum of an
+        # independently built coefficient; only the summation order differs
+        model = Diffusion1dModel()
+        h = model.mesh_size(level)
+        xis = rng.standard_normal((3, model.dim(level)))
+        reference = [model.threshold - solve_diffusion_1d(a, h)[-1]
+                     for a in midpoint_coefficients(model, xis, level)]
+        np.testing.assert_allclose(model.evaluate_batch(xis, level), reference,
+                                   rtol=1e-12, atol=0)
+
+    def test_nonfinite_limit_state_rejected(self):
+        model = Diffusion1dModel()
+        with pytest.raises(ModelEvaluationError):
+            model.evaluate(np.full(150, np.nan), 8)
+        # a underflows to 0 on part of the mesh
+        with pytest.raises(ModelEvaluationError), np.errstate(over="ignore"):
+            model.evaluate(np.full(150, -1e3), 8)
+        # a is tiny but positive everywhere: a valid, very negative G
+        assert np.isfinite(model.evaluate(np.full(150, 1e3), 8))
 
     def test_counter_tracks_levels(self, rng):
         model = Diffusion1dModel()

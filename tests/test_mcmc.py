@@ -144,6 +144,16 @@ class TestAcsKernel:
         proposal = kernel.propose(current, rng)
         assert np.mean(np.linalg.norm(proposal - 0.999 * current, axis=1)) < 0.3
 
+    @pytest.mark.parametrize("rho", [0.3, 0.9, 0.999])
+    def test_proposal_is_pcn_formula_bit_for_bit(self, rng, rho):
+        kernel = AcsKernel(lambda0=np.sqrt(1.0 - rho * rho))
+        rho = kernel.stats.rho
+        current = rng.standard_normal((200, 150))
+        proposal = kernel.propose(current, np.random.default_rng(7))
+        eps = np.random.default_rng(7).standard_normal(current.shape)
+        expected = rho * current + np.sqrt(1.0 - rho * rho) * eps
+        assert np.array_equal(proposal, expected)
+
     def test_preserves_standard_normal(self, rng):
         # flat smooth part: the chain must keep phi_n invariant
         model = ConstantModel(-1.0, n=10)
