@@ -146,13 +146,17 @@ def _parse_grid(specs: list[str]) -> list[dict]:
 
 
 def cmd_sweep(args) -> int:
+    """Every cell is validated before the first one runs."""
+    if not args.out:
+        raise ValueError("sweep needs --out, the directory for its CSV files")
     base = build_config(args)
-    cells = _parse_grid(args.grid)
+    cells = [(cell, ExperimentConfig(**{**base.__dict__, **cell}))
+             for cell in _parse_grid(args.grid)]
+    for _, config in cells:
+        config.validate()
     os.makedirs(args.out, exist_ok=True)
     any_ok = False
-    for cell in cells:
-        config = ExperimentConfig(**{**base.__dict__, **cell})
-        config.validate()
+    for cell, config in cells:
         records = run_experiment(config)
         summary = summarize(records, config.reference)
         tag = "_".join(f"{k}-{v}" for k, v in sorted(cell.items()))

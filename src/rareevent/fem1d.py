@@ -18,6 +18,11 @@ The mean, the field scale and the division fold into two per-level constants,
 the scaled modes S = -sqrt(zeta2) Theta sqrt(nu) and the weights
 w = h (1 - x_mid) exp(-mu), so a batch costs one GEMM, one in-place `exp`
 and one GEMV: v(1) = exp(xi S^T) w.
+
+The problem is the paper's: a log-normal coefficient with mean MEAN_A = 1 and
+standard deviation STD_A = 0.1, exponential covariance with correlation length
+CORR_LENGTH = 0.01 in KL_TRUNCATION = 150 KL modes, and failure once v(1)
+exceeds THRESHOLD = 0.535.
 """
 
 from __future__ import annotations
@@ -25,10 +30,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ModelEvaluationError
-from .models import LimitStateModel
-from .randomfield import KlBasis, kl_basis_1d, lognormal_params
+from .models import KL_TRUNCATION, LimitStateModel, checked_level_dims
+from .randomfield import kl_basis_1d, lognormal_params
 
 DEFAULT_LEVEL_DIMS = (10, 20, 40, 80, 150, 150, 150, 150)
+THRESHOLD = 0.535
+CORR_LENGTH = 0.01
+MEAN_A, STD_A = 1.0, 0.1
 
 
 def solve_diffusion_1d(a, h: float) -> np.ndarray:
@@ -51,41 +59,23 @@ def solve_diffusion_1d(a, h: float) -> np.ndarray:
 
 
 class Diffusion1dModel(LimitStateModel):
-    """Endpoint-exceedance limit state 0.535 - v(1) for the 1D diffusion problem.
+    """Endpoint-exceedance limit state THRESHOLD - v(1) for the 1D diffusion problem.
 
-    Mesh sizes are h_l = 2^(-l-1) for levels 1..max_level; the log-normal
-    coefficient field uses the correlation-length-0.01 KL basis and the
-    level-dependent truncation dims by default.
+    Mesh sizes are h_l = 2^(-l-1) for levels 1..max_level; the KL dims per
+    level default to DEFAULT_LEVEL_DIMS.
     """
 
-    def __init__(self, threshold: float = 0.535, corr_length: float = 0.01,
-                 mean_a: float = 1.0, std_a: float = 0.1, truncation: int = 150,
-                 max_level: int = 8, level_dims=None, basis: KlBasis | None = None):
+    threshold = THRESHOLD
+
+    def __init__(self, max_level: int = len(DEFAULT_LEVEL_DIMS), level_dims=None):
         super().__init__()
-        self.threshold = float(threshold)
         self.max_level = int(max_level)
         self.cost_dim = 1
-        if basis is None:
-            mu, zeta2 = lognormal_params(mean_a, std_a)
-            basis = kl_basis_1d(corr_length, truncation, mean=mu, variance=zeta2)
-        self.basis = basis
-        if level_dims is None:
-            level_dims = DEFAULT_LEVEL_DIMS[: self.max_level]
-        self.level_dims = tuple(int(d) for d in level_dims)
-        if len(self.level_dims) != self.max_level:
-            raise ValueError("need one dimension per level")
-        if any(d2 < d1 for d1, d2 in zip(self.level_dims, self.level_dims[1:])):
-            raise ValueError("level dimensions must be non-decreasing")
-        if self.level_dims[-1] > basis.truncation:
-            raise ValueError("finest level dimension exceeds KL truncation")
+        mu, zeta2 = lognormal_params(MEAN_A, STD_A)
+        self.basis = kl_basis_1d(CORR_LENGTH, KL_TRUNCATION, mean=mu, variance=zeta2)
+        self.level_dims = checked_level_dims(level_dims, self.max_level, DEFAULT_LEVEL_DIMS)
         # (scaled modes S_l, weights w_l) per level, see the module docstring
         self._level_forms: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    @classmethod
-    def fixed_dimension(cls, **kwargs) -> "Diffusion1dModel":
-        max_level = kwargs.get("max_level", 8)
-        truncation = kwargs.get("truncation", 150)
-        return cls(level_dims=(truncation,) * max_level, **kwargs)
 
     def mesh_size(self, level: int) -> float:
         return 2.0 ** (-(level + 1))

@@ -19,6 +19,10 @@ value last, keeps the matrix banded for LAPACK's banded Cholesky.  Those
 solves run with OpenBLAS set to one thread for the whole process, and the
 caller's thread counts come back when they end: threading only slows the
 small level-2 BLAS calls the banded Cholesky makes, and the bits are the same.
+
+The flow cell is the paper's: the log-permeability is a standard Gaussian
+field with exponential covariance of correlation length CORR_LENGTH = 0.5 in
+KL_TRUNCATION = 150 KL modes, and particles are released at START = (0, 0.5).
 """
 
 from __future__ import annotations
@@ -32,10 +36,12 @@ from scipy.linalg.lapack import dpbsv
 
 from ._blas import single_blas_thread
 from .errors import ModelEvaluationError, NonconvergenceError, StagnationError
-from .models import LimitStateModel
-from .randomfield import KlBasis, kl_basis_2d
+from .models import KL_TRUNCATION, LimitStateModel, checked_level_dims
+from .randomfield import kl_basis_2d
 
 DEFAULT_LEVEL_DIMS_2D = (10, 20, 40, 80, 150, 150)
+CORR_LENGTH = 0.5
+START = (0.0, 0.5)
 
 # Tracker step cap per mesh cell.  Every Euler step moves the particle h/2,
 # and an exit path crosses each of the 2 m^2 triangles at most once, so it
@@ -343,36 +349,20 @@ def trace_particle(vel, start, h: float, max_steps: int | None = None):
 class FlowCellModel(LimitStateModel):
     """Travel-time limit state tau - tau0 for the 2D Darcy flow cell."""
 
-    def __init__(self, tau0: float = 0.03, corr_length: float = 0.5,
-                 variance: float = 1.0, truncation: int = 150, max_level: int = 6,
-                 level_dims=None, start=(0.0, 0.5), basis: KlBasis | None = None):
+    start = START
+
+    def __init__(self, tau0: float = 0.03, max_level: int = len(DEFAULT_LEVEL_DIMS_2D),
+                 level_dims=None):
         super().__init__()
         if tau0 <= 0:
             raise ValueError("travel-time threshold must be positive")
         self.tau0 = float(tau0)
-        self.start = (float(start[0]), float(start[1]))
         self.max_level = int(max_level)
         self.cost_dim = 2
-        if basis is None:
-            basis = kl_basis_2d(corr_length, truncation, mean=0.0, variance=variance)
-        self.basis = basis
-        if level_dims is None:
-            level_dims = DEFAULT_LEVEL_DIMS_2D[: self.max_level]
-        self.level_dims = tuple(int(d) for d in level_dims)
-        if len(self.level_dims) != self.max_level:
-            raise ValueError("need one dimension per level")
-        if any(d2 < d1 for d1, d2 in zip(self.level_dims, self.level_dims[1:])):
-            raise ValueError("level dimensions must be non-decreasing")
-        if self.level_dims[-1] > basis.truncation:
-            raise ValueError("finest level dimension exceeds KL truncation")
+        self.basis = kl_basis_2d(CORR_LENGTH, KL_TRUNCATION)
+        self.level_dims = checked_level_dims(level_dims, self.max_level, DEFAULT_LEVEL_DIMS_2D)
         self._solvers: dict[int, _StreamFunctionSolver] = {}
         self._mode_matrices: dict[int, np.ndarray] = {}
-
-    @classmethod
-    def fixed_dimension(cls, **kwargs) -> "FlowCellModel":
-        max_level = kwargs.get("max_level", 6)
-        truncation = kwargs.get("truncation", 150)
-        return cls(level_dims=(truncation,) * max_level, **kwargs)
 
     def mesh_size(self, level: int) -> float:
         return 2.0 ** (-(level + 1))
@@ -396,9 +386,7 @@ class FlowCellModel(LimitStateModel):
     def permeability(self, xi, level: int) -> np.ndarray:
         """Per-triangle log-normal permeability for one coefficient vector."""
         xi = np.asarray(xi, dtype=float)
-        modes = self._modes(level)[:, : xi.shape[0]]
-        z = self.basis.mean + np.sqrt(self.basis.variance) * (modes @ xi)
-        return np.exp(z)
+        return np.exp(self._modes(level)[:, : xi.shape[0]] @ xi)
 
     def travel_time(self, xis, level: int) -> np.ndarray:
         """Travel times for an (m, n) batch of coefficient vectors, one per row.

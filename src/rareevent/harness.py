@@ -19,11 +19,11 @@ import numpy as np
 
 from ._blas import set_blas_threads
 from .errors import RareEventError
-from .fem1d import Diffusion1dModel
-from .fem2d import FlowCellModel
-from .mcmc import make_kernel
+from .fem1d import DEFAULT_LEVEL_DIMS, Diffusion1dModel
+from .fem2d import DEFAULT_LEVEL_DIMS_2D, FlowCellModel
+from .mcmc import _KERNELS, make_kernel
 from .mlsis import _peek_count, mlsis_estimate
-from .models import LimitStateModel, LinearLsfModel, mc_estimate
+from .models import KL_TRUNCATION, LimitStateModel, LinearLsfModel, mc_estimate
 from .sis import _seed_count, sis_estimate
 from .subset import _validate_p0, mlsus_estimate, sus_estimate
 
@@ -54,9 +54,18 @@ def _subset_counts(result):
     return estimate, trace.n_levels, trace.n_level_updates
 
 
-MODELS = ("linear", "diffusion1d", "flowcell2d")
+# model name -> (finest level, builder from the config and its level dims or None)
+_MODELS = {
+    "linear": (1, lambda cfg, dims: LinearLsfModel(cfg.beta, 150)),
+    "diffusion1d": (len(DEFAULT_LEVEL_DIMS), lambda cfg, dims: Diffusion1dModel(
+        max_level=cfg.levels, level_dims=dims)),
+    "flowcell2d": (len(DEFAULT_LEVEL_DIMS_2D), lambda cfg, dims: FlowCellModel(
+        tau0=cfg.tau0, max_level=cfg.levels, level_dims=dims)),
+}
+
+MODELS = tuple(_MODELS)
 METHODS = tuple(_METHODS)
-KERNELS = ("acs", "vmfn")
+KERNELS = tuple(_KERNELS)
 
 
 @dataclass(frozen=True)
@@ -95,9 +104,11 @@ class ExperimentConfig:
             raise ValueError("level count must be positive")
         if self.level_dims not in ("ldd", "fixed"):
             raise ValueError("level_dims must be 'ldd' or 'fixed'")
-        max_levels = {"linear": 1, "diffusion1d": 8, "flowcell2d": 6}[self.model]
+        max_levels = _MODELS[self.model][0]
         if self.levels > max_levels:
             raise ValueError(f"model '{self.model}' supports at most {max_levels} levels")
+        if self.reference is not None and not (0 < self.reference < np.inf):
+            raise ValueError("reference probability must be positive and finite")
         if self.method in ("sis", "mlsis"):
             if not (self.delta_target > 0):
                 raise ValueError("delta_target must be positive")
@@ -156,14 +167,8 @@ def rel_rmse(estimates, reference: float) -> float:
 
 
 def build_model(config: ExperimentConfig) -> LimitStateModel:
-    dims = (150,) * config.levels if config.level_dims == "fixed" else None
-    if config.model == "linear":
-        return LinearLsfModel(config.beta, 150)
-    if config.model == "diffusion1d":
-        return Diffusion1dModel(max_level=config.levels, level_dims=dims)
-    if config.model == "flowcell2d":
-        return FlowCellModel(tau0=config.tau0, max_level=config.levels, level_dims=dims)
-    raise ValueError(f"unknown model '{config.model}'")
+    dims = (KL_TRUNCATION,) * config.levels if config.level_dims == "fixed" else None
+    return _MODELS[config.model][1](config, dims)
 
 
 def run_single(config: ExperimentConfig, rep: int) -> RunRecord:

@@ -4,7 +4,8 @@ Targets are the smoothed densities Phi(-G/sigma)^(...) * phi_n(u); kernels
 supply proposals plus a per-state score holding whatever prior/proposal terms
 do not cancel in the acceptance ratio.  Chains from all seeds advance in
 lockstep so every iteration evaluates the limit state once per proposal and
-per involved level, as one batched call.
+per involved level, as one batched call.  The aCS kernel's tuning is fixed
+by its class constants TARGET_RATE, ADAPT_FRACTION, RHO_BOUNDS and LAMBDA_BOUNDS.
 """
 
 from __future__ import annotations
@@ -128,7 +129,6 @@ class KernelStats:
     proposals: int = 0
     accepted: int = 0
     rho: float | None = None
-    params: VmfnParams | None = None
 
     @property
     def acceptance_rate(self) -> float:
@@ -140,20 +140,18 @@ class AcsKernel:
 
     The proposal rho*u + sqrt(1-rho^2)*eps leaves phi_n invariant, so prior
     and proposal terms cancel in the acceptance ratio.  The noise scale
-    lambda is adjusted in Robbins-Monro fashion toward a 44% acceptance rate;
-    the adaptation state persists across tempering and bridging steps.
+    lambda is adjusted in Robbins-Monro fashion toward TARGET_RATE acceptance,
+    once per ADAPT_FRACTION of a step's chain length; the adaptation state
+    persists across tempering and bridging steps.
     """
 
-    name = "acs"
-
+    TARGET_RATE = 0.44
+    ADAPT_FRACTION = 0.1
+    RHO_BOUNDS = (0.001, 0.999)
     LAMBDA_BOUNDS = (1e-4, 2.0)  # keeps the scale responsive after saturation
 
-    def __init__(self, lambda0: float = 0.6, target_rate: float = 0.44,
-                 adapt_fraction: float = 0.1, rho_bounds=(0.001, 0.999)):
+    def __init__(self, lambda0: float = 0.6):
         self._lambda = float(lambda0)
-        self._target = float(target_rate)
-        self._adapt_fraction = float(adapt_fraction)
-        self._rho_min, self._rho_max = rho_bounds
         self._batch_index = 0
         self._pending: list[float] = []
         self._adapt_every = 1
@@ -162,10 +160,10 @@ class AcsKernel:
     def _rho(self) -> float:
         noise = min(self._lambda, 1.0 - 1e-12)
         rho = np.sqrt(1.0 - noise * noise)
-        return float(min(max(rho, self._rho_min), self._rho_max))
+        return float(min(max(rho, self.RHO_BOUNDS[0]), self.RHO_BOUNDS[1]))
 
     def prepare(self, samples, log_weights, dim: int, rng, n_steps: int) -> None:
-        self._adapt_every = max(1, int(np.ceil(self._adapt_fraction * n_steps)))
+        self._adapt_every = max(1, int(np.ceil(self.ADAPT_FRACTION * n_steps)))
         self._pending.clear()
 
     def propose(self, current: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -190,7 +188,8 @@ class AcsKernel:
             self._batch_index += 1
             rate = float(np.mean(self._pending))
             self._pending.clear()
-            proposal = self._lambda * np.exp((rate - self._target) / np.sqrt(self._batch_index))
+            step = (rate - self.TARGET_RATE) / np.sqrt(self._batch_index)
+            proposal = self._lambda * np.exp(step)
             self._lambda = float(np.clip(proposal, *self.LAMBDA_BOUNDS))
             self.stats.rho = self._rho()
 
@@ -198,17 +197,14 @@ class AcsKernel:
 class VmfnIndependentKernel:
     """Independence sampler proposing from a vMFN fit of the weighted ensemble."""
 
-    name = "vmfn"
-
     def __init__(self, params: VmfnParams | None = None):
         self.params = params
-        self.stats = KernelStats(params=params)
+        self.stats = KernelStats()
 
     def prepare(self, samples, log_weights, dim: int, rng, n_steps: int) -> None:
         lw = np.asarray(log_weights, dtype=float)
         w = np.exp(lw - lw.max())
         self.params = fit_vmfn(np.asarray(samples)[:, :dim], w)
-        self.stats.params = self.params
 
     def propose(self, current: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return sample_vmfn(self.params, current.shape[1], rng, size=current.shape[0])
@@ -225,12 +221,13 @@ class VmfnIndependentKernel:
         self.stats.accepted += int(np.count_nonzero(accepted))
 
 
+_KERNELS = {"acs": AcsKernel, "vmfn": VmfnIndependentKernel}
+
+
 def make_kernel(name: str):
-    if name == "acs":
-        return AcsKernel()
-    if name == "vmfn":
-        return VmfnIndependentKernel()
-    raise ValueError(f"unknown kernel '{name}' (expected 'acs' or 'vmfn')")
+    if name not in _KERNELS:
+        raise ValueError(f"unknown kernel '{name}'; choose from {tuple(_KERNELS)}")
+    return _KERNELS[name]()
 
 
 def _evaluate_levels(model: LimitStateModel, proposals: np.ndarray,

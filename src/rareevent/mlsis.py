@@ -4,6 +4,8 @@ A level update interpolates geometrically between the smoothed densities of
 two consecutive levels with an exponent beta growing adaptively from 0 to 1.
 The decision between tempering and bridging probes a small sample subset on
 the next level; its fine-level evaluations are reused if bridging follows.
+A level update that has not reached beta = 1 after MAX_BRIDGE_STEPS steps
+fails.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .sis import (
     stopping_cov,
     tempering_step,
 )
+
+MAX_BRIDGE_STEPS = 100
 
 
 def bridging_log_ratios(g_coarse, g_fine, sigma: float) -> np.ndarray:
@@ -103,40 +107,28 @@ def _extend_ensemble(model, ensemble, rng, peek_cache):
     """Lift the ensemble to the next level's dimension and evaluate it there.
 
     Cached peek rows keep their extension coordinates and fine values; only
-    the complement is evaluated, so a bridge after a peek costs N - N_s fine
-    evaluations for this stage.
+    the complement is extended and evaluated, so a bridge after a peek costs
+    N - N_s fine evaluations for this stage.
     """
-    level = ensemble.level
-    fine = level + 1
-    n_fine = model.dim(fine)
-    n = ensemble.size
+    fine = ensemble.level + 1
+    fresh = np.arange(ensemble.size)
     if peek_cache is not None:
-        cached = np.zeros(n, dtype=bool)
-        cached[peek_cache.indices] = True
-        fresh_idx = np.flatnonzero(~cached)
-    else:
-        fresh_idx = np.arange(n)
-    samples = np.empty((n, n_fine))
-    samples[:, : ensemble.samples.shape[1]] = ensemble.samples
-    delta_n = n_fine - ensemble.samples.shape[1]
-    if delta_n > 0:
-        samples[fresh_idx, ensemble.samples.shape[1]:] = rng.standard_normal(
-            (fresh_idx.size, delta_n)
-        )
-        if peek_cache is not None:
-            samples[peek_cache.indices] = peek_cache.extended
-    g_fine = np.empty(n)
-    if fresh_idx.size:
-        g_fine[fresh_idx] = model.evaluate_batch(samples[fresh_idx], fine)
+        fresh = np.delete(fresh, peek_cache.indices)
+    extended = extend_dimension(ensemble.samples[fresh],
+                                model.dim(fine) - model.dim(ensemble.level), rng)
+    samples = np.empty((ensemble.size, model.dim(fine)))
+    g_fine = np.empty(ensemble.size)
+    samples[fresh] = extended
+    g_fine[fresh] = model.evaluate_batch(extended, fine)
     if peek_cache is not None:
+        samples[peek_cache.indices] = peek_cache.extended
         g_fine[peek_cache.indices] = peek_cache.g_fine
     return samples, g_fine
 
 
 def bridge_level(model: LimitStateModel, ensemble: SampleEnsemble,
                  delta_target: float, kernel, c: float, burn_in: int,
-                 rng: np.random.Generator, peek_cache: PeekCache | None = None,
-                 max_bridge_steps: int = 100):
+                 rng: np.random.Generator, peek_cache: PeekCache | None = None):
     """Move the ensemble from its level to the next one (Alg-2 style loop)."""
     level = ensemble.level
     fine = level + 1
@@ -152,7 +144,7 @@ def bridge_level(model: LimitStateModel, ensemble: SampleEnsemble,
     steps: list[TraceStep] = []
     beta = 0.0
     n_seeds = _seed_count(ensemble.size, c)
-    for _ in range(max_bridge_steps):
+    for _ in range(MAX_BRIDGE_STEPS):
         stage_start = model.counter.total()
         ratios = bridging_log_ratios(g_coarse, g_fine, sigma)
         beta_new, delta, boundary = solve_beta(g_coarse, g_fine, sigma, beta, delta_target)
@@ -179,7 +171,7 @@ def bridge_level(model: LimitStateModel, ensemble: SampleEnsemble,
             new_ensemble = SampleEnsemble(samples=samples, values={fine: g_fine},
                                           level=fine, sigma=sigma)
             return new_ensemble, steps
-    raise NonconvergenceError(f"bridge did not reach beta=1 in {max_bridge_steps} steps")
+    raise NonconvergenceError(f"bridge did not reach beta=1 in {MAX_BRIDGE_STEPS} steps")
 
 
 def _peek_count(n_samples: int, subset_fraction: float) -> int:
@@ -196,10 +188,10 @@ def mlsis_estimate(model: LimitStateModel, max_level: int, n_samples: int,
                    max_steps: int = 100):
     """Multilevel SIS estimate following the tempering/bridging update scheme.
 
-    Tempering always runs first; afterwards each iteration either tempers,
-    bridges, or probes a subset on the next level to decide.  The run ends
-    once the stopping COV meets its target and the ensemble sits on the
-    finest level.  Returns (probability, EstimatorTrace).
+    Tempering always runs first; afterwards each iteration either tempers or
+    bridges, after probing a subset on the next level when the scheme leaves
+    the choice open.  The run ends once the stopping COV meets its target and
+    the ensemble sits on the finest level.  Returns (probability, EstimatorTrace).
     """
     if not (1 <= max_level <= model.max_level):
         raise ValueError(f"max_level must lie in 1..{model.max_level}")
@@ -218,54 +210,31 @@ def mlsis_estimate(model: LimitStateModel, max_level: int, n_samples: int,
     trace = EstimatorTrace()
     tempering_finished = False
     bridging_finished = False
-    last_was_bridge = False
-
-    def absorb(step_records):
-        nonlocal tempering_finished, bridging_finished
-        for record in step_records:
-            trace.steps.append(record)
-        delta_wopt = stopping_cov(ensemble)
-        trace.steps[-1].delta_wopt = delta_wopt
-        if delta_wopt <= delta_target:
-            tempering_finished = True
-        if ensemble.level == max_level:
-            bridging_finished = True
-
-    ensemble, first = tempering_step(model, ensemble, delta_target, kernel, c, burn_in, rng)
-    absorb([first])
-
+    last_was_bridge = True      # so the first step tempers
     while not (tempering_finished and bridging_finished):
         if len(trace.steps) >= max_steps:
             raise NonconvergenceError(f"no convergence within {max_steps} steps")
-        if tempering_finished:
-            ensemble, records = bridge_level(model, ensemble, delta_target, kernel,
-                                             c, burn_in, rng)
-            last_was_bridge = True
-            absorb(records)
-        elif bridging_finished or last_was_bridge:
-            ensemble, record = tempering_step(model, ensemble, delta_target, kernel,
-                                              c, burn_in, rng)
-            last_was_bridge = False
-            absorb([record])
-        else:
+        bridge, cache = tempering_finished, None
+        if not (tempering_finished or bridging_finished or last_was_bridge):
             peek_start = model.counter.total()
             delta_peek, cache = peek_level_update(model, ensemble, n_subset, rng)
-            peek_record = TraceStep(kind="peek", level=ensemble.level + 1,
-                                    sigma=ensemble.sigma, delta=delta_peek,
-                                    n_evals=model.counter.total() - peek_start)
-            trace.steps.append(peek_record)
-            if delta_peek <= delta_target:
-                peek_record.wasted = True
-                ensemble, record = tempering_step(model, ensemble, delta_target,
-                                                  kernel, c, burn_in, rng)
-                last_was_bridge = False
-                absorb([record])
-            else:
-                ensemble, records = bridge_level(model, ensemble, delta_target,
-                                                 kernel, c, burn_in, rng,
-                                                 peek_cache=cache)
-                last_was_bridge = True
-                absorb(records)
+            bridge = delta_peek > delta_target
+            trace.steps.append(TraceStep(kind="peek", level=ensemble.level + 1,
+                                         sigma=ensemble.sigma, delta=delta_peek,
+                                         n_evals=model.counter.total() - peek_start,
+                                         wasted=not bridge))
+        if bridge:
+            ensemble, records = bridge_level(model, ensemble, delta_target, kernel, c,
+                                             burn_in, rng, peek_cache=cache)
+        else:
+            ensemble, record = tempering_step(model, ensemble, delta_target, kernel,
+                                              c, burn_in, rng)
+            records = [record]
+        last_was_bridge = bridge
+        trace.steps.extend(records)
+        delta_wopt = trace.steps[-1].delta_wopt = stopping_cov(ensemble)
+        tempering_finished = tempering_finished or delta_wopt <= delta_target
+        bridging_finished = ensemble.level == max_level
 
     correction = final_correction(ensemble)
     trace.final_correction = correction

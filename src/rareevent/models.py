@@ -1,7 +1,9 @@
 """Limit-state abstraction shared by all estimators, plus analytic test models.
 
 Failure is the event G <= 0 throughout; `is_failure` is the single predicate
-every indicator call site goes through.
+every indicator call site goes through.  Both PDE models expand their random
+field in the paper's KL_TRUNCATION = 150 modes, and `checked_level_dims`
+validates the per-level dimensions they take from it.
 """
 
 from __future__ import annotations
@@ -11,6 +13,23 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 from scipy import special
+
+KL_TRUNCATION = 150
+
+
+def checked_level_dims(level_dims, max_level: int, default) -> tuple[int, ...]:
+    """KL dimensions per level, `default[:max_level]` when `level_dims` is None.
+
+    There must be one per level, non-decreasing, the finest at most KL_TRUNCATION.
+    """
+    dims = tuple(int(d) for d in (default[:max_level] if level_dims is None else level_dims))
+    if len(dims) != max_level:
+        raise ValueError("need one dimension per level")
+    if any(d2 < d1 for d1, d2 in zip(dims, dims[1:])):
+        raise ValueError("level dimensions must be non-decreasing")
+    if dims[-1] > KL_TRUNCATION:
+        raise ValueError("finest level dimension exceeds KL truncation")
+    return dims
 
 
 def is_failure(g):

@@ -70,7 +70,6 @@ class KlBasis:
     """Ordered KL eigenpairs plus the Gaussian field's mean and variance."""
 
     domain_dim: int
-    corr_length: float
     mean: float
     variance: float
     eigenvalues: np.ndarray
@@ -140,7 +139,6 @@ def kl_basis_1d(corr_length: float, truncation: int,
     norms = np.sqrt(np.where(is_even, _HALF + half_sin, _HALF - half_sin))
     return KlBasis(
         domain_dim=1,
-        corr_length=corr_length,
         mean=mean,
         variance=variance,
         eigenvalues=eigenvalues,
@@ -150,14 +148,14 @@ def kl_basis_1d(corr_length: float, truncation: int,
     )
 
 
-def kl_basis_2d(corr_length: float, truncation: int,
-                mean: float = 0.0, variance: float = 1.0) -> KlBasis:
+def kl_basis_2d(corr_length: float, truncation: int) -> KlBasis:
     """Tensor-product KL basis of exp(-||x-y||_1/corr_length) on [0,1]^2.
 
-    The `truncation` largest products nu_i * nu_j are kept; ties are broken
-    lexicographically by (i, j) so the ordering is deterministic.
+    The field is standard (mean 0, variance 1).  The `truncation` largest
+    products nu_i * nu_j are kept; ties are broken lexicographically by
+    (i, j) so the ordering is deterministic.
     """
-    base = kl_basis_1d(corr_length, truncation, mean=0.0, variance=1.0)
+    base = kl_basis_1d(corr_length, truncation)
     nu1 = base.eigenvalues
     products = nu1[:, None] * nu1[None, :]
     ii, jj = np.meshgrid(np.arange(truncation), np.arange(truncation), indexing="ij")
@@ -167,9 +165,8 @@ def kl_basis_2d(corr_length: float, truncation: int,
     top = flat[order[:truncation]]
     return KlBasis(
         domain_dim=2,
-        corr_length=corr_length,
-        mean=mean,
-        variance=variance,
+        mean=0.0,
+        variance=1.0,
         eigenvalues=top[:, 0].copy(),
         _omegas=base._omegas,
         _is_even=base._is_even,

@@ -4,7 +4,8 @@ The smoothed densities Phi(-G_l/sigma_j) phi_n approach the optimal
 importance density as sigma decreases; each tempering step picks the next
 sigma so the weight coefficient of variation matches its target, estimates
 the normalizing-constant ratio from the weighted ensemble, then refreshes the
-ensemble by resampling and MCMC moves.
+ensemble by resampling and MCMC moves.  Bandwidths are searched within
+[SIGMA_MIN, SIGMA_MAX] = [1e-8, 1e8].
 """
 
 from __future__ import annotations
@@ -93,9 +94,8 @@ def tempering_log_weights(g, sigma: float, sigma_prev: float) -> np.ndarray:
     return logw
 
 
-def solve_sigma(g, sigma_prev: float, delta_target: float,
-                sigma_min: float = SIGMA_MIN, sigma_max: float = SIGMA_MAX):
-    """Next tempering bandwidth: the root of COV(w) = target in (0, sigma_prev).
+def solve_sigma(g, sigma_prev: float, delta_target: float):
+    """Next tempering bandwidth: the root of COV(w) = target in [SIGMA_MIN, sigma_prev).
 
     The weight COV vanishes at sigma_prev and grows as sigma shrinks, with
     the whole transition often squeezed into a thin sliver below sigma_prev,
@@ -103,17 +103,17 @@ def solve_sigma(g, sigma_prev: float, delta_target: float,
     sigma_prev and then found by Brent's method in log sigma.  From
     sigma_prev = inf the walk starts near the large-sigma root instead, when
     the COV there is below the target.  When the COV stays below the target
-    down to sigma_min, sigma_min is returned as a boundary value.  Reuses cached limit-state values only.  Returns
-    (sigma, realized_cov, hit_boundary).
+    down to SIGMA_MIN, SIGMA_MIN is returned as a boundary value.  Reuses
+    cached limit-state values only.  Returns (sigma, realized_cov, hit_boundary).
     """
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
         raise ValueError("limit-state values must be finite")
     if not (sigma_prev > 0):
         raise ValueError("previous bandwidth must be positive")
-    hi = min(sigma_prev, sigma_max)
-    if hi <= sigma_min:
-        raise FailedTemperingError("bandwidth interval collapsed below sigma_min")
+    hi = min(sigma_prev, SIGMA_MAX)
+    if hi <= SIGMA_MIN:
+        raise FailedTemperingError("bandwidth interval collapsed below SIGMA_MIN")
     log_prev = std_normal_log_cdf(-g / sigma_prev) if np.isfinite(sigma_prev) else 0.0
 
     def cov_at(sigma: float) -> float:
@@ -122,7 +122,7 @@ def solve_sigma(g, sigma_prev: float, delta_target: float,
         except DegenerateWeightsError:
             return np.inf
 
-    log_lo, log_hi = np.log(sigma_min), np.log(hi)
+    log_lo, log_hi = np.log(SIGMA_MIN), np.log(hi)
     # walk down from sigma_prev until the COV reaches its target
     step = 0.5 * np.log(2.0)
     x_above, x = None, log_hi
@@ -134,8 +134,8 @@ def solve_sigma(g, sigma_prev: float, delta_target: float,
             x_above, x = x_start, max(x_start - step, log_lo)
     while (delta := cov_at(np.exp(x))) < delta_target:
         if x == log_lo:
-            # COV below target everywhere: boundary value sigma_min
-            return sigma_min, float(delta), True
+            # COV below target everywhere: boundary value SIGMA_MIN
+            return SIGMA_MIN, float(delta), True
         x_above, x = x, max(x - step, log_lo)
     if x_above is not None:     # else the COV reaches the target at hi already
         x = brentq(lambda t: cov_at(np.exp(t)) - delta_target, x, x_above, xtol=1e-10)
@@ -230,6 +230,5 @@ def sis_estimate(model: LimitStateModel, level: int, n_samples: int,
     """
     from .mlsis import mlsis_estimate
 
-    pinned = model if (model.max_level == 1 and level == 1) else PinnedLevelModel(model, level)
-    return mlsis_estimate(pinned, 1, n_samples, delta_target, kernel, c, rng,
-                          burn_in=burn_in, max_steps=max_steps)
+    return mlsis_estimate(PinnedLevelModel(model, level), 1, n_samples, delta_target,
+                          kernel, c, rng, burn_in=burn_in, max_steps=max_steps)

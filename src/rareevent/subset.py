@@ -110,9 +110,8 @@ def sus_estimate(model: LimitStateModel, level: int, n_samples: int, p0: float,
     records report the view's level 1.  Unlike MLSuS, every subset step
     discards `burn_in` chain states.
     """
-    pinned = model if (model.max_level == 1 and level == 1) else PinnedLevelModel(model, level)
-    return _subset_simulation(pinned, 1, n_samples, p0, kernel, burn_in, rng,
-                              burn_in_every_step=True)
+    return _subset_simulation(PinnedLevelModel(model, level), 1, n_samples, p0, kernel,
+                              burn_in, rng, burn_in_every_step=True)
 
 
 def mlsus_estimate(model: LimitStateModel, max_level: int, n_samples: int, p0: float,

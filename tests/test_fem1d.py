@@ -100,14 +100,14 @@ class TestDiffusionModel:
     def test_level_dims_default_and_fixed(self):
         model = Diffusion1dModel()
         assert [model.dim(l) for l in range(1, 9)] == [10, 20, 40, 80, 150, 150, 150, 150]
-        fixed = Diffusion1dModel.fixed_dimension()
+        fixed = Diffusion1dModel(level_dims=(150,) * 8)
         assert [fixed.dim(l) for l in range(1, 9)] == [150] * 8
 
     def test_richardson_convergence_order(self, rng):
         # one fixed smooth field: endpoint error shrinks ~4x per refinement
         xi = np.zeros(150)
         xi[:10] = 0.4 * rng.standard_normal(10)
-        model = Diffusion1dModel.fixed_dimension()
+        model = Diffusion1dModel(level_dims=(150,) * 8)
         v = {}
         for level in (5, 6, 7, 8):
             v[level] = 0.535 - model.evaluate(xi, level)

@@ -79,10 +79,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             config.validate()
 
-    def test_level_cap_per_model(self):
-        config = ExperimentConfig(model="flowcell2d", method="mc", n=10, levels=7)
+    @pytest.mark.parametrize(("model", "cap"),
+                             [("linear", 1), ("diffusion1d", 8), ("flowcell2d", 6)])
+    def test_level_cap_per_model(self, model, cap):
+        config = ExperimentConfig(model=model, method="mc", n=10, levels=cap)
+        config.validate()
+        with pytest.raises(ValueError):
+            replace(config, levels=cap + 1).validate()
+
+    @pytest.mark.parametrize("reference", [-1.0, 0.0, np.nan, np.inf])
+    def test_reference_must_be_positive_and_finite(self, reference):
+        config = ExperimentConfig(model="linear", method="mc", n=10, reference=reference)
         with pytest.raises(ValueError):
             config.validate()
+        replace(config, reference=None).validate()
+        replace(config, reference=2.3e-4).validate()
 
     def test_valid_config_passes(self):
         ExperimentConfig(model="diffusion1d", method="mlsis", n=100,
@@ -302,6 +313,27 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "selftest passed" in proc.stdout
+
+    def test_sweep_without_out_is_a_config_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rareevent.cli", "sweep",
+             "--model", "linear", "--method", "mc", "--n", "10", "--grid", "n=10,20"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_sweep_validates_every_cell_before_running(self, tmp_path):
+        out_dir = tmp_path / "sweep"
+        proc = subprocess.run(
+            [sys.executable, "-m", "rareevent.cli", "sweep",
+             "--model", "linear", "--method", "sis", "--n", "100", "--reps", "1",
+             "--grid", "c=0.5,0.3", "--out", str(out_dir)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        # c = 0.3 is invalid (1/c is no integer), so not even c = 0.5 ran
+        assert not out_dir.exists() or os.listdir(out_dir) == []
 
     def test_sweep_writes_per_cell_files(self, tmp_path):
         out_dir = tmp_path / "sweep"

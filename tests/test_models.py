@@ -6,6 +6,8 @@ import pytest
 from scipy.special import ndtr
 
 from rareevent import mlsis, sis, subset
+from rareevent.fem1d import Diffusion1dModel
+from rareevent.fem2d import FlowCellModel
 from rareevent.models import (
     ConstantModel,
     EvalCounter,
@@ -101,6 +103,19 @@ class TestPinnedLevelModel:
         pinned = PinnedLevelModel(base, 2)
         assert pinned.evaluate(np.zeros(2), 1) == 2.0
         assert base.counter.counts() == {2: 1}
+
+
+class TestCheckedLevelDims:
+    @pytest.mark.parametrize("model_class", [Diffusion1dModel, FlowCellModel])
+    def test_level_dims_validated(self, model_class):
+        assert model_class(max_level=2).level_dims == (10, 20)
+        assert model_class(max_level=2, level_dims=(150, 150)).level_dims == (150, 150)
+        with pytest.raises(ValueError, match="one dimension per level"):
+            model_class(max_level=2, level_dims=(10,))
+        with pytest.raises(ValueError, match="non-decreasing"):
+            model_class(max_level=2, level_dims=(20, 10))
+        with pytest.raises(ValueError, match="exceeds KL truncation"):
+            model_class(max_level=2, level_dims=(10, 151))
 
 
 class TestMcEstimate:
