@@ -181,9 +181,10 @@ class AcsKernel:
         return self.log_score(proposal) - self.log_score(current)
 
     def feedback(self, accepted: np.ndarray) -> None:
+        n = int(np.count_nonzero(accepted))
         self.stats.proposals += accepted.size
-        self.stats.accepted += int(np.count_nonzero(accepted))
-        self._pending.append(float(np.mean(accepted)))
+        self.stats.accepted += n
+        self._pending.append(n / accepted.size)
         if len(self._pending) >= self._adapt_every:
             self._batch_index += 1
             rate = float(np.mean(self._pending))

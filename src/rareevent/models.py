@@ -20,8 +20,11 @@ KL_TRUNCATION = 150
 def checked_level_dims(level_dims, max_level: int, default) -> tuple[int, ...]:
     """KL dimensions per level, `default[:max_level]` when `level_dims` is None.
 
-    There must be one per level, non-decreasing, the finest at most KL_TRUNCATION.
+    There must be at least one level and one dimension per level, non-decreasing,
+    the finest at most KL_TRUNCATION.
     """
+    if max_level < 1:
+        raise ValueError("max_level must be >= 1")
     dims = tuple(int(d) for d in (default[:max_level] if level_dims is None else level_dims))
     if len(dims) != max_level:
         raise ValueError("need one dimension per level")

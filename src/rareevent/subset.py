@@ -5,7 +5,8 @@ thresholds are empirical quantiles; conditional samples come from pCN-style
 chains restricted to the current domain.  The multilevel variant updates the
 discretization level between subset steps; since domains on different levels
 are not nested, every level update also estimates the reverse conditional
-probability, which divides the estimator.
+probability, which divides the estimator, from one coarse-level evaluation of
+the ensemble its chains return.
 """
 
 from __future__ import annotations
@@ -24,20 +25,14 @@ STALL_LIMIT = 3
 
 @dataclass(frozen=True)
 class DomainTarget:
-    """Indicator target I(G_level <= threshold) * phi_n.
-
-    `cache_levels` lists additional discretization levels whose limit-state
-    values the chains keep evaluated (needed by the multilevel denominator);
-    they do not enter the density.
-    """
+    """Indicator target I(G_level <= threshold) * phi_n on one level."""
 
     level: int
     threshold: float
-    cache_levels: tuple[int, ...] = ()
 
     @property
     def levels(self) -> tuple[int, ...]:
-        return (self.level, *self.cache_levels)
+        return (self.level,)
 
     def log_smooth(self, g_by_level: dict[int, np.ndarray]) -> np.ndarray:
         g = np.asarray(g_by_level[self.level])
@@ -120,9 +115,9 @@ def mlsus_estimate(model: LimitStateModel, max_level: int, n_samples: int, p0: f
 
     The first subset forms on the coarsest level; each following step raises
     the discretization level by one until the finest is reached, estimating
-    the non-nestedness denominator P(B_{j-1} | B_j) from the coarse-level
-    values cached on the refreshed ensemble.  Burn-in applies to the chains
-    of level-update steps.
+    the non-nestedness denominator P(B_{j-1} | B_j) from one coarse-level
+    evaluation of the refreshed ensemble.  Burn-in applies to the chains of
+    level-update steps.
     """
     return _subset_simulation(model, max_level, n_samples, p0, kernel, burn_in, rng,
                               burn_in_every_step=False)
@@ -144,20 +139,18 @@ def _subset_simulation(model, max_level, n_samples, p0, kernel, burn_in, rng,
 
     for _ in range(MAX_SUBSET_LEVELS):
         evals_at = model.counter.total()
-        prev_level_values: np.ndarray | None = None
-        if prev_threshold is None or level == max_level:
-            g_dom = g
-        else:
+        is_update = prev_threshold is not None and level < max_level
+        if is_update:
             # advance the discretization level for the next domain
             delta_n = model.dim(level + 1) - model.dim(level)
             samples = extend_dimension(samples, delta_n, rng)
-            g_dom = model.evaluate_batch(samples, level + 1)
-            prev_level_values = g
             level += 1
+            g_dom = model.evaluate_batch(samples, level)
+        else:
+            g_dom = g
 
         order = np.argsort(g_dom, kind="stable")
         threshold = float(g_dom[order[n_seeds - 1]])
-        is_update = prev_level_values is not None
         if threshold <= 0 and level == max_level and not is_update:
             # nested final step: plain conditional fraction
             frac = float(np.mean(is_failure(g_dom)))
@@ -172,22 +165,18 @@ def _subset_simulation(model, max_level, n_samples, p0, kernel, burn_in, rng,
         factor = float(np.mean(g_dom <= threshold))
 
         seeds = order[:n_seeds]
-        cache_levels = (level - 1,) if is_update else ()
-        target = DomainTarget(level=level, threshold=threshold,
-                              cache_levels=cache_levels)
-        seed_values = {level: g_dom[seeds]}
-        if is_update:
-            seed_values[level - 1] = prev_level_values[seeds]
+        target = DomainTarget(level=level, threshold=threshold)
         kernel.prepare(samples, np.zeros(n_samples), model.dim(level), rng, round(1.0 / p0))
         step_burn_in = burn_in if (is_update or burn_in_every_step) else 0
-        samples, values = run_chains(model, target, kernel, samples[seeds], seed_values,
-                                     p0, step_burn_in, rng)
+        samples, values = run_chains(model, target, kernel, samples[seeds],
+                                     {level: g_dom[seeds]}, p0, step_burn_in, rng)
         g = values[level]
 
         denominator = 1.0
         if is_update:
-            # reverse conditional from the coarse values cached during the move
-            denominator = float(np.mean(values[level - 1] <= prev_threshold))
+            # reverse conditional, read on the coarse level once the chains are done
+            g_coarse = model.evaluate_batch(samples[:, :model.dim(level - 1)], level - 1)
+            denominator = float(np.mean(g_coarse <= prev_threshold))
             if denominator <= 0:
                 raise NonconvergenceError("zero reverse-conditional estimate")
         trace.records.append(SubsetLevelRecord(

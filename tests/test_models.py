@@ -117,6 +117,14 @@ class TestCheckedLevelDims:
         with pytest.raises(ValueError, match="exceeds KL truncation"):
             model_class(max_level=2, level_dims=(10, 151))
 
+    @pytest.mark.parametrize("model_class", [Diffusion1dModel, FlowCellModel])
+    @pytest.mark.parametrize("max_level", [0, -1])
+    def test_needs_at_least_one_level(self, model_class, max_level):
+        with pytest.raises(ValueError, match="max_level must be >= 1"):
+            model_class(max_level=max_level)
+        with pytest.raises(ValueError, match="max_level must be >= 1"):
+            model_class(max_level=max_level, level_dims=())
+
 
 class TestMcEstimate:
     def test_always_failing_model(self, rng):

@@ -91,6 +91,18 @@ class TestMlsusEstimate:
         assert p > 0
         assert {r.level for r in trace.records} >= {1, 2}
 
+    def test_level_update_evaluates_coarse_level_once(self, rng):
+        # chains run on the fine level only; the reverse conditional reads the
+        # coarse level once, on the N returned states, whatever the burn-in
+        n, burn_in = 400, 5
+        model = Diffusion1dModel(max_level=3, level_dims=(10, 20, 40))
+        _, trace = mlsus_estimate(model, 3, n, 0.1, make_kernel("acs"), burn_in, rng)
+        assert [r.level for r in trace.records] == [1, 2, 3, 3]
+        chain = n // 10 * (burn_in + 10)   # N·p0 chains of burn_in + 1/p0 steps
+        assert trace.records[1].n_evals == trace.records[2].n_evals == n + chain + n
+        assert trace.eval_counts == {1: 3 * n, 2: n + chain + n, 3: n + chain}
+        assert trace.eval_counts == model.counter.counts()
+
     def test_estimate_matches_record_product(self, rng):
         model = Diffusion1dModel(max_level=2, level_dims=(10, 20))
         p, trace = mlsus_estimate(model, 2, 400, 0.1, make_kernel("acs"), 0, rng)
