@@ -28,30 +28,25 @@ from .sis import _seed_count, sis_estimate
 from .subset import _validate_p0, mlsus_estimate, sus_estimate
 
 # method name -> estimator call returning (estimate, n_temper, n_bridge); the
-# subset methods report subset levels and level updates in those columns
+# subset methods report subset steps and level updates in those columns
 _METHODS = {
     "mc": lambda model, cfg, rng: (mc_estimate(model, cfg.levels, cfg.n, rng), 0, 0),
-    "sis": lambda model, cfg, rng: _tempering_counts(sis_estimate(
+    "sis": lambda model, cfg, rng: _counts(sis_estimate(
         model, cfg.levels, cfg.n, cfg.delta_target, make_kernel(cfg.kernel), cfg.c, rng,
         burn_in=cfg.n_b)),
-    "mlsis": lambda model, cfg, rng: _tempering_counts(mlsis_estimate(
+    "mlsis": lambda model, cfg, rng: _counts(mlsis_estimate(
         model, cfg.levels, cfg.n, cfg.delta_target, make_kernel(cfg.kernel), cfg.c, rng,
         subset_fraction=cfg.ns_frac, burn_in=cfg.n_b)),
-    "sus": lambda model, cfg, rng: _subset_counts(sus_estimate(
+    "sus": lambda model, cfg, rng: _counts(sus_estimate(
         model, cfg.levels, cfg.n, cfg.p0, make_kernel(cfg.kernel), cfg.n_b, rng)),
-    "mlsus": lambda model, cfg, rng: _subset_counts(mlsus_estimate(
+    "mlsus": lambda model, cfg, rng: _counts(mlsus_estimate(
         model, cfg.levels, cfg.n, cfg.p0, make_kernel(cfg.kernel), cfg.n_b, rng)),
 }
 
 
-def _tempering_counts(result):
+def _counts(result):
     estimate, trace = result
     return estimate, trace.n_temper, trace.n_bridge
-
-
-def _subset_counts(result):
-    estimate, trace = result
-    return estimate, trace.n_levels, trace.n_level_updates
 
 
 # model name -> (finest level, builder from the config and its level dims or None)

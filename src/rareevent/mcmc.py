@@ -250,12 +250,10 @@ def run_chains(model: LimitStateModel, target, kernel, seeds: np.ndarray,
     limit-state evaluations per level of the target.  Seed values are reused,
     never recomputed; each iteration costs one batched model evaluation per
     target level.  The kernel scores the seeds and each batch of proposals
-    once; accepted scores are carried like the limit-state values.
+    once; accepted scores are carried like the limit-state values.  Callers
+    check that 1/c is an integer (`sis._seed_count`).
     """
-    inv_c = round(1.0 / c)
-    if abs(inv_c * c - 1.0) > 1e-9:
-        raise ValueError("1/c must be an integer")
-    steps = burn_in + inv_c
+    steps = burn_in + round(1.0 / c)
     begin = getattr(kernel, "begin_target", None)
     if begin is not None:
         begin(target)

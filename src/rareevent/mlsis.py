@@ -27,11 +27,11 @@ from .mcmc import (
 )
 from .models import LimitStateModel
 from .sis import (
-    EstimatorTrace,
     SampleEnsemble,
     TraceStep,
     _seed_count,
     final_correction,
+    run_sequence,
     stopping_cov,
     tempering_step,
 )
@@ -149,7 +149,7 @@ def bridge_level(model: LimitStateModel, ensemble: SampleEnsemble,
         ratios = bridging_log_ratios(g_coarse, g_fine, sigma)
         beta_new, delta, boundary = solve_beta(g_coarse, g_fine, sigma, beta, delta_target)
         log_w = (beta_new - beta) * ratios
-        s_hat = float(np.exp(log_mean_exp(log_w)))
+        factor = float(np.exp(log_mean_exp(log_w)))
         kernel.prepare(samples, log_w, model.dim(fine), rng, n_steps=round(1.0 / c))
         idx = resample_multinomial(np.exp(log_w - log_w.max()), n_seeds, rng)
         target = BridgingTarget(coarse_level=level, fine_level=fine,
@@ -162,7 +162,7 @@ def bridge_level(model: LimitStateModel, ensemble: SampleEnsemble,
         g_coarse = values.get(level)
         evals_so_far = model.counter.total()
         steps.append(TraceStep(
-            kind="bridge", level=fine, sigma=sigma, s_hat=s_hat, beta=beta_new,
+            kind="bridge", level=fine, sigma=sigma, factor=factor, beta=beta_new,
             delta=delta, boundary=boundary,
             n_evals=evals_so_far - (stage_start if steps else evals_before),
         ))
@@ -193,51 +193,38 @@ def mlsis_estimate(model: LimitStateModel, max_level: int, n_samples: int,
     the choice open.  The run ends once the stopping COV meets its target and
     the ensemble sits on the finest level.  Returns (probability, EstimatorTrace).
     """
-    if not (1 <= max_level <= model.max_level):
-        raise ValueError(f"max_level must lie in 1..{model.max_level}")
     if n_samples < 2:
         raise ValueError("need at least two samples")
     if not (delta_target > 0):
         raise ValueError("delta_target must be positive")
     _seed_count(n_samples, c)
     n_subset = _peek_count(n_samples, subset_fraction) if max_level > 1 else 0
-    counts_before = model.counter.counts()
 
-    samples = rng.standard_normal((n_samples, model.dim(1)))
-    g1 = model.evaluate_batch(samples, 1)
-    ensemble = SampleEnsemble(samples=samples, values={1: g1}, level=1, sigma=np.inf)
-
-    trace = EstimatorTrace()
-    tempering_finished = False
-    bridging_finished = False
-    last_was_bridge = True      # so the first step tempers
-    while not (tempering_finished and bridging_finished):
-        if len(trace.steps) >= max_steps:
-            raise NonconvergenceError(f"no convergence within {max_steps} steps")
-        bridge, cache = tempering_finished, None
-        if not (tempering_finished or bridging_finished or last_was_bridge):
+    def advance(ensemble, trace):
+        tempered = any(s.delta_wopt <= delta_target
+                       for s in trace.steps if s.delta_wopt is not None)
+        after_bridge = not trace.steps or trace.steps[-1].kind == "bridge"
+        bridge, cache, steps = tempered, None, []
+        if not (tempered or ensemble.level == max_level or after_bridge):
             peek_start = model.counter.total()
             delta_peek, cache = peek_level_update(model, ensemble, n_subset, rng)
             bridge = delta_peek > delta_target
-            trace.steps.append(TraceStep(kind="peek", level=ensemble.level + 1,
-                                         sigma=ensemble.sigma, delta=delta_peek,
-                                         n_evals=model.counter.total() - peek_start,
-                                         wasted=not bridge))
+            steps.append(TraceStep(kind="peek", level=ensemble.level + 1,
+                                   sigma=ensemble.sigma, delta=delta_peek,
+                                   n_evals=model.counter.total() - peek_start,
+                                   wasted=not bridge))
         if bridge:
-            ensemble, records = bridge_level(model, ensemble, delta_target, kernel, c,
-                                             burn_in, rng, peek_cache=cache)
+            ensemble, moves = bridge_level(model, ensemble, delta_target, kernel, c,
+                                           burn_in, rng, peek_cache=cache)
         else:
-            ensemble, record = tempering_step(model, ensemble, delta_target, kernel,
-                                              c, burn_in, rng)
-            records = [record]
-        last_was_bridge = bridge
-        trace.steps.extend(records)
-        delta_wopt = trace.steps[-1].delta_wopt = stopping_cov(ensemble)
-        tempering_finished = tempering_finished or delta_wopt <= delta_target
-        bridging_finished = ensemble.level == max_level
+            ensemble, move = tempering_step(model, ensemble, delta_target, kernel,
+                                            c, burn_in, rng)
+            moves = [move]
+        steps.extend(moves)
+        delta_wopt = steps[-1].delta_wopt = stopping_cov(ensemble)
+        final = (tempered or delta_wopt <= delta_target) and ensemble.level == max_level
+        if final:
+            trace.final_correction = final_correction(ensemble)
+        return ensemble, steps, final
 
-    correction = final_correction(ensemble)
-    trace.final_correction = correction
-    trace.estimate = trace.s_product() * correction
-    trace.eval_counts = model.counter.since(counts_before)
-    return trace.estimate, trace
+    return run_sequence(model, max_level, n_samples, rng, advance, max_steps)

@@ -6,18 +6,21 @@ sigma so the weight coefficient of variation matches its target, estimates
 the normalizing-constant ratio from the weighted ensemble, then refreshes the
 ensemble by resampling and MCMC moves.  Bandwidths are searched within
 [SIGMA_MIN, SIGMA_MAX] = [1e-8, 1e8].
+
+`run_sequence` is the loop every sequential estimator runs: SIS and MLSIS
+(`mlsis`) and subset simulation (`subset`) each pass it one step function.
+All of them record their steps as `TraceStep`s in one `EstimatorTrace`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .distributions import std_normal_log_cdf
-from .errors import DegenerateWeightsError, FailedTemperingError
+from .errors import DegenerateWeightsError, FailedTemperingError, NonconvergenceError
 from .mcmc import (
     TemperingTarget,
     cov_from_log_weights,
@@ -33,7 +36,7 @@ SIGMA_MAX = 1e8
 
 @dataclass
 class SampleEnsemble:
-    """The particle population moved through tempering and bridging."""
+    """The particle population a sequential estimator moves from step to step."""
 
     samples: np.ndarray                  # (N, n_level)
     values: dict[int, np.ndarray]        # cached limit-state values per level
@@ -50,12 +53,19 @@ class SampleEnsemble:
 
 @dataclass
 class TraceStep:
-    """One tempering, bridging or peek event in estimator order."""
+    """One step of a sequential estimator, in estimator order.
 
-    kind: str                            # "temper" | "bridge" | "peek"
+    `factor / denominator` is the step's share of the estimate: a smoothed
+    S-hat for tempering and bridging, a conditional fraction P(B_j | B_j-1)
+    over a reverse conditional P(B_j-1 | B_j) for subset steps.
+    """
+
+    kind: str                            # "temper" | "bridge" | "peek" | "subset" | "update"
     level: int
-    sigma: float
-    s_hat: float | None = None
+    sigma: float | None = None
+    factor: float | None = None
+    denominator: float = 1.0
+    threshold: float | None = None       # subset domain G <= threshold
     beta: float | None = None
     delta: float | None = None           # realized weight COV of the step
     boundary: bool = False               # root on the search-interval edge
@@ -66,24 +76,29 @@ class TraceStep:
 
 @dataclass
 class EstimatorTrace:
-    """Step records whose product of S-hat factors reconstructs the estimate."""
+    """Step records whose factors times the final correction give the estimate."""
 
     steps: list[TraceStep] = field(default_factory=list)
-    final_correction: float = np.nan
+    final_correction: float = 1.0
     estimate: float = np.nan
     eval_counts: dict[int, int] = field(default_factory=dict)
 
-    def s_product(self) -> float:
-        factors = [s.s_hat for s in self.steps if s.s_hat is not None]
-        return math.prod(factors) if factors else 1.0
+    def product(self) -> float:
+        out = 1.0
+        for s in self.steps:
+            if s.factor is not None:
+                out *= s.factor / s.denominator
+        return out * self.final_correction
 
     @property
     def n_temper(self) -> int:
-        return sum(1 for s in self.steps if s.kind == "temper")
+        """Tempering steps, or every subset step of subset simulation."""
+        return sum(1 for s in self.steps if s.kind in ("temper", "subset", "update"))
 
     @property
     def n_bridge(self) -> int:
-        return sum(1 for s in self.steps if s.kind == "bridge")
+        """Bridging steps, or the level updates of subset simulation."""
+        return sum(1 for s in self.steps if s.kind in ("bridge", "update"))
 
 
 def tempering_log_weights(g, sigma: float, sigma_prev: float) -> np.ndarray:
@@ -162,7 +177,7 @@ def tempering_step(model: LimitStateModel, ensemble: SampleEnsemble,
         raise FailedTemperingError(
             f"bandwidth schedule must strictly decrease: {sigma} after {ensemble.sigma}")
     log_w = tempering_log_weights(g, sigma, ensemble.sigma)
-    s_hat = float(np.exp(log_mean_exp(log_w)))
+    factor = float(np.exp(log_mean_exp(log_w)))
 
     n_seeds = _seed_count(ensemble.size, c)
     kernel.prepare(ensemble.samples, log_w, model.dim(level), rng, n_steps=round(1.0 / c))
@@ -174,7 +189,7 @@ def tempering_step(model: LimitStateModel, ensemble: SampleEnsemble,
     )
     new_ensemble = SampleEnsemble(samples=states, values={level: values[level]},
                                   level=level, sigma=sigma)
-    step = TraceStep(kind="temper", level=level, sigma=sigma, s_hat=s_hat,
+    step = TraceStep(kind="temper", level=level, sigma=sigma, factor=factor,
                      delta=delta, boundary=boundary,
                      n_evals=model.counter.total() - evals_before)
     return new_ensemble, step
@@ -182,13 +197,13 @@ def tempering_step(model: LimitStateModel, ensemble: SampleEnsemble,
 
 def _seed_count(n: int, c: float) -> int:
     if not (0.0 < c <= 1.0):
-        raise ValueError("seed fraction c must lie in (0, 1]")
+        raise ValueError(f"seed fraction {c} must lie in (0, 1]")
     inv_c = round(1.0 / c)
     if abs(inv_c * c - 1.0) > 1e-9:
-        raise ValueError("1/c must be an integer")
+        raise ValueError(f"seed fraction {c} must be 1/k for an integer k")
     n_seeds = round(c * n)
-    if abs(n_seeds - c * n) > 1e-9:
-        raise ValueError("c*N must be an integer")
+    if abs(n_seeds - c * n) > 1e-9 or n_seeds < 1:
+        raise ValueError(f"seed fraction {c} times N={n} must be a positive integer")
     return n_seeds
 
 
@@ -218,6 +233,33 @@ def final_correction(ensemble: SampleEnsemble) -> float:
     if np.all(np.isneginf(log_w)):
         return 0.0
     return float(np.exp(log_mean_exp(log_w)))
+
+
+def run_sequence(model: LimitStateModel, max_level: int, n_samples: int,
+                 rng: np.random.Generator, advance, max_steps: int):
+    """The sequential estimator loop shared by SIS, MLSIS, SuS and MLSuS.
+
+    Draws and evaluates N level-1 samples, then calls
+    `advance(ensemble, trace) -> (ensemble, steps, final)` until a call
+    reports its steps final.  `advance` reads what it needs of the run so far
+    from the trace and may set its `final_correction`.  Returns
+    (probability, EstimatorTrace) with the estimate rebuilt from the steps.
+    """
+    if not (1 <= max_level <= model.max_level):
+        raise ValueError(f"max_level must lie in 1..{model.max_level}")
+    counts_before = model.counter.counts()
+    samples = rng.standard_normal((n_samples, model.dim(1)))
+    ensemble = SampleEnsemble(samples, {1: model.evaluate_batch(samples, 1)}, level=1)
+    trace = EstimatorTrace()
+    final = False
+    while not final:
+        if len(trace.steps) >= max_steps:
+            raise NonconvergenceError(f"no convergence within {max_steps} steps")
+        ensemble, steps, final = advance(ensemble, trace)
+        trace.steps.extend(steps)
+    trace.estimate = trace.product()
+    trace.eval_counts = model.counter.since(counts_before)
+    return trace.estimate, trace
 
 
 def sis_estimate(model: LimitStateModel, level: int, n_samples: int,

@@ -6,7 +6,7 @@ the stable-timing CSV of each harness run and the bit patterns of direct
 denominator and evaluation count, per-level evaluation counts).  The file was
 written by this module's `__main__` before SuS became the MLSuS loop on a
 pinned view and models kept a single batch primitive; both changes must
-leave every number here unchanged.  `SubsetLevelRecord.level` is not
+leave every number here unchanged.  `TraceStep.level` is not
 recorded: a pinned SuS run reports the view's level 1, as pinned SIS does.
 
 Regenerate (only for an intended change of results) with
@@ -82,7 +82,7 @@ def direct_output(case) -> dict:
     return {
         "estimate": float(estimate).hex(),
         "records": [[r.threshold.hex(), r.factor.hex(), r.denominator.hex(), r.n_evals]
-                    for r in trace.records],
+                    for r in trace.steps],
         "eval_counts": {str(level): n for level, n in trace.eval_counts.items()},
     }
 

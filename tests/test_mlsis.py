@@ -94,7 +94,7 @@ class TestBridgeLevel:
         new_ens, steps = bridge_level(model, ens, 0.25, make_kernel("acs"), 0.5, 0, rng)
         assert len(steps) == 1
         assert steps[0].beta == 1.0
-        assert steps[0].s_hat == pytest.approx(1.0, rel=1e-12)
+        assert steps[0].factor == pytest.approx(1.0, rel=1e-12)
         assert new_ens.level == 2
         # moments preserved when the levels agree
         assert new_ens.level_values().mean() == pytest.approx(before.mean(), abs=0.2)
@@ -104,7 +104,7 @@ class TestBridgeLevel:
         ens = tempered_ensemble(model, 400, rng, delta_target=0.5, c=0.5)
         new_ens, steps = bridge_level(model, ens, 0.5, make_kernel("acs"), 0.5, 0, rng)
         betas = [s.beta for s in steps]
-        s_hats = [s.s_hat for s in steps]
+        s_hats = [s.factor for s in steps]
         assert all(0 < s < np.inf for s in s_hats)
         assert np.isfinite(np.prod(s_hats))
         assert all(b2 > b1 for b1, b2 in zip(betas, betas[1:]))
@@ -186,7 +186,7 @@ class TestMlsisEstimate:
     def test_level_constant_model_unit_bridges(self, rng):
         model = TwoLevelLinear(betas=(3.0, 3.0))
         p, trace = mlsis_estimate(model, 2, 400, 0.5, make_kernel("vmfn"), 0.5, rng)
-        bridge_factors = [s.s_hat for s in trace.steps if s.kind == "bridge"]
+        bridge_factors = [s.factor for s in trace.steps if s.kind == "bridge"]
         assert bridge_factors, "a bridge must run to reach the fine level"
         assert all(s == pytest.approx(1.0, rel=1e-9) for s in bridge_factors)
         exact = float(stats.norm.sf(3.0))
@@ -196,7 +196,7 @@ class TestMlsisEstimate:
         model = Diffusion1dModel(max_level=3)
         p, trace = mlsis_estimate(model, 3, 400, 0.5, make_kernel("acs"), 0.5, rng)
         check_trace_automaton(trace, 0.5, 3)
-        assert trace.s_product() * trace.final_correction == p
+        assert trace.product() == p
         levels = [s.level for s in trace.steps if s.kind != "peek"]
         assert all(b >= a for a, b in zip(levels, levels[1:]))
 

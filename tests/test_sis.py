@@ -1,5 +1,6 @@
 import functools
 import operator
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from scipy.optimize import brentq
 from rareevent import sis
 from rareevent.distributions import std_normal_log_cdf
 from rareevent.errors import FailedTemperingError, NonconvergenceError
+from rareevent.fem1d import Diffusion1dModel
 from rareevent.mcmc import cov_from_log_weights, make_kernel
+from rareevent.mlsis import mlsis_estimate
 from rareevent.models import ConstantModel, LinearLsfModel
 from rareevent.sis import (
     SampleEnsemble,
@@ -21,6 +24,7 @@ from rareevent.sis import (
     stopping_cov,
     tempering_step,
 )
+from rareevent.subset import mlsus_estimate, sus_estimate
 
 
 def _walk_from_sigma_max(g, delta_target):
@@ -154,7 +158,7 @@ class TestTemperingStep:
         samples = rng.standard_normal((100, 3))
         ens = SampleEnsemble(samples, {1: model.evaluate_batch(samples, 1)}, 1)
         ens, record = tempering_step(model, ens, 0.25, make_kernel("acs"), 0.5, 0, rng)
-        assert record.s_hat == pytest.approx(1.0, abs=1e-6)
+        assert record.factor == pytest.approx(1.0, abs=1e-6)
         assert record.delta == pytest.approx(0.0, abs=1e-6)
         assert stopping_cov(ens) <= 0.25
 
@@ -164,7 +168,7 @@ class TestTemperingStep:
         ens = SampleEnsemble(samples, {1: model.evaluate_batch(samples, 1)}, 1)
         before = ens.level_values().mean()
         ens, record = tempering_step(model, ens, 0.25, make_kernel("acs"), 0.1, 0, rng)
-        assert 0.0 < record.s_hat <= 1.0 + 1e-12
+        assert 0.0 < record.factor <= 1.0 + 1e-12
         assert ens.level_values().mean() < before
 
     def test_c_equal_one_runs_single_step_chains(self, rng):
@@ -228,7 +232,7 @@ class TestSisEstimate:
     def test_trace_reconstructs_estimate_exactly(self, rng):
         p, trace = sis_estimate(LinearLsfModel(2.5, 20), 1, 500, 0.5,
                                 make_kernel("vmfn"), 0.1, rng)
-        factors = [s.s_hat for s in trace.steps if s.s_hat is not None]
+        factors = [s.factor for s in trace.steps if s.factor is not None]
         rebuilt = functools.reduce(operator.mul, factors, 1.0) * trace.final_correction
         assert rebuilt == p
 
@@ -297,3 +301,33 @@ class TestPerfectSamplerUnbiasedness:
         ests = np.array(ests)
         z = (ests.mean() - exact) / (ests.std(ddof=1) / np.sqrt(len(ests)))
         assert abs(z) < 3.0
+
+
+# estimator call on a three-level model, and the step kinds it may record
+SEQUENTIAL_RUNS = {
+    "sis": (lambda model, n, rng: sis_estimate(
+        model, 3, n, 0.5, make_kernel("vmfn"), 0.1, rng), {"temper"}),
+    "mlsis": (lambda model, n, rng: mlsis_estimate(
+        model, 3, n, 0.5, make_kernel("vmfn"), 0.1, rng), {"temper", "bridge", "peek"}),
+    "sus": (lambda model, n, rng: sus_estimate(
+        model, 3, n, 0.1, make_kernel("acs"), 0, rng), {"subset"}),
+    "mlsus": (lambda model, n, rng: mlsus_estimate(
+        model, 3, n, 0.1, make_kernel("acs"), 0, rng), {"subset", "update"}),
+}
+
+
+@pytest.mark.parametrize("method", sorted(SEQUENTIAL_RUNS))
+def test_sequential_estimators_share_one_accounting(method):
+    # every estimator runs on run_sequence: the trace's steps rebuild the
+    # estimate, and the level-1 draw plus the steps' evaluations are the tally
+    estimate, kinds = SEQUENTIAL_RUNS[method]
+    n = 200
+    model = Diffusion1dModel(max_level=3)
+    p, trace = estimate(model, n, np.random.default_rng(7))
+    assert trace.product() == p
+    total = n + sum(s.n_evals for s in trace.steps)
+    assert total == sum(trace.eval_counts.values()) == sum(model.counter.counts().values())
+    by_kind = Counter(s.kind for s in trace.steps)
+    assert set(by_kind) <= kinds
+    assert trace.n_temper == by_kind["temper"] + by_kind["subset"] + by_kind["update"]
+    assert trace.n_bridge == by_kind["bridge"] + by_kind["update"]

@@ -16,7 +16,7 @@ class TestSusEstimate:
         p, trace = sus_estimate(ConstantModel(-1.0, n=2), 1, 100, 0.1,
                                 make_kernel("acs"), 0, rng)
         assert p == 1.0
-        assert trace.n_levels == 1
+        assert trace.n_temper == 1
 
     def test_linear_reference(self):
         exact = LinearLsfModel(3.5, 1).exact_probability()
@@ -30,12 +30,12 @@ class TestSusEstimate:
     def test_trace_product_and_thresholds(self, rng):
         p, trace = sus_estimate(LinearLsfModel(3.0, 10), 1, 500, 0.1,
                                 make_kernel("acs"), 0, rng)
-        thresholds = [r.threshold for r in trace.records]
+        thresholds = [r.threshold for r in trace.steps]
         assert all(b2 < b1 for b1, b2 in zip(thresholds, thresholds[1:]))
         assert thresholds[-1] == 0.0
         # absent ties every intermediate factor equals p0 exactly
-        assert all(r.factor == pytest.approx(0.1) for r in trace.records[:-1])
-        rebuilt = 0.1 ** (trace.n_levels - 1) * trace.records[-1].factor
+        assert all(r.factor == pytest.approx(0.1) for r in trace.steps[:-1])
+        rebuilt = 0.1 ** (trace.n_temper - 1) * trace.steps[-1].factor
         assert rebuilt == pytest.approx(p, rel=1e-12)
 
     def test_stall_detected(self, rng):
@@ -48,7 +48,7 @@ class TestSusEstimate:
         # at the base model's level
         model = Diffusion1dModel(max_level=3)
         _, trace = sus_estimate(model, 2, 100, 0.1, make_kernel("acs"), 2, rng)
-        assert {r.level for r in trace.records} == {1}
+        assert {r.level for r in trace.steps} == {1}
         assert set(trace.eval_counts) == {2}
         assert model.counter.counts() == trace.eval_counts
 
@@ -65,31 +65,40 @@ class TestMlsusEstimate:
         model = TwoLevelLinear(betas=(3.0, 3.0))
         p, trace = mlsus_estimate(model, 2, 1000, 0.1, make_kernel("acs"), 0, rng)
         # nested domains: every reverse conditional is one
-        assert all(r.denominator == pytest.approx(1.0) for r in trace.records)
+        assert all(r.denominator == pytest.approx(1.0) for r in trace.steps)
         exact = float(stats.norm.sf(3.0))
         assert p == pytest.approx(exact, rel=0.6)
+
+    def test_level_update_counted_when_its_denominator_is_one(self):
+        # nested domains make the reverse conditional exactly 1; the update
+        # still counts in n_bridge
+        model = TwoLevelLinear(betas=(3.0, 3.0))
+        _, trace = mlsus_estimate(model, 2, 1000, 0.1, make_kernel("acs"), 0,
+                                  np.random.default_rng(1))
+        assert [s.denominator for s in trace.steps if s.kind == "update"] == [1.0]
+        assert trace.n_bridge == 1
 
     def test_denominators_are_valid_fractions(self, rng):
         model = Diffusion1dModel(max_level=4, level_dims=(10, 20, 40, 80))
         p, trace = mlsus_estimate(model, 4, 500, 0.1, make_kernel("acs"), 5, rng)
-        updates = [r for r in trace.records if r.denominator != 1.0]
+        updates = [r for r in trace.steps if r.denominator != 1.0]
         assert updates or p > 0
-        for r in trace.records:
+        for r in trace.steps:
             assert 0.0 < r.denominator <= 1.0
-        assert trace.n_level_updates <= 3
+        assert trace.n_bridge <= 3
         assert p > 0
 
     def test_reaches_finest_level(self, rng):
         model = Diffusion1dModel(max_level=3, level_dims=(10, 20, 40))
         _, trace = mlsus_estimate(model, 3, 400, 0.1, make_kernel("acs"), 0, rng)
-        assert trace.records[-1].level == 3
-        assert trace.records[-1].threshold == 0.0
+        assert trace.steps[-1].level == 3
+        assert trace.steps[-1].threshold == 0.0
 
     def test_dimension_extension_applied(self, rng):
         model = TwoLevelLinear(betas=(2.5, 2.5), dims=(3, 7))
         p, trace = mlsus_estimate(model, 2, 500, 0.1, make_kernel("acs"), 0, rng)
         assert p > 0
-        assert {r.level for r in trace.records} >= {1, 2}
+        assert {r.level for r in trace.steps} >= {1, 2}
 
     def test_level_update_evaluates_coarse_level_once(self, rng):
         # chains run on the fine level only; the reverse conditional reads the
@@ -97,9 +106,9 @@ class TestMlsusEstimate:
         n, burn_in = 400, 5
         model = Diffusion1dModel(max_level=3, level_dims=(10, 20, 40))
         _, trace = mlsus_estimate(model, 3, n, 0.1, make_kernel("acs"), burn_in, rng)
-        assert [r.level for r in trace.records] == [1, 2, 3, 3]
+        assert [r.level for r in trace.steps] == [1, 2, 3, 3]
         chain = n // 10 * (burn_in + 10)   # N·p0 chains of burn_in + 1/p0 steps
-        assert trace.records[1].n_evals == trace.records[2].n_evals == n + chain + n
+        assert trace.steps[1].n_evals == trace.steps[2].n_evals == n + chain + n
         assert trace.eval_counts == {1: 3 * n, 2: n + chain + n, 3: n + chain}
         assert trace.eval_counts == model.counter.counts()
 
