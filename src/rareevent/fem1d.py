@@ -77,9 +77,6 @@ class Diffusion1dModel(LimitStateModel):
         # (scaled modes S_l, weights w_l) per level, see the module docstring
         self._level_forms: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def mesh_size(self, level: int) -> float:
-        return 2.0 ** (-(level + 1))
-
     def dim(self, level: int) -> int:
         return self.level_dims[level - 1]
 

@@ -364,9 +364,6 @@ class FlowCellModel(LimitStateModel):
         self._solvers: dict[int, _StreamFunctionSolver] = {}
         self._mode_matrices: dict[int, np.ndarray] = {}
 
-    def mesh_size(self, level: int) -> float:
-        return 2.0 ** (-(level + 1))
-
     def dim(self, level: int) -> int:
         return self.level_dims[level - 1]
 

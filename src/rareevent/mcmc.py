@@ -6,6 +6,10 @@ do not cancel in the acceptance ratio.  Chains from all seeds advance in
 lockstep so every iteration evaluates the limit state once per proposal and
 per involved level, as one batched call.  The aCS kernel's tuning is fixed
 by its class constants TARGET_RATE, ADAPT_FRACTION, RHO_BOUNDS and LAMBDA_BOUNDS.
+
+Kernels implement `prepare(samples, log_weights, n_steps)`, `propose`,
+`log_score` and `feedback`.  Tempering and bridging reach `run_chains` through
+one weighted move, `sis._reweight_and_move`, fed by their solvers' weights.
 """
 
 from __future__ import annotations
@@ -162,7 +166,7 @@ class AcsKernel:
         rho = np.sqrt(1.0 - noise * noise)
         return float(min(max(rho, self.RHO_BOUNDS[0]), self.RHO_BOUNDS[1]))
 
-    def prepare(self, samples, log_weights, dim: int, rng, n_steps: int) -> None:
+    def prepare(self, samples, log_weights, n_steps: int) -> None:
         self._adapt_every = max(1, int(np.ceil(self.ADAPT_FRACTION * n_steps)))
         self._pending.clear()
 
@@ -202,10 +206,10 @@ class VmfnIndependentKernel:
         self.params = params
         self.stats = KernelStats()
 
-    def prepare(self, samples, log_weights, dim: int, rng, n_steps: int) -> None:
+    def prepare(self, samples, log_weights, n_steps: int) -> None:
         lw = np.asarray(log_weights, dtype=float)
         w = np.exp(lw - lw.max())
-        self.params = fit_vmfn(np.asarray(samples)[:, :dim], w)
+        self.params = fit_vmfn(np.asarray(samples), w)
 
     def propose(self, current: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return sample_vmfn(self.params, current.shape[1], rng, size=current.shape[0])

@@ -5,7 +5,8 @@ two consecutive levels with an exponent beta growing adaptively from 0 to 1.
 The decision between tempering and bridging probes a small sample subset on
 the next level; its fine-level evaluations are reused if bridging follows.
 A level update that has not reached beta = 1 after MAX_BRIDGE_STEPS steps
-fails.
+fails.  `solve_beta` returns the log weights at its root, and each bridging
+stage moves the ensemble with `sis._reweight_and_move`, as tempering does.
 """
 
 from __future__ import annotations
@@ -17,18 +18,14 @@ from scipy.optimize import brentq
 
 from .distributions import std_normal_log_cdf
 from .errors import NonconvergenceError
-from .mcmc import (
-    BridgingTarget,
-    cov_from_log_weights,
-    extend_dimension,
-    log_mean_exp,
-    resample_multinomial,
-    run_chains,
-)
+from .mcmc import BridgingTarget, cov_from_log_weights, extend_dimension
+# unused here; perfbench/layers.py patches these two names on this module
+from .mcmc import resample_multinomial, run_chains  # noqa: F401
 from .models import LimitStateModel
 from .sis import (
     SampleEnsemble,
     TraceStep,
+    _reweight_and_move,
     _seed_count,
     final_correction,
     run_sequence,
@@ -46,13 +43,14 @@ def bridging_log_ratios(g_coarse, g_fine, sigma: float) -> np.ndarray:
 
 
 def solve_beta(g_coarse, g_fine, sigma: float, beta_prev: float,
-               delta_target: float) -> tuple[float, float, bool]:
+               delta_target: float) -> tuple[float, float, bool, np.ndarray]:
     """Next bridging exponent in (beta_prev, 1]: the root of COV(w) = target.
 
     Returns exactly 1.0 whenever the full remaining step already satisfies the
     target.  Otherwise the COV rises from 0 at beta_prev to above the target
     at 1, so Brent's method on [beta_prev, 1] finds the crossing.  Returns
-    (beta, realized_cov, hit_boundary).
+    (beta, realized_cov, hit_boundary, log_weights), the last being
+    (beta - beta_prev) times `bridging_log_ratios` at the returned beta.
     """
     if not (0.0 <= beta_prev < 1.0):
         raise ValueError("beta_prev must lie in [0, 1)")
@@ -63,13 +61,13 @@ def solve_beta(g_coarse, g_fine, sigma: float, beta_prev: float,
 
     full = delta_at(1.0)
     if full <= delta_target:
-        return 1.0, float(full), False
+        return 1.0, float(full), False, (1.0 - beta_prev) * ratios
     beta = brentq(lambda b: delta_at(b) - delta_target, beta_prev, 1.0, xtol=1e-12)
-    beta = max(beta, np.nextafter(beta_prev, 1.0))
-    delta = delta_at(beta)
+    beta = float(max(beta, np.nextafter(beta_prev, 1.0)))
+    log_w = (beta - beta_prev) * ratios
     span = 1.0 - beta_prev
     on_edge = (beta - beta_prev < 1e-3 * span) or (1.0 - beta < 1e-3 * span)
-    return float(beta), float(delta), bool(on_edge)
+    return beta, cov_from_log_weights(log_w), bool(on_edge), log_w
 
 
 @dataclass
@@ -98,9 +96,8 @@ def peek_level_update(model: LimitStateModel, ensemble: SampleEnsemble,
     delta_n = model.dim(fine) - model.dim(level)
     extended = extend_dimension(subset, delta_n, rng)
     g_fine = model.evaluate_batch(extended, fine)
-    log_w = bridging_log_ratios(ensemble.values[level][idx], g_fine, ensemble.sigma)
-    delta = cov_from_log_weights(log_w)
-    return float(delta), PeekCache(indices=idx, extended=extended, g_fine=g_fine)
+    log_w = bridging_log_ratios(ensemble.g[idx], g_fine, ensemble.sigma)
+    return cov_from_log_weights(log_w), PeekCache(indices=idx, extended=extended, g_fine=g_fine)
 
 
 def _extend_ensemble(model, ensemble, rng, peek_cache):
@@ -139,27 +136,18 @@ def bridge_level(model: LimitStateModel, ensemble: SampleEnsemble,
         raise ValueError("bridging requires a tempered ensemble")
     evals_before = model.counter.total()
     samples, g_fine = _extend_ensemble(model, ensemble, rng, peek_cache)
-    g_coarse = ensemble.values[level]
+    values = {level: ensemble.g, fine: g_fine}
 
     steps: list[TraceStep] = []
     beta = 0.0
-    n_seeds = _seed_count(ensemble.size, c)
     for _ in range(MAX_BRIDGE_STEPS):
         stage_start = model.counter.total()
-        ratios = bridging_log_ratios(g_coarse, g_fine, sigma)
-        beta_new, delta, boundary = solve_beta(g_coarse, g_fine, sigma, beta, delta_target)
-        log_w = (beta_new - beta) * ratios
-        factor = float(np.exp(log_mean_exp(log_w)))
-        kernel.prepare(samples, log_w, model.dim(fine), rng, n_steps=round(1.0 / c))
-        idx = resample_multinomial(np.exp(log_w - log_w.max()), n_seeds, rng)
+        beta_new, delta, boundary, log_w = solve_beta(values[level], values[fine], sigma,
+                                                      beta, delta_target)
         target = BridgingTarget(coarse_level=level, fine_level=fine,
                                 sigma=sigma, beta=beta_new)
-        seed_values = {lvl: (g_coarse if lvl == level else g_fine)[idx]
-                       for lvl in target.levels}
-        samples, values = run_chains(model, target, kernel, samples[idx],
-                                     seed_values, c, burn_in, rng)
-        g_fine = values[fine]
-        g_coarse = values.get(level)
+        factor, samples, values = _reweight_and_move(model, target, kernel, samples, log_w,
+                                                     values, c, burn_in, rng)
         evals_so_far = model.counter.total()
         steps.append(TraceStep(
             kind="bridge", level=fine, sigma=sigma, factor=factor, beta=beta_new,
@@ -168,9 +156,7 @@ def bridge_level(model: LimitStateModel, ensemble: SampleEnsemble,
         ))
         beta = beta_new
         if beta == 1.0:
-            new_ensemble = SampleEnsemble(samples=samples, values={fine: g_fine},
-                                          level=fine, sigma=sigma)
-            return new_ensemble, steps
+            return SampleEnsemble(samples, values[fine], fine, sigma), steps
     raise NonconvergenceError(f"bridge did not reach beta=1 in {MAX_BRIDGE_STEPS} steps")
 
 

@@ -81,6 +81,10 @@ class LimitStateModel(ABC):
     def __init__(self):
         self.counter = EvalCounter()
 
+    def mesh_size(self, level: int) -> float:
+        """h_l = 2^(-l-1); `harness.cost_units` charges (h_L / h_l)^cost_dim per eval."""
+        return 2.0 ** (-(level + 1))
+
     @abstractmethod
     def dim(self, level: int) -> int:
         ...

@@ -5,7 +5,8 @@ importance density as sigma decreases; each tempering step picks the next
 sigma so the weight coefficient of variation matches its target, estimates
 the normalizing-constant ratio from the weighted ensemble, then refreshes the
 ensemble by resampling and MCMC moves.  Bandwidths are searched within
-[SIGMA_MIN, SIGMA_MAX] = [1e-8, 1e8].
+[SIGMA_MIN, SIGMA_MAX] = [1e-8, 1e8].  `solve_sigma` returns the log weights
+at its root; `_reweight_and_move` moves by them, and bridging shares it.
 
 `run_sequence` is the loop every sequential estimator runs: SIS and MLSIS
 (`mlsis`) and subset simulation (`subset`) each pass it one step function.
@@ -39,16 +40,13 @@ class SampleEnsemble:
     """The particle population a sequential estimator moves from step to step."""
 
     samples: np.ndarray                  # (N, n_level)
-    values: dict[int, np.ndarray]        # cached limit-state values per level
+    g: np.ndarray                        # cached limit-state values at `level`
     level: int
     sigma: float = np.inf
 
     @property
     def size(self) -> int:
         return self.samples.shape[0]
-
-    def level_values(self) -> np.ndarray:
-        return self.values[self.level]
 
 
 @dataclass
@@ -119,7 +117,8 @@ def solve_sigma(g, sigma_prev: float, delta_target: float):
     sigma_prev = inf the walk starts near the large-sigma root instead, when
     the COV there is below the target.  When the COV stays below the target
     down to SIGMA_MIN, SIGMA_MIN is returned as a boundary value.  Reuses
-    cached limit-state values only.  Returns (sigma, realized_cov, hit_boundary).
+    cached limit-state values only.  Returns (sigma, realized_cov,
+    hit_boundary, log_weights), the last `tempering_log_weights` at sigma.
     """
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
@@ -131,9 +130,12 @@ def solve_sigma(g, sigma_prev: float, delta_target: float):
         raise FailedTemperingError("bandwidth interval collapsed below SIGMA_MIN")
     log_prev = std_normal_log_cdf(-g / sigma_prev) if np.isfinite(sigma_prev) else 0.0
 
-    def cov_at(sigma: float) -> float:
+    def log_w_at(sigma: float) -> np.ndarray:
+        return std_normal_log_cdf(-g / sigma) - log_prev
+
+    def cov_of(log_w: np.ndarray) -> float:
         try:
-            return cov_from_log_weights(std_normal_log_cdf(-g / sigma) - log_prev)
+            return cov_from_log_weights(log_w)
         except DegenerateWeightsError:
             return np.inf
 
@@ -145,54 +147,62 @@ def solve_sigma(g, sigma_prev: float, delta_target: float):
         # for large sigma the COV is about 0.8 std(g) / sigma: start three
         # steps above std(g) / target, if the COV there is still below it
         x_start = np.log(spread / delta_target) + 3 * step
-        if log_lo < x_start < log_hi and cov_at(np.exp(x_start)) < delta_target:
+        if log_lo < x_start < log_hi and cov_of(log_w_at(np.exp(x_start))) < delta_target:
             x_above, x = x_start, max(x_start - step, log_lo)
-    while (delta := cov_at(np.exp(x))) < delta_target:
+    while (delta := cov_of(log_w_at(np.exp(x)))) < delta_target:
         if x == log_lo:
             # COV below target everywhere: boundary value SIGMA_MIN
-            return SIGMA_MIN, float(delta), True
+            return SIGMA_MIN, float(delta), True, log_w_at(SIGMA_MIN)
         x_above, x = x, max(x - step, log_lo)
     if x_above is not None:     # else the COV reaches the target at hi already
-        x = brentq(lambda t: cov_at(np.exp(t)) - delta_target, x, x_above, xtol=1e-10)
+        x = brentq(lambda t: cov_of(log_w_at(np.exp(t))) - delta_target, x, x_above, xtol=1e-10)
     sigma = float(np.exp(x))
     if np.isfinite(sigma_prev):
         sigma = min(sigma, sigma_prev * (1.0 - 1e-12))
-    delta = cov_at(sigma)
+    log_w = log_w_at(sigma)
+    delta = cov_of(log_w)
     if not np.isfinite(delta):
         raise FailedTemperingError("no bandwidth produced usable weights")
     span = log_hi - log_lo
     on_edge = (x - log_lo < 1e-3 * span) or (log_hi - x < 1e-3 * span)
-    return sigma, float(delta), bool(on_edge)
+    return sigma, float(delta), bool(on_edge), log_w
 
 
 def tempering_step(model: LimitStateModel, ensemble: SampleEnsemble,
                    delta_target: float, kernel, c: float, burn_in: int,
                    rng: np.random.Generator) -> tuple[SampleEnsemble, TraceStep]:
-    """One tempering update: new sigma, S-hat, resampling, MCMC refresh."""
+    """One tempering update: new sigma, then the weighted move to it."""
     level = ensemble.level
-    g = ensemble.level_values()
     evals_before = model.counter.total()
-    sigma, delta, boundary = solve_sigma(g, ensemble.sigma, delta_target)
+    sigma, delta, boundary, log_w = solve_sigma(ensemble.g, ensemble.sigma, delta_target)
     if np.isfinite(ensemble.sigma) and not sigma < ensemble.sigma:
         raise FailedTemperingError(
             f"bandwidth schedule must strictly decrease: {sigma} after {ensemble.sigma}")
-    log_w = tempering_log_weights(g, sigma, ensemble.sigma)
-    factor = float(np.exp(log_mean_exp(log_w)))
-
-    n_seeds = _seed_count(ensemble.size, c)
-    kernel.prepare(ensemble.samples, log_w, model.dim(level), rng, n_steps=round(1.0 / c))
-    lin_w = np.exp(log_w - log_w.max())
-    idx = resample_multinomial(lin_w, n_seeds, rng)
-    target = TemperingTarget(level=level, sigma=sigma)
-    states, values = run_chains(
-        model, target, kernel, ensemble.samples[idx], {level: g[idx]}, c, burn_in, rng
-    )
-    new_ensemble = SampleEnsemble(samples=states, values={level: values[level]},
-                                  level=level, sigma=sigma)
+    factor, states, values = _reweight_and_move(
+        model, TemperingTarget(level=level, sigma=sigma), kernel, ensemble.samples,
+        log_w, {level: ensemble.g}, c, burn_in, rng)
     step = TraceStep(kind="temper", level=level, sigma=sigma, factor=factor,
                      delta=delta, boundary=boundary,
                      n_evals=model.counter.total() - evals_before)
-    return new_ensemble, step
+    return SampleEnsemble(states, values[level], level, sigma), step
+
+
+def _reweight_and_move(model: LimitStateModel, target, kernel, samples: np.ndarray,
+                       log_w: np.ndarray, values: dict[int, np.ndarray], c: float,
+                       burn_in: int, rng: np.random.Generator):
+    """The weighted move of a tempering or bridging step toward `target`.
+
+    S-hat is the mean of the solver's weights `log_w`; the kernel is fitted to
+    the weighted `samples`, and N*c seeds, drawn by weight with their cached
+    `values` by level, run chains of 1/c steps.  Returns (S-hat, states, values).
+    """
+    factor = float(np.exp(log_mean_exp(log_w)))
+    kernel.prepare(samples, log_w, n_steps=round(1.0 / c))
+    idx = resample_multinomial(np.exp(log_w - log_w.max()), _seed_count(len(samples), c), rng)
+    seed_values = {lvl: values[lvl][idx] for lvl in target.levels}
+    states, values = run_chains(model, target, kernel, samples[idx], seed_values,
+                                c, burn_in, rng)
+    return factor, states, values
 
 
 def _seed_count(n: int, c: float) -> int:
@@ -209,7 +219,7 @@ def _seed_count(n: int, c: float) -> int:
 
 def optimal_log_weights(ensemble: SampleEnsemble) -> np.ndarray:
     """log of I(G<=0) / Phi(-G/sigma), the weights toward the optimal density."""
-    g = ensemble.level_values()
+    g = ensemble.g
     log_w = np.full(g.shape, -np.inf)
     fail = is_failure(g)
     if np.any(fail):
@@ -249,7 +259,7 @@ def run_sequence(model: LimitStateModel, max_level: int, n_samples: int,
         raise ValueError(f"max_level must lie in 1..{model.max_level}")
     counts_before = model.counter.counts()
     samples = rng.standard_normal((n_samples, model.dim(1)))
-    ensemble = SampleEnsemble(samples, {1: model.evaluate_batch(samples, 1)}, level=1)
+    ensemble = SampleEnsemble(samples, model.evaluate_batch(samples, 1), level=1)
     trace = EstimatorTrace()
     final = False
     while not final:

@@ -94,7 +94,7 @@ def _subset_simulation(model, max_level, n_samples, p0, kernel, burn_in, rng,
             samples, g = _extend_ensemble(model, ensemble, rng, None)
             level = ensemble.level + 1
         else:
-            samples, g, level = ensemble.samples, ensemble.level_values(), ensemble.level
+            samples, g, level = ensemble.samples, ensemble.g, ensemble.level
 
         order = np.argsort(g, kind="stable")
         threshold = float(g[order[n_seeds - 1]])
@@ -111,7 +111,7 @@ def _subset_simulation(model, max_level, n_samples, p0, kernel, burn_in, rng,
 
         seeds = order[:n_seeds]
         target = DomainTarget(level=level, threshold=threshold)
-        kernel.prepare(samples, np.zeros(n_samples), model.dim(level), rng, round(1.0 / p0))
+        kernel.prepare(samples, np.zeros(n_samples), round(1.0 / p0))
         step_burn_in = burn_in if (is_update or burn_in_every_step) else 0
         samples, values = run_chains(model, target, kernel, samples[seeds],
                                      {level: g[seeds]}, p0, step_burn_in, rng)
@@ -126,6 +126,6 @@ def _subset_simulation(model, max_level, n_samples, p0, kernel, burn_in, rng,
         step = TraceStep(kind="update" if is_update else "subset", level=level,
                          threshold=threshold, factor=factor, denominator=denominator,
                          n_evals=model.counter.total() - evals_at)
-        return SampleEnsemble(samples, values, level), [step], False
+        return SampleEnsemble(samples, values[level], level), [step], False
 
     return run_sequence(model, max_level, n_samples, rng, advance, MAX_SUBSET_LEVELS)

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rareevent import harness
+from rareevent.fem1d import Diffusion1dModel
+from rareevent.fem2d import FlowCellModel
 from rareevent.harness import (
     ExperimentConfig,
     RunRecord,
@@ -38,6 +40,16 @@ class TestCostUnits:
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):
             cost_units({9: 1}, 8, 1)
+
+    @pytest.mark.parametrize("model_cls", [Diffusion1dModel, FlowCellModel])
+    def test_weights_follow_the_models_level_rule(self, model_cls):
+        # an evaluation at level l costs (h_L / h_l)^d finest solves; both
+        # sides are exact powers of two
+        model = model_cls()
+        top = model.max_level
+        for level in range(1, top + 1):
+            assert cost_units({level: 1}, top, model.cost_dim) == (
+                model.mesh_size(top) / model.mesh_size(level)) ** model.cost_dim
 
     @given(st.dictionaries(st.integers(1, 6), st.integers(0, 1000), max_size=6))
     @settings(max_examples=50, deadline=None)

@@ -205,7 +205,7 @@ class TestVmfnKernel:
         g = model.evaluate_batch(pool, 1)
         log_w = tempering_log_weights(g, sigma, np.inf)
         kernel = VmfnIndependentKernel()
-        kernel.prepare(pool, log_w, 20, rng, 10)
+        kernel.prepare(pool, log_w, 10)
         idx = resample_multinomial(np.exp(log_w - log_w.max()), 1000, rng)
         target = TemperingTarget(level=1, sigma=sigma)
         run_chains(model, target, kernel, pool[idx], {1: g[idx]},
@@ -221,7 +221,7 @@ class TestVmfnKernel:
         w = np.exp(log_w - log_w.max())
         target_mean = (w[:, None] * pool).sum(axis=0) / w.sum()
         kernel = VmfnIndependentKernel()
-        kernel.prepare(pool, log_w, 10, rng, 10)
+        kernel.prepare(pool, log_w, 10)
         idx = resample_multinomial(w, 2000, rng)
         states, _ = run_chains(model, TemperingTarget(level=1, sigma=sigma), kernel,
                                pool[idx], {1: g[idx]}, c=0.1, burn_in=0, rng=rng)
@@ -242,7 +242,7 @@ class TestVmfnKernel:
         g = model.evaluate_batch(pool, 1)
         log_w = tempering_log_weights(g, 1.0, np.inf)
         kernel = VmfnIndependentKernel()
-        kernel.prepare(pool, log_w, 10, rng, 5)
+        kernel.prepare(pool, log_w, 5)
         seeds, burn_in, inv_c = 100, 3, 5
         run_chains(model, TemperingTarget(level=1, sigma=1.0), kernel, pool[:seeds],
                    {1: g[:seeds]}, c=1.0 / inv_c, burn_in=burn_in, rng=rng)
@@ -277,7 +277,7 @@ class TestDetailedBalanceFlow:
         g = model.evaluate_batch(pool, 1)
         log_w = tempering_log_weights(g, sigma, np.inf)
         kernel = make_kernel(kernel_name)
-        kernel.prepare(pool, log_w, 2, rng, 100)
+        kernel.prepare(pool, log_w, 100)
         idx = resample_multinomial(np.exp(log_w - log_w.max()), 1000, rng)
         target = TemperingTarget(level=1, sigma=sigma)
         states, _ = run_chains(model, target, kernel, pool[idx], {1: g[idx]},

@@ -8,6 +8,7 @@ from rareevent.mlsis import (
     PeekCache,
     _extend_ensemble,
     bridge_level,
+    bridging_log_ratios,
     mlsis_estimate,
     peek_level_update,
     solve_beta,
@@ -35,7 +36,7 @@ class TwoLevelLinear(LimitStateModel):
 
 def tempered_ensemble(model, n, rng, delta_target=0.5, c=0.5):
     samples = rng.standard_normal((n, model.dim(1)))
-    ens = SampleEnsemble(samples, {1: model.evaluate_batch(samples, 1)}, 1)
+    ens = SampleEnsemble(samples, model.evaluate_batch(samples, 1), 1)
     ens, _ = tempering_step(model, ens, delta_target, make_kernel("acs"), c, 0, rng)
     return ens
 
@@ -43,7 +44,7 @@ def tempered_ensemble(model, n, rng, delta_target=0.5, c=0.5):
 class TestSolveBeta:
     def test_identical_levels_bridge_in_one_step(self):
         g = np.array([-0.5, 0.3, 1.2])
-        beta, delta, boundary = solve_beta(g, g, 1.0, 0.0, 0.25)
+        beta, delta, boundary, _ = solve_beta(g, g, 1.0, 0.0, 0.25)
         assert beta == 1.0
         assert delta == 0.0
         assert not boundary
@@ -56,7 +57,7 @@ class TestSolveBeta:
         deltas = np.array([0.5, -1.0])
         g_fine = -stats.norm.ppf(np.exp(log_half + deltas))
         g_coarse = np.zeros(2)
-        beta, delta, _ = solve_beta(g_coarse, g_fine, sigma, 0.0, 0.5)
+        beta, delta, _, _ = solve_beta(g_coarse, g_fine, sigma, 0.0, 0.5)
         oracle = 2 * np.arctanh(0.5) / (deltas[0] - deltas[1])
         assert beta == pytest.approx(oracle, rel=1e-4)
         assert delta == pytest.approx(0.5, abs=1e-4)
@@ -64,7 +65,7 @@ class TestSolveBeta:
     def test_partial_step_realizes_target(self, rng):
         g_coarse = rng.standard_normal(500)
         g_fine = g_coarse + 0.8 * rng.standard_normal(500)
-        beta, delta, boundary = solve_beta(g_coarse, g_fine, 0.5, 0.0, 0.25)
+        beta, delta, boundary, _ = solve_beta(g_coarse, g_fine, 0.5, 0.0, 0.25)
         assert beta < 1.0
         if not boundary:
             assert delta == pytest.approx(0.25, rel=0.2)
@@ -76,10 +77,21 @@ class TestSolveBeta:
         rng = np.random.default_rng([29, seed])
         g_coarse = rng.standard_normal(500)
         g_fine = g_coarse + 0.8 * rng.standard_normal(500)
-        beta, delta, boundary = solve_beta(g_coarse, g_fine, 0.5, beta_prev, target)
+        beta, delta, boundary, _ = solve_beta(g_coarse, g_fine, 0.5, beta_prev, target)
         assert beta_prev < beta < 1.0
         assert not boundary
         assert delta == pytest.approx(target, rel=1e-8)
+
+    @pytest.mark.parametrize("noise, beta_prev", [(0.8, 0.0), (0.8, 0.4), (0.01, 0.4)])
+    def test_returns_the_log_weights_at_its_root(self, noise, beta_prev):
+        # noise 0.8 gives an interior root, noise 0.01 the full step to 1
+        rng = np.random.default_rng(37)
+        g_coarse = rng.standard_normal(500)
+        g_fine = g_coarse + noise * rng.standard_normal(500)
+        beta, _, _, log_w = solve_beta(g_coarse, g_fine, 0.5, beta_prev, 0.25)
+        assert (beta < 1.0) == (noise > 0.1)
+        ratios = bridging_log_ratios(g_coarse, g_fine, 0.5)
+        assert np.array_equal(log_w, (beta - beta_prev) * ratios)
 
     def test_beta_prev_validated(self):
         with pytest.raises(ValueError):
@@ -90,14 +102,14 @@ class TestBridgeLevel:
     def test_identical_levels_single_unit_factor(self, rng):
         model = TwoLevelLinear(betas=(2.0, 2.0))
         ens = tempered_ensemble(model, 200, rng)
-        before = ens.level_values().copy()
+        before = ens.g.copy()
         new_ens, steps = bridge_level(model, ens, 0.25, make_kernel("acs"), 0.5, 0, rng)
         assert len(steps) == 1
         assert steps[0].beta == 1.0
         assert steps[0].factor == pytest.approx(1.0, rel=1e-12)
         assert new_ens.level == 2
         # moments preserved when the levels agree
-        assert new_ens.level_values().mean() == pytest.approx(before.mean(), abs=0.2)
+        assert new_ens.g.mean() == pytest.approx(before.mean(), abs=0.2)
 
     def test_diffusion_level_update_invariants(self, rng):
         model = Diffusion1dModel()
@@ -115,7 +127,7 @@ class TestBridgeLevel:
     def test_extension_preserves_prefix(self, rng):
         model = TwoLevelLinear(betas=(2.0, 2.0), dims=(3, 6))
         samples = rng.standard_normal((50, 3))
-        ens = SampleEnsemble(samples, {1: model.evaluate_batch(samples, 1)}, 1,
+        ens = SampleEnsemble(samples, model.evaluate_batch(samples, 1), 1,
                              sigma=1.0)
         extended, g_fine = _extend_ensemble(model, ens, rng, None)
         assert np.array_equal(extended[:, :3], samples)
@@ -124,7 +136,7 @@ class TestBridgeLevel:
     def test_peek_cache_rows_reused(self, rng):
         model = TwoLevelLinear(betas=(2.0, 2.0), dims=(3, 6))
         samples = rng.standard_normal((50, 3))
-        ens = SampleEnsemble(samples, {1: model.evaluate_batch(samples, 1)}, 1,
+        ens = SampleEnsemble(samples, model.evaluate_batch(samples, 1), 1,
                              sigma=1.0)
         idx = np.array([4, 10, 30])
         cached_rows = np.concatenate([samples[idx], np.ones((3, 3))], axis=1)

@@ -22,6 +22,7 @@ from rareevent.sis import (
     sis_estimate,
     solve_sigma,
     stopping_cov,
+    tempering_log_weights,
     tempering_step,
 )
 from rareevent.subset import mlsus_estimate, sus_estimate
@@ -50,7 +51,7 @@ def _walk_from_sigma_max(g, delta_target):
 
 class TestSolveSigma:
     def test_constant_values_hit_lower_boundary(self):
-        sigma, delta, boundary = solve_sigma(np.full(10, 0.3), np.inf, 0.25)
+        sigma, delta, boundary, _ = solve_sigma(np.full(10, 0.3), np.inf, 0.25)
         assert sigma == pytest.approx(1e-8)
         assert delta == 0.0
         assert boundary
@@ -59,7 +60,7 @@ class TestSolveSigma:
         # delta(sigma) = |2 Phi(1/sigma) - 1|; target 0.5 inverts to
         # sigma = 1 / Phi^-1(0.75)
         g = np.array([-1.0, 1.0])
-        sigma, delta, boundary = solve_sigma(g, np.inf, 0.5)
+        sigma, delta, boundary, _ = solve_sigma(g, np.inf, 0.5)
         oracle = 1.0 / stats.norm.ppf(0.75)
         assert sigma == pytest.approx(oracle, rel=1e-3)
         assert delta == pytest.approx(0.5, abs=1e-3)
@@ -69,7 +70,7 @@ class TestSolveSigma:
         # tied minima bound the COV: weights tend to {1,1,0}, COV -> sqrt(1/2),
         # so a target of 2 is unreachable for any sigma
         g = np.array([1.0, 1.0, 2.0])
-        sigma, delta, boundary = solve_sigma(g, np.inf, 2.0)
+        sigma, delta, boundary, _ = solve_sigma(g, np.inf, 2.0)
         assert sigma == pytest.approx(1e-8)
         assert boundary
         # oracle: COV on a sigma grid never reaches the target
@@ -83,9 +84,18 @@ class TestSolveSigma:
 
     def test_schedule_strictly_decreases(self):
         g = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-        sigma1, _, _ = solve_sigma(g, np.inf, 0.4)
-        sigma2, _, _ = solve_sigma(g, sigma1, 0.4)
+        sigma1, _, _, _ = solve_sigma(g, np.inf, 0.4)
+        sigma2, _, _, _ = solve_sigma(g, sigma1, 0.4)
         assert sigma2 < sigma1
+
+    @pytest.mark.parametrize("g, sigma_prev", [
+        (np.random.default_rng(31).normal(1.5, 1.0, size=200), np.inf),
+        (np.random.default_rng(31).normal(1.5, 1.0, size=200), 0.8),
+        (np.full(10, 0.3), np.inf),         # COV stays 0: boundary value SIGMA_MIN
+    ])
+    def test_returns_the_log_weights_at_its_root(self, g, sigma_prev):
+        sigma, _, _, log_w = solve_sigma(g, sigma_prev, 0.5)
+        assert np.array_equal(log_w, tempering_log_weights(g, sigma, sigma_prev))
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -101,7 +111,7 @@ class TestSolveSigma:
     @settings(max_examples=25, deadline=None)
     def test_contract_on_random_ensembles(self, seed, sigma_prev, target):
         g = np.random.default_rng(seed).normal(1.5, 1.0, size=200)
-        sigma, delta, boundary = solve_sigma(g, sigma_prev, target)
+        sigma, delta, boundary, _ = solve_sigma(g, sigma_prev, target)
         assert 1e-8 <= sigma <= 1e8
         if np.isfinite(sigma_prev):
             assert sigma < sigma_prev
@@ -120,7 +130,7 @@ class TestSolveSigma:
             return cov_from_log_weights(log_weights)
 
         monkeypatch.setattr(sis, "cov_from_log_weights", counting)
-        sigma, _, boundary = solve_sigma(g, np.inf, target)
+        sigma, _, boundary, _ = solve_sigma(g, np.inf, target)
         assert len(calls) <= 25
         ref_sigma, ref_boundary = _walk_from_sigma_max(g, target)
         assert sigma == pytest.approx(ref_sigma, rel=1e-8)
@@ -131,24 +141,24 @@ class TestSolveSigma:
     @pytest.mark.parametrize("target", [0.25, 0.5, 1.0])
     def test_realized_cov_is_the_root(self, seed, sigma_prev, target):
         g = np.random.default_rng([23, seed]).normal(1.5, 1.0, size=200)
-        sigma, delta, boundary = solve_sigma(g, sigma_prev, target)
+        sigma, delta, boundary, _ = solve_sigma(g, sigma_prev, target)
         assert not boundary
         assert delta == pytest.approx(target, rel=1e-8)
 
 
 class TestStoppingCov:
     def test_deep_failure_gives_zero(self):
-        ens = SampleEnsemble(np.zeros((5, 2)), {1: np.full(5, -10.0)}, 1, sigma=1.0)
+        ens = SampleEnsemble(np.zeros((5, 2)), np.full(5, -10.0), 1, sigma=1.0)
         assert stopping_cov(ens) == pytest.approx(0.0, abs=1e-6)
 
     def test_no_failures_gives_infinity(self):
-        ens = SampleEnsemble(np.zeros((5, 2)), {1: np.full(5, 1.0)}, 1, sigma=1.0)
+        ens = SampleEnsemble(np.zeros((5, 2)), np.full(5, 1.0), 1, sigma=1.0)
         assert stopping_cov(ens) == np.inf
 
     def test_half_failures_closed_form(self):
         # weights {1/Phi(1), 0} half and half: COV = sqrt(N/N_fail - 1) = 1
         g = np.array([-1.0, -1.0, 1.0, 1.0]) * 0.7
-        ens = SampleEnsemble(np.zeros((4, 2)), {1: g}, 1, sigma=0.7)
+        ens = SampleEnsemble(np.zeros((4, 2)), g, 1, sigma=0.7)
         assert stopping_cov(ens) == pytest.approx(1.0)
 
 
@@ -156,7 +166,7 @@ class TestTemperingStep:
     def test_deep_failure_ensemble_ready_to_stop(self, rng):
         model = ConstantModel(-50.0, n=3)
         samples = rng.standard_normal((100, 3))
-        ens = SampleEnsemble(samples, {1: model.evaluate_batch(samples, 1)}, 1)
+        ens = SampleEnsemble(samples, model.evaluate_batch(samples, 1), 1)
         ens, record = tempering_step(model, ens, 0.25, make_kernel("acs"), 0.5, 0, rng)
         assert record.factor == pytest.approx(1.0, abs=1e-6)
         assert record.delta == pytest.approx(0.0, abs=1e-6)
@@ -165,16 +175,16 @@ class TestTemperingStep:
     def test_ensemble_moves_toward_failure(self, rng):
         model = LinearLsfModel(2.0, 10)
         samples = rng.standard_normal((2000, 10))
-        ens = SampleEnsemble(samples, {1: model.evaluate_batch(samples, 1)}, 1)
-        before = ens.level_values().mean()
+        ens = SampleEnsemble(samples, model.evaluate_batch(samples, 1), 1)
+        before = ens.g.mean()
         ens, record = tempering_step(model, ens, 0.25, make_kernel("acs"), 0.1, 0, rng)
         assert 0.0 < record.factor <= 1.0 + 1e-12
-        assert ens.level_values().mean() < before
+        assert ens.g.mean() < before
 
     def test_c_equal_one_runs_single_step_chains(self, rng):
         model = LinearLsfModel(2.0, 4)
         samples = rng.standard_normal((50, 4))
-        ens = SampleEnsemble(samples, {1: model.evaluate_batch(samples, 1)}, 1)
+        ens = SampleEnsemble(samples, model.evaluate_batch(samples, 1), 1)
         counted = model.counter.total()
         ens, _ = tempering_step(model, ens, 0.3, make_kernel("acs"), 1.0, 0, rng)
         # N seeds, chains of length 1: exactly N further evaluations
@@ -184,7 +194,7 @@ class TestTemperingStep:
     def test_realized_cov_near_target_unless_boundary(self, rng):
         model = LinearLsfModel(3.5, 20)
         samples = rng.standard_normal((1000, 20))
-        ens = SampleEnsemble(samples, {1: model.evaluate_batch(samples, 1)}, 1)
+        ens = SampleEnsemble(samples, model.evaluate_batch(samples, 1), 1)
         for _ in range(6):
             ens, record = tempering_step(model, ens, 0.3, make_kernel("acs"), 0.1, 0, rng)
             if not record.boundary:
@@ -193,9 +203,9 @@ class TestTemperingStep:
     def test_non_decreasing_bandwidth_raises(self, rng, monkeypatch):
         model = LinearLsfModel(2.0, 4)
         samples = rng.standard_normal((50, 4))
-        ens = SampleEnsemble(samples, {1: model.evaluate_batch(samples, 1)}, 1, sigma=0.5)
+        ens = SampleEnsemble(samples, model.evaluate_batch(samples, 1), 1, sigma=0.5)
         monkeypatch.setattr(sis, "solve_sigma",
-                            lambda g, sigma_prev, target: (sigma_prev, target, False))
+                            lambda g, sigma_prev, target: (sigma_prev, target, False, g))
         with pytest.raises(FailedTemperingError):
             tempering_step(model, ens, 0.3, make_kernel("acs"), 0.5, 0, rng)
 
