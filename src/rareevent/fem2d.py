@@ -15,7 +15,11 @@ stiffness has coefficient 1/a per triangle and the load is one on the top
 value.  Edge fluxes are psi differences, so the divergence and the no-flow
 fluxes vanish by construction, and the pressures follow exactly from the
 flux rows of the mixed system.  Numbering the vertex rows bottom to top, top
-value last, keeps the matrix banded for LAPACK's banded Cholesky.  Those
+value last, keeps the matrix banded for LAPACK's banded Cholesky, with m + 1
+superdiagonals: the P1 coupling across each triangle's SW-NE diagonal is
+zero, so the band is the 5-point stencil's, whose farthest neighbours (the
+vertex above, and the top value from the first vertex below it) sit m + 1
+rows away.  Those
 solves run with OpenBLAS set to one thread for the whole process, and the
 caller's thread counts come back when they end: threading only slows the
 small level-2 BLAS calls the banded Cholesky makes, and the bits are the same.
@@ -77,15 +81,12 @@ class FlowMesh:
     def area(self) -> float:
         return 0.5 * self.h * self.h
 
-    def locate(self, x, y):
-        """Triangles containing the points (x, y); ties on the diagonal go to the lower triangle."""
-        m = self.m
-        sx = np.asarray(x) / self.h
-        sy = np.asarray(y) / self.h
-        i = np.minimum(np.maximum(sx.astype(int), 0), m - 1)
-        j = np.minimum(np.maximum(sy.astype(int), 0), m - 1)
-        upper = sy - j > sx - i
-        return 2 * (j * m + i) + upper
+    def locate(self, points):
+        """Triangles containing the (..., 2) points; ties on the diagonal go to the lower triangle."""
+        s = np.asarray(points) / self.h
+        ij = np.minimum(np.maximum(s.astype(int), 0), self.m - 1)
+        frac = s - ij                                      # position within the cell
+        return ij @ (2, 2 * self.m) + (frac[..., 1] > frac[..., 0])  # 2 (j m + i) + upper
 
 
 @lru_cache(maxsize=None)
@@ -127,7 +128,7 @@ class _StreamFunctionSolver:
         m = mesh.m
         self.mesh = mesh
         self.n = m * m                  # (m - 1) rows of m + 1 vertices, plus the top row
-        self.kd = m + 2                 # superdiagonals: neighbours (i+1, j+1) are m + 2 apart
+        self.kd = m + 1                 # superdiagonals: the vertex above is m + 1 rows on
         dof = np.empty((m + 1, m + 1), dtype=int)                  # [j, i]
         dof[0] = -1                                                # psi = 0, eliminated
         dof[1:m] = np.arange((m - 1) * (m + 1)).reshape(m - 1, m + 1)
@@ -137,19 +138,21 @@ class _StreamFunctionSolver:
         upper = np.stack([dof[jj, ii], dof[jj + 1, ii + 1], dof[jj + 1, ii]], axis=-1)
         tri_dof = np.stack([lower, upper], axis=2).reshape(-1, 3)  # triangle order
         # P1 stiffness of the lower (a, b, c) and upper (a, c, d) halves, unit
-        # coefficient; the right angle is at b and d respectively
-        k_loc = 0.5 * np.array([[[1, -1, 0], [-1, 2, -1], [0, -1, 1]],
-                                [[1, 0, -1], [0, 1, -1], [-1, -1, 2]]])
+        # coefficient; the right angle is at b and d respectively, so the SW-NE
+        # coupling a-c, m + 2 rows apart in the interior, is zero in both
+        k_loc = np.tile(0.5 * np.array([[[1, -1, 0], [-1, 2, -1], [0, -1, 1]],
+                                        [[1, 0, -1], [0, 1, -1], [-1, -1, 2]]]), (m * m, 1, 1))
         rows = tri_dof[:, :, None].repeat(3, axis=2)
         cols = tri_dof[:, None, :].repeat(3, axis=1)
-        # upper band of the symmetric matrix; two top-row vertices of one
-        # triangle both land on the top value's diagonal
-        keep = (rows >= 0) & (rows <= cols)
+        # upper band of the symmetric matrix without the zero a-c couplings,
+        # which would fall outside it; two top-row vertices of one triangle
+        # both land on the top value's diagonal
+        keep = (rows >= 0) & (rows <= cols) & (k_loc != 0)
         # band entry (r, c) sits at [kd + r - c, c] of the (kd + 1, n) Fortran
         # array LAPACK reads, i.e. at c (kd + 1) + kd + r - c of its memory
         self._band_index = (cols * (self.kd + 1) + self.kd + rows - cols)[keep]
         self._band_tri = np.nonzero(keep)[0]
-        self._band_stiffness = np.tile(k_loc, (m * m, 1, 1))[keep]
+        self._band_stiffness = k_loc[keep]
 
     def stream_functions(self, a_batch: np.ndarray) -> np.ndarray:
         """Vertex values psi[s, j, i] for a (samples, n_tri) batch of permeabilities.
@@ -162,20 +165,21 @@ class _StreamFunctionSolver:
         if np.any(a_batch <= 0) or not np.all(np.isfinite(a_batch)):
             raise ModelEvaluationError("permeability must be positive and finite")
         m = self.mesh.m
-        psi = np.zeros((a_batch.shape[0], m + 1, m + 1))
+        sols = np.zeros((a_batch.shape[0], self.n))
+        sols[:, -1] = 1.0                       # the load: one on the top value
         size = self.n * (self.kd + 1)
         with single_blas_thread():
-            for s, a in enumerate(a_batch):
+            for a, sol in zip(a_batch, sols):
                 weights = self._band_stiffness / a[self._band_tri]
                 band = np.bincount(self._band_index, weights=weights, minlength=size)
-                load = np.zeros(self.n)
-                load[-1] = 1.0
-                _, sol, info = dpbsv(band.reshape(self.n, self.kd + 1).T, load,
-                                     overwrite_ab=1, overwrite_b=1)
+                # a contiguous row with overwrite_b: the solution replaces the load in place
+                info = dpbsv(band.reshape(self.n, self.kd + 1).T, sol,
+                             overwrite_ab=1, overwrite_b=1)[2]
                 if info != 0:  # pragma: no cover - SPD for every positive finite field
                     raise ModelEvaluationError(f"banded Cholesky failed (info={info})")
-                psi[s, 1:m] = sol[:-1].reshape(m - 1, m + 1)
-                psi[s, m] = sol[-1]
+        psi = np.zeros((a_batch.shape[0], m + 1, m + 1))
+        psi[:, 1:m] = sols[:, :-1].reshape(-1, m - 1, m + 1)
+        psi[:, m] = sols[:, -1:]
         return psi
 
     def velocities(self, psi: np.ndarray) -> np.ndarray:
@@ -185,10 +189,11 @@ class _StreamFunctionSolver:
         c, d = psi[:, 1:, 1:], psi[:, 1:, :-1]         # vertices (i+1, j+1), (i, j+1)
         # lower (a, b, c): psi_y = (c - b)/h, psi_x = (b - a)/h; upper (a, c, d):
         # psi_y = (d - a)/h, psi_x = (c - d)/h; velocity (psi_y, -psi_x)
-        u = np.stack([
-            np.stack([(c - b) / h, -(b - a) / h], axis=-1),
-            np.stack([(d - a) / h, -(c - d) / h], axis=-1),
-        ], axis=3)                                     # (samples, j, i, half, xy)
+        u = np.empty(a.shape + (2, 2))                 # (samples, j, i, half, xy)
+        u[..., 0, 0] = (c - b) / h
+        u[..., 0, 1] = (a - b) / h
+        u[..., 1, 0] = (d - a) / h
+        u[..., 1, 1] = (d - c) / h
         return u.reshape(psi.shape[0], -1, 2)
 
     def solve(self, a_tri: np.ndarray) -> "DiscreteVelocity":
@@ -231,10 +236,10 @@ class DiscreteVelocity:
         return self.fluxes[self.mesh.tri_edges] * self.mesh.tri_signs
 
     def velocity_at(self, point) -> np.ndarray:
-        x, y = float(point[0]), float(point[1])
+        point = np.array([float(point[0]), float(point[1])])
         mesh = self.mesh
-        tri = mesh.locate(x, y)
-        rel = np.array([x, y]) - mesh.centroids[tri] + mesh.offsets[tri % 2]
+        tri = mesh.locate(point)
+        rel = point - mesh.centroids[tri] + mesh.offsets[tri % 2]
         return (self._signed()[tri] @ rel) / (2.0 * mesh.area)
 
     def triangle_velocities(self) -> np.ndarray:
@@ -309,40 +314,39 @@ def trace_particle(vel, start, h: float, max_steps: int | None = None):
     if max_steps is None:
         max_steps = STEPS_PER_CELL * m * m
 
-    n_tri = u.shape[1]
     flat = u.reshape(-1, 2)                  # row s, triangle t at s n_tri + t
     times = np.empty(u.shape[0])
     moving = np.arange(u.shape[0])
-    x = np.full(moving.size, x0)
-    y = np.full(moving.size, y0)
+    first = moving * u.shape[1]              # each moving particle's first row of `flat`
+    p = np.tile([x0, y0], (moving.size, 1))  # positions, one row per moving particle
     time = np.zeros(moving.size)
-    for _ in range(max_steps):
-        q = flat[moving * n_tri + mesh.locate(x, y)]
-        qx, qy = q[:, 0], q[:, 1]
-        speed = np.hypot(qx, qy)
-        if not speed.all():
-            k = np.flatnonzero(speed == 0.0)[0]
-            raise StagnationError(f"zero velocity at ({x[k]:.6g}, {y[k]:.6g})")
-        dt = h / (2.0 * speed)
-        nx = x + dt * qx
-        ny = y + dt * qy
-        high_x, high_y = (qx > 0) & (nx >= 1.0), (qy > 0) & (ny >= 1.0)
-        hit_x = high_x | ((qx < 0) & (nx <= 0.0))
-        hit_y = high_y | ((qy < 0) & (ny <= 0.0))
-        if not (hit_x.any() or hit_y.any()):
-            x, y, time = nx, ny, time + dt
-            continue
-        # fraction of the step to the exit face, inf on an axis not crossed;
-        # the face is 1 where `high` holds and 0 otherwise
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.minimum(np.where(hit_x, (high_x - x) / (dt * qx), np.inf),
-                           np.where(hit_y, (high_y - y) / (dt * qy), np.inf))
-        out = np.isfinite(s)
-        times[moving[out]] = time[out] + np.minimum(np.maximum(s[out], 0.0), 1.0) * dt[out]
-        stay = ~out
-        moving, x, y, time = moving[stay], nx[stay], ny[stay], time[stay] + dt[stay]
-        if moving.size == 0:
-            return float(times[0]) if single else times
+    half_h = 0.5 * h                         # the distance of every step
+    # a zero velocity makes an infinite step and NaN positions, which fail the
+    # test for staying inside, so it is caught with the exits
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_steps):
+            q = flat[first + mesh.locate(p)]
+            speed = np.hypot(q[:, 0], q[:, 1])
+            dt = half_h / speed
+            new = p + dt[:, None] * q
+            if 0.0 < new.min() and new.max() < 1.0:    # no particle reaches a face
+                p = new
+                time += dt
+                continue
+            if not speed.all():
+                k = np.flatnonzero(speed == 0.0)[0]
+                raise StagnationError(f"zero velocity at ({p[k, 0]:.6g}, {p[k, 1]:.6g})")
+            # fraction of the step to the exit face, inf on an axis not crossed;
+            # the face is 1 where `high` holds and 0 otherwise
+            high = (q > 0) & (new >= 1.0)
+            hit = high | ((q < 0) & (new <= 0.0))
+            s = np.where(hit, (high - p) / (dt[:, None] * q), np.inf).min(axis=1)
+            out = np.isfinite(s)
+            times[moving[out]] = time[out] + np.minimum(np.maximum(s[out], 0.0), 1.0) * dt[out]
+            stay = ~out
+            moving, first, p, time = moving[stay], first[stay], new[stay], time[stay] + dt[stay]
+            if moving.size == 0:
+                return float(times[0]) if single else times
     raise NonconvergenceError(f"particle did not exit within {max_steps} steps")
 
 
@@ -393,7 +397,12 @@ class FlowCellModel(LimitStateModel):
         the batch it arrives in.
         """
         solver = self._assembler(level)
-        a = np.array([self.permeability(xi, level) for xi in xis])
+        xis = np.asarray(xis, dtype=float)
+        modes = self._modes(level)[:, : xis.shape[1]]
+        a = np.empty((xis.shape[0], modes.shape[0]))
+        for xi, row in zip(xis, a):
+            np.matmul(modes, xi, out=row)
+        np.exp(a, out=a)
         u = solver.velocities(solver.stream_functions(a))
         return trace_particle(u, self.start, self.mesh_size(level))
 

@@ -75,11 +75,32 @@ class TestDarcySolver:
 
 
 class TestParticleTracking:
-    def test_unit_flow_travel_time(self):
+    # the unit-permeability field (1, 0), turned to leave through each face;
+    # the last start lies on the no-flow bottom face and moves along it
+    @pytest.mark.parametrize("turn, start, tau_exact", [
+        ([[1, 0], [0, 1]], (0.0, 0.5), 1.0),       # east
+        ([[-1, 0], [0, 1]], (1.0, 0.5), 1.0),      # west
+        ([[0, 1], [-1, 0]], (0.3, 0.25), 0.75),    # north
+        ([[0, -1], [1, 0]], (0.7, 0.6), 0.6),      # south
+        ([[1, 0], [0, 1]], (0.25, 0.0), 0.75),     # east, tangential start
+    ], ids=["east", "west", "north", "south", "tangential"])
+    def test_unit_flow_travel_time(self, turn, start, tau_exact):
         for h in (1 / 4, 1 / 16):
             vel = solve_darcy_rt0(lambda p: np.ones(len(p)), h)
-            tau = trace_particle(vel, (0.0, 0.5), h)
-            assert abs(tau - 1.0) < 1e-12
+            u = vel.triangle_velocities() @ np.array(turn, dtype=float)
+            tau = trace_particle(u[None], start, h)
+            assert tau.shape == (1,) and abs(tau[0] - tau_exact) < 1e-12
+            if turn == [[1, 0], [0, 1]]:
+                assert trace_particle(vel, start, h) == tau[0]
+
+    def test_step_landing_on_a_face_exits_there(self):
+        # the step from the upper half of an east cell ends on the east face,
+        # where the cell's lower half would carry the particle back west
+        mesh = build_mesh(4)
+        u = np.zeros((1, mesh.n_tri, 2))
+        u[0, 0::2] = [-1.0, 0.0]
+        u[0, 1::2] = [1.0, 0.0]
+        assert trace_particle(u, (0.875, 0.7), mesh.h) == [0.125]
 
     def test_scaling(self):
         vel = solve_darcy_rt0(lambda p: 2.0 * np.ones(len(p)), 1 / 8)

@@ -37,6 +37,67 @@ def test_matches_saddle_point_golden_values(level):
     assert np.allclose(model.travel_time(xis, level), ref["travel_time"], rtol=1e-10, atol=0)
 
 
+def _dense_p1_stiffness(m, a):
+    """The stream-function matrix assembled densely, one triangle after another.
+
+    Vertex (i, j) is unknown (j - 1)(m + 1) + i on rows 1 .. m - 1; the bottom
+    row is eliminated and the whole top row is the last unknown.
+    """
+    n = m * m
+    dof = {(i, j): -1 if j == 0 else n - 1 if j == m else (j - 1) * (m + 1) + i
+           for i in range(m + 1) for j in range(m + 1)}
+    triangles = []
+    for j in range(m):
+        for i in range(m):
+            triangles += [[(i, j), (i + 1, j), (i + 1, j + 1)], [(i, j), (i + 1, j + 1), (i, j + 1)]]
+    dense = np.zeros((n, n))
+    for t, tri in enumerate(triangles):
+        (x0, y0), (x1, y1), (x2, y2) = np.array(tri, dtype=float) / m
+        area = 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
+        grad = np.array([[y1 - y2, x2 - x1], [y2 - y0, x0 - x2], [y0 - y1, x1 - x0]]) / (2 * area)
+        k = area * grad @ grad.T / a[t]
+        ids = np.array([dof[v] for v in tri])
+        r, c = np.meshgrid(ids, ids, indexing="ij")
+        inside = (r >= 0) & (c >= 0)
+        np.add.at(dense, (r[inside], c[inside]), k[inside])
+    return dense
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_band_is_the_p1_stiffness(level, rng):
+    model = FlowCellModel()
+    solver = model._assembler(level)
+    m, n, kd = solver.mesh.m, solver.n, solver.kd
+    assert kd == m + 1
+    a = np.exp(rng.standard_normal(solver.mesh.n_tri))
+    band = np.bincount(solver._band_index, weights=solver._band_stiffness / a[solver._band_tri],
+                       minlength=n * (kd + 1)).reshape(n, kd + 1).T
+    r, c = np.triu_indices(n)
+    r, c = r[c - r <= kd], c[c - r <= kd]
+    upper = np.zeros((n, n))
+    upper[r, c] = band[kd + r - c, c]
+    assert np.array_equal(upper + np.triu(upper, 1).T, _dense_p1_stiffness(m, a))
+
+
+def test_lockstep_times_equal_single_particle_times(rng):
+    # random level-3 fields after the uniform fields (1, 0) and (1, 1), whose
+    # particles leave through the east face on step 32 and the top on step 23
+    model = FlowCellModel()
+    solver = model._assembler(3)
+    h = model.mesh_size(3)
+    xis = rng.standard_normal((6, model.dim(3))) * np.linspace(0.5, 2.0, 6)[:, None]
+    a = np.array([model.permeability(xi, 3) for xi in xis])
+    u = np.concatenate([np.empty((2, solver.mesh.n_tri, 2)),
+                        solver.velocities(solver.stream_functions(a))])
+    u[0], u[1] = [1.0, 0.0], [1.0, 1.0]
+    times = trace_particle(u, model.start, h)
+    for k in range(len(u)):
+        assert np.array_equal(trace_particle(u[k:k + 1], model.start, h), times[k:k + 1])
+    trace_particle(u[1:2], model.start, h, max_steps=23)
+    with pytest.raises(NonconvergenceError):
+        trace_particle(u[:1], model.start, h, max_steps=31)
+
+
 @pytest.mark.parametrize("level", [2, 3])
 def test_evaluate_batch_equals_single_evaluations(level, rng, monkeypatch):
     model = FlowCellModel()
