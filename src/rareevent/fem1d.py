@@ -61,24 +61,19 @@ def solve_diffusion_1d(a, h: float) -> np.ndarray:
 class Diffusion1dModel(LimitStateModel):
     """Endpoint-exceedance limit state THRESHOLD - v(1) for the 1D diffusion problem.
 
-    Mesh sizes are h_l = 2^(-l-1) for levels 1..max_level; the KL dims per
+    Level l is solved on the mesh of width `mesh_size(l)`; the KL dims per
     level default to DEFAULT_LEVEL_DIMS.
     """
 
     threshold = THRESHOLD
 
     def __init__(self, max_level: int = len(DEFAULT_LEVEL_DIMS), level_dims=None):
-        super().__init__()
-        self.max_level = int(max_level)
-        self.cost_dim = 1
+        super().__init__(checked_level_dims(level_dims, max_level, DEFAULT_LEVEL_DIMS),
+                         cost_dim=1)
         mu, zeta2 = lognormal_params(MEAN_A, STD_A)
         self.basis = kl_basis_1d(CORR_LENGTH, KL_TRUNCATION, mean=mu, variance=zeta2)
-        self.level_dims = checked_level_dims(level_dims, self.max_level, DEFAULT_LEVEL_DIMS)
         # (scaled modes S_l, weights w_l) per level, see the module docstring
         self._level_forms: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def dim(self, level: int) -> int:
-        return self.level_dims[level - 1]
 
     def _level_form(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         if level not in self._level_forms:

@@ -357,19 +357,14 @@ class FlowCellModel(LimitStateModel):
 
     def __init__(self, tau0: float = 0.03, max_level: int = len(DEFAULT_LEVEL_DIMS_2D),
                  level_dims=None):
-        super().__init__()
         if tau0 <= 0:
             raise ValueError("travel-time threshold must be positive")
+        super().__init__(checked_level_dims(level_dims, max_level, DEFAULT_LEVEL_DIMS_2D),
+                         cost_dim=2)
         self.tau0 = float(tau0)
-        self.max_level = int(max_level)
-        self.cost_dim = 2
         self.basis = kl_basis_2d(CORR_LENGTH, KL_TRUNCATION)
-        self.level_dims = checked_level_dims(level_dims, self.max_level, DEFAULT_LEVEL_DIMS_2D)
         self._solvers: dict[int, _StreamFunctionSolver] = {}
         self._mode_matrices: dict[int, np.ndarray] = {}
-
-    def dim(self, level: int) -> int:
-        return self.level_dims[level - 1]
 
     def _assembler(self, level: int) -> _StreamFunctionSolver:
         if level not in self._solvers:

@@ -23,7 +23,7 @@ from .fem1d import DEFAULT_LEVEL_DIMS, Diffusion1dModel
 from .fem2d import DEFAULT_LEVEL_DIMS_2D, FlowCellModel
 from .mcmc import _KERNELS, make_kernel
 from .mlsis import _peek_count, mlsis_estimate
-from .models import KL_TRUNCATION, LimitStateModel, LinearLsfModel, mc_estimate
+from .models import KL_TRUNCATION, LimitStateModel, LinearLsfModel, mc_estimate, mesh_size
 from .sis import _seed_count, sis_estimate
 from .subset import _validate_p0, mlsus_estimate, sus_estimate
 
@@ -142,12 +142,12 @@ class RunRecord:
 
 
 def cost_units(counts: dict[int, int], levels: int, cost_dim: int) -> float:
-    """Level-weighted evaluation count: sum of count_l * 2^(-d (L - l))."""
+    """Level-weighted evaluation count: sum of count_l * (h_L / h_l)^cost_dim."""
     total = 0.0
     for level, count in counts.items():
         if not (1 <= level <= levels):
             raise ValueError(f"evaluation count at unknown level {level}")
-        total += count * 2.0 ** (-cost_dim * (levels - level))
+        total += count * (mesh_size(levels) / mesh_size(level)) ** cost_dim
     return total
 
 

@@ -5,8 +5,9 @@ two consecutive levels with an exponent beta growing adaptively from 0 to 1.
 The decision between tempering and bridging probes a small sample subset on
 the next level; its fine-level evaluations are reused if bridging follows.
 A level update that has not reached beta = 1 after MAX_BRIDGE_STEPS steps
-fails.  `solve_beta` returns the log weights at its root, and each bridging
-stage moves the ensemble with `sis._reweight_and_move`, as tempering does.
+fails, and so does a run that has not stopped after MAX_STEPS steps.
+`solve_beta` returns the log weights at its root, and each bridging stage
+moves the ensemble with `sis._reweight_and_move`, as tempering does.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .sis import (
 )
 
 MAX_BRIDGE_STEPS = 100
+MAX_STEPS = 100
 
 
 def bridging_log_ratios(g_coarse, g_fine, sigma: float) -> np.ndarray:
@@ -170,8 +172,7 @@ def _peek_count(n_samples: int, subset_fraction: float) -> int:
 
 def mlsis_estimate(model: LimitStateModel, max_level: int, n_samples: int,
                    delta_target: float, kernel, c: float, rng: np.random.Generator,
-                   subset_fraction: float = 0.1, burn_in: int = 0,
-                   max_steps: int = 100):
+                   subset_fraction: float = 0.1, burn_in: int = 0):
     """Multilevel SIS estimate following the tempering/bridging update scheme.
 
     Tempering always runs first; afterwards each iteration either tempers or
@@ -213,4 +214,4 @@ def mlsis_estimate(model: LimitStateModel, max_level: int, n_samples: int,
             trace.final_correction = final_correction(ensemble)
         return ensemble, steps, final
 
-    return run_sequence(model, max_level, n_samples, rng, advance, max_steps)
+    return run_sequence(model, max_level, n_samples, rng, advance, MAX_STEPS)

@@ -1,9 +1,9 @@
 """Limit-state abstraction shared by all estimators, plus analytic test models.
 
 Failure is the event G <= 0 throughout; `is_failure` is the single predicate
-every indicator call site goes through.  Both PDE models expand their random
-field in the paper's KL_TRUNCATION = 150 modes, and `checked_level_dims`
-validates the per-level dimensions they take from it.
+every indicator call site goes through, and `mesh_size` the one level rule.
+Both PDE models expand their random field in the paper's KL_TRUNCATION = 150
+modes, from which `checked_level_dims` takes their per-level dimensions.
 """
 
 from __future__ import annotations
@@ -17,19 +17,22 @@ from scipy import special
 KL_TRUNCATION = 150
 
 
+def mesh_size(level: int) -> float:
+    """h_l = 2^(-l-1): an evaluation at level l costs (h_L / h_l)^cost_dim finest solves."""
+    return 2.0 ** (-(level + 1))
+
+
 def checked_level_dims(level_dims, max_level: int, default) -> tuple[int, ...]:
     """KL dimensions per level, `default[:max_level]` when `level_dims` is None.
 
-    There must be at least one level and one dimension per level, non-decreasing,
-    the finest at most KL_TRUNCATION.
+    There must be at least one level and one dimension per level, the finest
+    at most KL_TRUNCATION; `LimitStateModel` checks that they do not decrease.
     """
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
-    dims = tuple(int(d) for d in (default[:max_level] if level_dims is None else level_dims))
+    dims = tuple(int(d) for d in (default[:int(max_level)] if level_dims is None else level_dims))
     if len(dims) != max_level:
         raise ValueError("need one dimension per level")
-    if any(d2 < d1 for d1, d2 in zip(dims, dims[1:])):
-        raise ValueError("level dimensions must be non-decreasing")
     if dims[-1] > KL_TRUNCATION:
         raise ValueError("finest level dimension exceeds KL truncation")
     return dims
@@ -70,32 +73,40 @@ class EvalCounter:
 class LimitStateModel(ABC):
     """A hierarchy of limit-state approximations G_l on growing input spaces.
 
-    `dim(level)` is non-decreasing in the level and `dim(max_level)` is the
-    full input dimension.  Evaluations are deterministic per (xi, level) and
-    are tallied in `counter` at the level they were requested.
+    A model passes its per-level input dimensions (non-decreasing, the last
+    the full input dimension) and its cost dimension to this constructor and
+    implements only `_evaluate_batch`.  Evaluations are tallied in `counter`
+    at the level they were requested.
+
+    The batch contract: values are deterministic per (batch, level).  A row's
+    value may change in its last bits with the batch it arrives in, as the 1D
+    diffusion model's GEMM and GEMV round differently for other batch shapes;
+    the linear and flow-cell rows are bitwise the same in any batch.
     """
 
-    max_level: int
-    cost_dim: int
+    mesh_size = staticmethod(mesh_size)
 
-    def __init__(self):
+    def __init__(self, level_dims, cost_dim: int):
+        dims = tuple(int(d) for d in level_dims)
+        if not dims or dims[0] < 1:
+            raise ValueError("need at least one level, of dimension >= 1")
+        if any(d2 < d1 for d1, d2 in zip(dims, dims[1:])):
+            raise ValueError("level dimensions must be non-decreasing")
+        self.level_dims = dims
+        self.max_level = len(dims)
+        self.cost_dim = int(cost_dim)
         self.counter = EvalCounter()
 
-    def mesh_size(self, level: int) -> float:
-        """h_l = 2^(-l-1); `harness.cost_units` charges (h_L / h_l)^cost_dim per eval."""
-        return 2.0 ** (-(level + 1))
-
-    @abstractmethod
     def dim(self, level: int) -> int:
-        ...
+        if not (1 <= level <= self.max_level):
+            raise ValueError(f"level {level} outside 1..{self.max_level}")
+        return self.level_dims[level - 1]
 
     @abstractmethod
     def _evaluate_batch(self, xis: np.ndarray, level: int) -> np.ndarray:
         """Limit-state values of an (m, dim(level)) batch, one per row."""
 
     def _check(self, xi: np.ndarray, level: int) -> np.ndarray:
-        if not (1 <= level <= self.max_level):
-            raise ValueError(f"level {level} outside 1..{self.max_level}")
         xi = np.asarray(xi, dtype=float)
         if xi.shape[-1] != self.dim(level):
             raise ValueError(
@@ -119,16 +130,8 @@ class LinearLsfModel(LimitStateModel):
     """G(u) = beta - u_1: single level, exact failure probability Phi(-beta)."""
 
     def __init__(self, beta: float, n: int):
-        super().__init__()
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
+        super().__init__((n,), cost_dim=1)
         self.beta = float(beta)
-        self.n = int(n)
-        self.max_level = 1
-        self.cost_dim = 1
-
-    def dim(self, level: int) -> int:
-        return self.n
 
     def exact_probability(self) -> float:
         return float(special.ndtr(-self.beta))
@@ -141,14 +144,8 @@ class ConstantModel(LimitStateModel):
     """G identically equal to a constant, on any number of levels."""
 
     def __init__(self, value: float, n: int = 2, max_level: int = 1):
-        super().__init__()
+        super().__init__((n,) * max_level, cost_dim=1)
         self.value = float(value)
-        self.n = int(n)
-        self.max_level = int(max_level)
-        self.cost_dim = 1
-
-    def dim(self, level: int) -> int:
-        return self.n
 
     def _evaluate_batch(self, xis, level):
         return np.full(xis.shape[0], self.value)
@@ -163,17 +160,10 @@ class PinnedLevelModel(LimitStateModel):
     """
 
     def __init__(self, base: LimitStateModel, level: int):
-        super().__init__()
-        if not (1 <= level <= base.max_level):
-            raise ValueError(f"level {level} outside 1..{base.max_level}")
+        super().__init__((base.dim(level),), base.cost_dim)
         self.base = base
         self.level = int(level)
-        self.max_level = 1
-        self.cost_dim = base.cost_dim
         self.counter = base.counter
-
-    def dim(self, level: int) -> int:
-        return self.base.dim(self.level)
 
     def _evaluate_batch(self, xis, level):
         return self.base._evaluate_batch(xis, self.level)

@@ -116,9 +116,9 @@ def solve_sigma(g, sigma_prev: float, delta_target: float):
     sigma_prev and then found by Brent's method in log sigma.  From
     sigma_prev = inf the walk starts near the large-sigma root instead, when
     the COV there is below the target.  When the COV stays below the target
-    down to SIGMA_MIN, SIGMA_MIN is returned as a boundary value.  Reuses
-    cached limit-state values only.  Returns (sigma, realized_cov,
-    hit_boundary, log_weights), the last `tempering_log_weights` at sigma.
+    down to SIGMA_MIN, the walk's last point exp(log SIGMA_MIN) is returned
+    as a boundary value.  Reuses cached limit-state values only.  Returns
+    (sigma, realized_cov, hit_boundary, log_weights), the last two at sigma.
     """
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
@@ -151,8 +151,9 @@ def solve_sigma(g, sigma_prev: float, delta_target: float):
             x_above, x = x_start, max(x_start - step, log_lo)
     while (delta := cov_of(log_w_at(np.exp(x)))) < delta_target:
         if x == log_lo:
-            # COV below target everywhere: boundary value SIGMA_MIN
-            return SIGMA_MIN, float(delta), True, log_w_at(SIGMA_MIN)
+            # COV below target everywhere: the walk's last point is the boundary value
+            sigma = float(np.exp(x))
+            return sigma, float(delta), True, log_w_at(sigma)
         x_above, x = x, max(x - step, log_lo)
     if x_above is not None:     # else the COV reaches the target at hi already
         x = brentq(lambda t: cov_of(log_w_at(np.exp(t))) - delta_target, x, x_above, xtol=1e-10)
@@ -274,7 +275,7 @@ def run_sequence(model: LimitStateModel, max_level: int, n_samples: int,
 
 def sis_estimate(model: LimitStateModel, level: int, n_samples: int,
                  delta_target: float, kernel, c: float, rng: np.random.Generator,
-                 burn_in: int = 0, max_steps: int = 100):
+                 burn_in: int = 0):
     """Single-level SIS estimate at one discretization level.
 
     Runs the multilevel loop degenerately on a single-level view of the
@@ -283,4 +284,4 @@ def sis_estimate(model: LimitStateModel, level: int, n_samples: int,
     from .mlsis import mlsis_estimate
 
     return mlsis_estimate(PinnedLevelModel(model, level), 1, n_samples, delta_target,
-                          kernel, c, rng, burn_in=burn_in, max_steps=max_steps)
+                          kernel, c, rng, burn_in=burn_in)

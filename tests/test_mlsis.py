@@ -21,14 +21,8 @@ class TwoLevelLinear(LimitStateModel):
     """G_l(u) = beta_l - u_1 with configurable per-level dimensions."""
 
     def __init__(self, betas=(3.5, 3.5), dims=(10, 10)):
-        super().__init__()
+        super().__init__(dims, cost_dim=1)
         self.betas = betas
-        self.dims = dims
-        self.max_level = len(betas)
-        self.cost_dim = 1
-
-    def dim(self, level):
-        return self.dims[level - 1]
 
     def _evaluate_batch(self, xis, level):
         return self.betas[level - 1] - xis[:, 0]

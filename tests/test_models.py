@@ -1,8 +1,11 @@
+import functools
 import inspect
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from rareevent import mlsis, sis, subset
@@ -15,6 +18,7 @@ from rareevent.models import (
     PinnedLevelModel,
     is_failure,
     mc_estimate,
+    mesh_size,
 )
 
 
@@ -103,6 +107,81 @@ class TestPinnedLevelModel:
         pinned = PinnedLevelModel(base, 2)
         assert pinned.evaluate(np.zeros(2), 1) == 2.0
         assert base.counter.counts() == {2: 1}
+
+
+class TestLevelHierarchy:
+    def test_constructor_derives_the_levels(self):
+        model = ConstantModel(1.0, n=3, max_level=4)
+        assert (model.level_dims, model.max_level, model.cost_dim) == ((3,) * 4, 4, 1)
+        assert [model.dim(level) for level in (1, 4)] == [3, 3]
+        pinned = PinnedLevelModel(Diffusion1dModel(max_level=3), 2)
+        assert (pinned.level_dims, pinned.max_level, pinned.cost_dim) == ((20,), 1, 1)
+
+    def test_rejects_no_level_and_empty_inputs(self):
+        # decreasing dims: TestCheckedLevelDims
+        with pytest.raises(ValueError, match="at least one level"):
+            ConstantModel(1.0, max_level=0)
+        with pytest.raises(ValueError, match="dimension >= 1"):
+            LinearLsfModel(1.0, 0)
+
+    def test_dim_rejects_levels_outside_the_hierarchy(self, rng):
+        # neither wraps around to the finest level nor runs off the tuple
+        model = Diffusion1dModel(max_level=2)
+        for level in (0, 3):
+            with pytest.raises(ValueError, match=r"level -?\d outside 1\.\.2"):
+                model.dim(level)
+            with pytest.raises(ValueError, match="outside 1..2"):
+                mc_estimate(model, level, 10, rng)
+        with pytest.raises(ValueError, match="outside 1..2"):
+            PinnedLevelModel(model, 3)
+        assert model.counter.total() == 0
+
+    def test_no_model_restates_the_level_hierarchy(self):
+        for cls in (LinearLsfModel, ConstantModel, PinnedLevelModel,
+                    Diffusion1dModel, FlowCellModel):
+            assert "dim" not in vars(cls)
+            source = inspect.getsource(cls)
+            assert "self.max_level =" not in source and "self.cost_dim =" not in source
+
+    def test_one_mesh_rule(self):
+        assert [mesh_size(level) for level in (1, 2, 8)] == [1 / 4, 1 / 8, 1 / 512]
+        assert Diffusion1dModel.mesh_size is FlowCellModel.mesh_size is mesh_size
+
+
+# model, its levels, the rows of one batch and the tolerance of a split batch
+_CONTRACT = {
+    "linear": (lambda: LinearLsfModel(3.0, 20), (1,), 50, 0.0),
+    "diffusion1d": (Diffusion1dModel, tuple(range(1, 9)), 400, 1e-14),
+    "flowcell2d": (lambda: FlowCellModel(max_level=3), (1, 2, 3), 60, 0.0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _contract_model(name):
+    return _CONTRACT[name][0]()
+
+
+class TestBatchContract:
+    """Values per (batch, level): a row split off into another batch keeps its
+    bits for the linear and flow-cell models, and its value to roundoff in 1D."""
+
+    @pytest.mark.parametrize("name", sorted(_CONTRACT))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_random_splits_match_the_whole_batch(self, name, data):
+        _, levels, rows, atol = _CONTRACT[name]
+        model = _contract_model(name)
+        level = data.draw(st.sampled_from(levels), label="level")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        cuts = sorted(data.draw(st.sets(st.integers(1, rows - 1), max_size=4), label="cuts"))
+        xis = np.random.default_rng(seed).standard_normal((rows, model.dim(level)))
+        whole = model.evaluate_batch(xis, level)
+        split = np.concatenate([model.evaluate_batch(part, level)
+                                for part in np.split(xis, cuts)])
+        if atol == 0.0:
+            assert np.array_equal(split, whole)
+        else:
+            np.testing.assert_allclose(split, whole, rtol=0.0, atol=atol)
 
 
 class TestCheckedLevelDims:

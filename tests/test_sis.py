@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.optimize import brentq
 
-from rareevent import sis
+from rareevent import mlsis, sis
 from rareevent.distributions import std_normal_log_cdf
 from rareevent.errors import FailedTemperingError, NonconvergenceError
 from rareevent.fem1d import Diffusion1dModel
@@ -55,6 +55,16 @@ class TestSolveSigma:
         assert sigma == pytest.approx(1e-8)
         assert delta == 0.0
         assert boundary
+
+    def test_boundary_cov_is_that_of_the_returned_weights(self):
+        # the COV stays below the target down to the walk's last point, where
+        # the two values still give the weights a nonzero COV
+        g = np.array([0.3, np.nextafter(0.3, 1.0)] * 5)
+        sigma, delta, boundary, log_w = solve_sigma(g, np.inf, 0.25)
+        assert boundary
+        assert sigma == np.exp(np.log(sis.SIGMA_MIN))
+        assert delta == cov_from_log_weights(log_w)
+        assert np.array_equal(log_w, tempering_log_weights(g, sigma, np.inf))
 
     def test_two_point_closed_form(self):
         # delta(sigma) = |2 Phi(1/sigma) - 1|; target 0.5 inverts to
@@ -246,10 +256,11 @@ class TestSisEstimate:
         rebuilt = functools.reduce(operator.mul, factors, 1.0) * trace.final_correction
         assert rebuilt == p
 
-    def test_nonconvergence_cap(self, rng):
+    def test_nonconvergence_cap(self, monkeypatch, rng):
+        monkeypatch.setattr(mlsis, "MAX_STEPS", 3)
         with pytest.raises(NonconvergenceError):
             sis_estimate(LinearLsfModel(3.5, 10), 1, 100, 0.05,
-                         make_kernel("acs"), 0.5, rng, max_steps=3)
+                         make_kernel("acs"), 0.5, rng)
 
     def test_validates_seed_fraction(self, rng):
         with pytest.raises(ValueError):
