@@ -119,7 +119,6 @@ def _finish(records, config, out_path: str | None) -> int:
 
 def cmd_estimate(args) -> int:
     config = build_config(args)
-    config.validate()
     records = run_experiment(config)
     return _finish(records, config, args.out)
 

@@ -22,9 +22,9 @@ from .errors import RareEventError
 from .fem1d import DEFAULT_LEVEL_DIMS, Diffusion1dModel
 from .fem2d import DEFAULT_LEVEL_DIMS_2D, FlowCellModel
 from .mcmc import _KERNELS, make_kernel
-from .mlsis import _peek_count, mlsis_estimate
+from .mlsis import _check_settings, _peek_count, mlsis_estimate
 from .models import KL_TRUNCATION, LimitStateModel, LinearLsfModel, mc_estimate, mesh_size
-from .sis import _seed_count, sis_estimate
+from .sis import sis_estimate
 from .subset import _validate_p0, mlsus_estimate, sus_estimate
 
 # method name -> estimator call returning (estimate, n_temper, n_bridge); the
@@ -95,6 +95,8 @@ class ExperimentConfig:
             raise ValueError("sample count must be positive")
         if self.reps < 1:
             raise ValueError("repetition count must be positive")
+        if self.seed < 0:
+            raise ValueError("master seed must be nonnegative")
         if self.levels < 1:
             raise ValueError("level count must be positive")
         if self.level_dims not in ("ldd", "fixed"):
@@ -102,14 +104,11 @@ class ExperimentConfig:
         max_levels = _MODELS[self.model][0]
         if self.levels > max_levels:
             raise ValueError(f"model '{self.model}' supports at most {max_levels} levels")
+        build_model(self)
         if self.reference is not None and not (0 < self.reference < np.inf):
             raise ValueError("reference probability must be positive and finite")
         if self.method in ("sis", "mlsis"):
-            if not (self.delta_target > 0):
-                raise ValueError("delta_target must be positive")
-            _seed_count(self.n, self.c)
-            if not (0 < self.ns_frac < 1):
-                raise ValueError("ns_frac must lie in (0, 1)")
+            _check_settings(self.n, self.delta_target, self.c)
             if self.method == "mlsis" and self.levels > 1:
                 _peek_count(self.n, self.ns_frac)
         if self.method in ("sus", "mlsus"):

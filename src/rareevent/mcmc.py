@@ -1,11 +1,14 @@
 """Metropolis-Hastings machinery for the tempering/bridging targets.
 
-Targets are the smoothed densities Phi(-G/sigma)^(...) * phi_n(u); kernels
-supply proposals plus a per-state score holding whatever prior/proposal terms
-do not cancel in the acceptance ratio.  Chains from all seeds advance in
-lockstep so every iteration evaluates the limit state once per proposal and
-per involved level, as one batched call.  The aCS kernel's tuning is fixed
-by its class constants TARGET_RATE, ADAPT_FRACTION, RHO_BOUNDS and LAMBDA_BOUNDS.
+`TemperingTarget` is the one smoothed target, the density
+Phi(-G_l/sigma)^beta * Phi(-G_(l-1)/sigma)^(1-beta) * phi_n(u): beta = 1 is
+tempering on level l, beta < 1 a bridge onto it.  Subset simulation's hard
+indicator `subset.DomainTarget` sits beside it.  Kernels supply proposals
+plus a per-state score holding whatever prior/proposal terms do not cancel
+in the acceptance ratio.  Chains from all seeds advance in lockstep so every
+iteration evaluates the limit state once per proposal and per involved
+level, as one batched call.  The aCS kernel's tuning is fixed by its class
+constants TARGET_RATE, ADAPT_FRACTION, RHO_BOUNDS and LAMBDA_BOUNDS.
 
 Kernels implement `prepare(samples, log_weights, n_steps)`, `propose`,
 `log_score` and `feedback`.  Tempering and bridging reach `run_chains` through
@@ -88,27 +91,11 @@ def extend_dimension(samples, delta_n: int, rng: np.random.Generator) -> np.ndar
 
 @dataclass(frozen=True)
 class TemperingTarget:
-    """Smooth part of p_(j,l): log Phi(-G_l / sigma_j)."""
+    """Smooth part of p_(j,l) at beta = 1; of the bridge from level - 1 below 1."""
 
     level: int
     sigma: float
-
-    @property
-    def levels(self) -> tuple[int, ...]:
-        return (self.level,)
-
-    def log_smooth(self, g_by_level: dict[int, np.ndarray]) -> np.ndarray:
-        return std_normal_log_cdf(-np.asarray(g_by_level[self.level]) / self.sigma)
-
-
-@dataclass(frozen=True)
-class BridgingTarget:
-    """Smooth part of the bridge: beta on the fine level, 1-beta on the coarse."""
-
-    coarse_level: int
-    fine_level: int
-    sigma: float
-    beta: float
+    beta: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.beta <= 1.0):
@@ -117,14 +104,14 @@ class BridgingTarget:
     @property
     def levels(self) -> tuple[int, ...]:
         if self.beta == 1.0:
-            return (self.fine_level,)
-        return (self.coarse_level, self.fine_level)
+            return (self.level,)
+        return (self.level - 1, self.level)
 
     def log_smooth(self, g_by_level: dict[int, np.ndarray]) -> np.ndarray:
-        fine = std_normal_log_cdf(-np.asarray(g_by_level[self.fine_level]) / self.sigma)
+        fine = std_normal_log_cdf(-np.asarray(g_by_level[self.level]) / self.sigma)
         if self.beta == 1.0:
             return fine
-        coarse = std_normal_log_cdf(-np.asarray(g_by_level[self.coarse_level]) / self.sigma)
+        coarse = std_normal_log_cdf(-np.asarray(g_by_level[self.level - 1]) / self.sigma)
         return self.beta * fine + (1.0 - self.beta) * coarse
 
 
@@ -235,15 +222,6 @@ def make_kernel(name: str):
     return _KERNELS[name]()
 
 
-def _evaluate_levels(model: LimitStateModel, proposals: np.ndarray,
-                     levels: tuple[int, ...]) -> dict[int, np.ndarray]:
-    out = {}
-    for level in levels:
-        n_l = model.dim(level)
-        out[level] = model.evaluate_batch(proposals[:, :n_l], level)
-    return out
-
-
 def run_chains(model: LimitStateModel, target, kernel, seeds: np.ndarray,
                seed_values: dict[int, np.ndarray], c: float, burn_in: int,
                rng: np.random.Generator):
@@ -257,6 +235,8 @@ def run_chains(model: LimitStateModel, target, kernel, seeds: np.ndarray,
     once; accepted scores are carried like the limit-state values.  Callers
     check that 1/c is an integer (`sis._seed_count`).
     """
+    if burn_in < 0:
+        raise ValueError("burn-in must be nonnegative")
     steps = burn_in + round(1.0 / c)
     begin = getattr(kernel, "begin_target", None)
     if begin is not None:
@@ -269,7 +249,8 @@ def run_chains(model: LimitStateModel, target, kernel, seeds: np.ndarray,
     score_cur = kernel.log_score(current)
     for step in range(steps):
         proposals = kernel.propose(current, rng)
-        prop_values = _evaluate_levels(model, proposals, target.levels)
+        prop_values = {lvl: model.evaluate_batch(proposals[:, :model.dim(lvl)], lvl)
+                       for lvl in target.levels}
         log_smooth_prop = target.log_smooth(prop_values)
         score_prop = kernel.log_score(proposals)
         log_alpha = log_smooth_prop - log_smooth_cur + (score_prop - score_cur)

@@ -19,7 +19,7 @@ from scipy.optimize import brentq
 
 from .distributions import std_normal_log_cdf
 from .errors import NonconvergenceError
-from .mcmc import BridgingTarget, cov_from_log_weights, extend_dimension
+from .mcmc import TemperingTarget, cov_from_log_weights, extend_dimension
 # unused here; perfbench/layers.py patches these two names on this module
 from .mcmc import resample_multinomial, run_chains  # noqa: F401
 from .models import LimitStateModel
@@ -131,8 +131,6 @@ def bridge_level(model: LimitStateModel, ensemble: SampleEnsemble,
     """Move the ensemble from its level to the next one (Alg-2 style loop)."""
     level = ensemble.level
     fine = level + 1
-    if fine > model.max_level:
-        raise ValueError("cannot bridge beyond the finest level")
     sigma = ensemble.sigma
     if not np.isfinite(sigma):
         raise ValueError("bridging requires a tempered ensemble")
@@ -146,8 +144,7 @@ def bridge_level(model: LimitStateModel, ensemble: SampleEnsemble,
         stage_start = model.counter.total()
         beta_new, delta, boundary, log_w = solve_beta(values[level], values[fine], sigma,
                                                       beta, delta_target)
-        target = BridgingTarget(coarse_level=level, fine_level=fine,
-                                sigma=sigma, beta=beta_new)
+        target = TemperingTarget(level=fine, sigma=sigma, beta=beta_new)
         factor, samples, values = _reweight_and_move(model, target, kernel, samples, log_w,
                                                      values, c, burn_in, rng)
         evals_so_far = model.counter.total()
@@ -162,8 +159,19 @@ def bridge_level(model: LimitStateModel, ensemble: SampleEnsemble,
     raise NonconvergenceError(f"bridge did not reach beta=1 in {MAX_BRIDGE_STEPS} steps")
 
 
+def _check_settings(n_samples: int, delta_target: float, c: float) -> None:
+    """The sample count, COV target and seed fraction SIS and MLSIS accept."""
+    if n_samples < 2:
+        raise ValueError("need at least two samples")
+    if not (delta_target > 0):
+        raise ValueError("delta_target must be positive")
+    _seed_count(n_samples, c)
+
+
 def _peek_count(n_samples: int, subset_fraction: float) -> int:
     """Size of the random subset that `peek_level_update` evaluates."""
+    if not (0 < subset_fraction < 1):
+        raise ValueError("subset fraction ns_frac must lie in (0, 1)")
     n_subset = max(1, round(subset_fraction * n_samples))
     if not n_subset < n_samples:
         raise ValueError(f"a peek subset of {n_subset} leaves no sample of N={n_samples} out")
@@ -180,11 +188,7 @@ def mlsis_estimate(model: LimitStateModel, max_level: int, n_samples: int,
     the choice open.  The run ends once the stopping COV meets its target and
     the ensemble sits on the finest level.  Returns (probability, EstimatorTrace).
     """
-    if n_samples < 2:
-        raise ValueError("need at least two samples")
-    if not (delta_target > 0):
-        raise ValueError("delta_target must be positive")
-    _seed_count(n_samples, c)
+    _check_settings(n_samples, delta_target, c)
     n_subset = _peek_count(n_samples, subset_fraction) if max_level > 1 else 0
 
     def advance(ensemble, trace):

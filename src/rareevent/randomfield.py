@@ -25,20 +25,6 @@ def lognormal_params(mean_a: float, std_a: float) -> tuple[float, float]:
     return float(mu), float(zeta2)
 
 
-def _bracketed_root(f, lo: float, hi: float) -> float:
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if np.sign(flo) == np.sign(fhi):
-        raise RuntimeError(
-            f"eigenvalue root bracket failed on [{lo:.6g}, {hi:.6g}]: "
-            f"f(lo)={flo:.3g}, f(hi)={fhi:.3g}"
-        )
-    return brentq(f, lo, hi, xtol=1e-13, rtol=4 * np.finfo(float).eps, maxiter=200)
-
-
 def _kl_roots_1d(c: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Transcendental frequencies of both families, merged by eigenvalue.
 
@@ -50,13 +36,14 @@ def _kl_roots_1d(c: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     eps = 1e-9
     even_f = lambda w: c - w * np.tan(w * _HALF)
     odd_f = lambda w: w + c * np.tan(w * _HALF)
+    tol = dict(xtol=1e-13, rtol=4 * np.finfo(float).eps, maxiter=200)
     per_family = count // 2 + 2
     even_roots = [
-        _bracketed_root(even_f, 2 * k * np.pi + eps, (2 * k + 1) * np.pi - eps)
+        brentq(even_f, 2 * k * np.pi + eps, (2 * k + 1) * np.pi - eps, **tol)
         for k in range(per_family)
     ]
     odd_roots = [
-        _bracketed_root(odd_f, (2 * k - 1) * np.pi + eps, 2 * k * np.pi - eps)
+        brentq(odd_f, (2 * k - 1) * np.pi + eps, 2 * k * np.pi - eps, **tol)
         for k in range(1, per_family + 1)
     ]
     omegas = np.array(even_roots + odd_roots)

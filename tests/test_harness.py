@@ -335,16 +335,26 @@ class TestCli:
         assert proc.returncode == 2
         assert "config error" in proc.stderr and "Traceback" not in proc.stderr
 
-    def test_sweep_validates_every_cell_before_running(self, tmp_path):
+    @pytest.mark.parametrize("args", [
+        # 1/c is no integer at c = 0.3
+        pytest.param(["--method", "sis", "--n", "100", "--grid", "c=0.5,0.3"], id="c"),
+        pytest.param(["--method", "mc", "--n", "10", "--grid", "seed=1,-1"], id="seed"),
+        # the model constructor rejects tau0 <= 0
+        pytest.param(["--model", "flowcell2d", "--method", "mc", "--levels", "1",
+                      "--n", "10", "--grid", "tau0=0.2,-1"], id="tau0"),
+        # SIS needs two samples
+        pytest.param(["--method", "sis", "--c", "1", "--n", "10", "--grid", "n=10,1"],
+                     id="n"),
+    ])
+    def test_sweep_validates_every_cell_before_running(self, tmp_path, args):
         out_dir = tmp_path / "sweep"
         proc = subprocess.run(
-            [sys.executable, "-m", "rareevent.cli", "sweep",
-             "--model", "linear", "--method", "sis", "--n", "100", "--reps", "1",
-             "--grid", "c=0.5,0.3", "--out", str(out_dir)],
+            [sys.executable, "-m", "rareevent.cli", "sweep", "--model", "linear",
+             "--reps", "1", *args, "--out", str(out_dir)],
             capture_output=True, text=True,
         )
-        assert proc.returncode == 2
-        # c = 0.3 is invalid (1/c is no integer), so not even c = 0.5 ran
+        assert proc.returncode == 2, proc.stderr
+        # the last cell is invalid, so not even the first one ran
         assert not out_dir.exists() or os.listdir(out_dir) == []
 
     def test_sweep_writes_per_cell_files(self, tmp_path):

@@ -7,7 +7,6 @@ from rareevent.distributions import VmfnParams, sample_vmfn, vmfn_log_density
 from rareevent.errors import DegenerateWeightsError
 from rareevent.mcmc import (
     AcsKernel,
-    BridgingTarget,
     TemperingTarget,
     VmfnIndependentKernel,
     cov_of_weights,
@@ -293,16 +292,16 @@ class TestDetailedBalanceFlow:
 class TestTargets:
     def test_bridging_exponent_validated(self):
         with pytest.raises(ValueError):
-            BridgingTarget(coarse_level=1, fine_level=2, sigma=1.0, beta=0.0)
+            TemperingTarget(level=2, sigma=1.0, beta=0.0)
 
     def test_bridging_beta_one_skips_coarse(self):
-        target = BridgingTarget(coarse_level=1, fine_level=2, sigma=1.0, beta=1.0)
+        target = TemperingTarget(level=2, sigma=1.0, beta=1.0)
         assert target.levels == (2,)
-        partial = BridgingTarget(coarse_level=1, fine_level=2, sigma=1.0, beta=0.5)
+        partial = TemperingTarget(level=2, sigma=1.0, beta=0.5)
         assert partial.levels == (1, 2)
 
     def test_bridging_interpolates(self):
-        target = BridgingTarget(coarse_level=1, fine_level=2, sigma=1.0, beta=0.25)
+        target = TemperingTarget(level=2, sigma=1.0, beta=0.25)
         g = {1: np.array([0.5]), 2: np.array([-0.5])}
         fine = TemperingTarget(level=2, sigma=1.0).log_smooth(g)
         coarse = TemperingTarget(level=1, sigma=1.0).log_smooth(g)

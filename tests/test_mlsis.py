@@ -234,3 +234,9 @@ class TestMlsisEstimate:
             mlsis_estimate(model, 3, 100, 0.5, make_kernel("acs"), 0.5, rng)
         with pytest.raises(ValueError):
             mlsis_estimate(model, 2, 100, -0.1, make_kernel("acs"), 0.5, rng)
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.5])
+    def test_subset_fraction_must_be_positive(self, fraction):
+        with pytest.raises(ValueError, match="must lie in"):
+            mlsis_estimate(Diffusion1dModel(max_level=2), 2, 200, 0.5, make_kernel("acs"),
+                           0.5, np.random.default_rng(1), subset_fraction=fraction)

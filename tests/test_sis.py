@@ -267,6 +267,11 @@ class TestSisEstimate:
             sis_estimate(LinearLsfModel(1.0, 5), 1, 100, 0.25,
                          make_kernel("acs"), 0.3, rng)
 
+    def test_negative_burn_in_rejected(self, rng):
+        with pytest.raises(ValueError, match="burn-in must be nonnegative"):
+            sis_estimate(LinearLsfModel(3.5, 10), 1, 1000, 0.5,
+                         make_kernel("vmfn"), 0.1, rng, burn_in=-1)
+
 
 class PerfectLinearKernel:
     """Exact sampler of the tempered linear-LSF density, via a bivariate

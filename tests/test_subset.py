@@ -59,6 +59,11 @@ class TestSusEstimate:
         with pytest.raises(ValueError):
             sus_estimate(model, 1, 100, 0.15, make_kernel("acs"), 0, rng)
 
+    def test_negative_burn_in_rejected(self, rng):
+        with pytest.raises(ValueError, match="burn-in must be nonnegative"):
+            sus_estimate(LinearLsfModel(3.5, 10), 1, 1000, 0.1,
+                         make_kernel("acs"), -1, rng)
+
 
 class TestMlsusEstimate:
     def test_level_constant_reduces_to_sus(self, rng):
