@@ -9,11 +9,17 @@ pinned view and models kept a single batch primitive; both changes must
 leave every number here unchanged.  `TraceStep.level` is not
 recorded: a pinned SuS run reports the view's level 1, as pinned SIS does.
 
+Its "trace" entries pin SIS and MLSIS runs step by step: every field of every
+`TraceStep` (`step_record`), the final correction, the estimate and the
+per-level evaluation counts, floats as `float.hex`.  A change that moves bits
+on purpose shows there which steps moved.
+
 Regenerate (only for an intended change of results) with
 
     PYTHONPATH=src python tests/test_methods_golden.py
 """
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -22,9 +28,12 @@ import numpy as np
 import pytest
 
 from rareevent.fem1d import Diffusion1dModel
+from rareevent.fem2d import FlowCellModel
 from rareevent.harness import ExperimentConfig, records_to_csv, run_experiment, summarize
 from rareevent.mcmc import make_kernel
+from rareevent.mlsis import mlsis_estimate
 from rareevent.models import LinearLsfModel
+from rareevent.sis import TraceStep, sis_estimate
 from rareevent.subset import mlsus_estimate, sus_estimate
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "methods_golden.json"
@@ -69,6 +78,29 @@ DIRECT_CASES = {
 }
 
 
+TRACE_CASES = {
+    # name: (estimator, model factory, level, N, delta target, kernel, c, seed,
+    #        keyword arguments)
+    "sis-linear-vmfn": (sis_estimate, lambda: LinearLsfModel(3.5, 10), 1, 500, 0.5,
+                        "vmfn", 0.1, 41, {}),
+    "sis-diffusion1d-l3-acs-burn-in": (sis_estimate, lambda: Diffusion1dModel(max_level=3),
+                                       3, 200, 0.5, "acs", 0.1, 42, {"burn_in": 2}),
+    "mlsis-diffusion1d-l3-vmfn": (mlsis_estimate, lambda: Diffusion1dModel(max_level=3),
+                                  3, 200, 0.5, "vmfn", 0.1, 43, {}),
+    "mlsis-diffusion1d-l3-fixed-acs": (mlsis_estimate, lambda: Diffusion1dModel(
+        max_level=3, level_dims=(150,) * 3), 3, 200, 0.5, "acs", 0.2, 44,
+        {"subset_fraction": 0.2}),
+    "mlsis-flowcell2d-l2-vmfn": (mlsis_estimate, lambda: FlowCellModel(tau0=0.2, max_level=2),
+                                 2, 100, 0.5, "vmfn", 0.1, 45, {}),
+}
+
+
+def step_record(step: TraceStep) -> dict:
+    """Every field of a trace step, floats as `float.hex` and the rest as they are."""
+    return {f.name: float(v).hex() if isinstance(v, float) else v
+            for f in dataclasses.fields(step) for v in [getattr(step, f.name)]}
+
+
 def csv_output(case: dict) -> str:
     config = ExperimentConfig(stable_timing=True, **case)
     records = run_experiment(config)
@@ -83,6 +115,18 @@ def direct_output(case) -> dict:
         "estimate": float(estimate).hex(),
         "records": [[r.threshold.hex(), r.factor.hex(), r.denominator.hex(), r.n_evals]
                     for r in trace.steps],
+        "eval_counts": {str(level): n for level, n in trace.eval_counts.items()},
+    }
+
+
+def trace_output(case) -> dict:
+    estimator, make_model, level, n, delta_target, kernel, c, seed, kwargs = case
+    estimate, trace = estimator(make_model(), level, n, delta_target, make_kernel(kernel), c,
+                                np.random.default_rng([seed, 0]), **kwargs)
+    return {
+        "estimate": float(estimate).hex(),
+        "final_correction": float(trace.final_correction).hex(),
+        "steps": [step_record(s) for s in trace.steps],
         "eval_counts": {str(level): n for level, n in trace.eval_counts.items()},
     }
 
@@ -103,10 +147,16 @@ def test_subset_estimators_match_golden(golden, name):
     assert direct_output(DIRECT_CASES[name]) == golden["direct"][name]
 
 
+@pytest.mark.parametrize("name", sorted(TRACE_CASES))
+def test_sequential_traces_match_golden(golden, name):
+    assert trace_output(TRACE_CASES[name]) == golden["trace"][name]
+
+
 if __name__ == "__main__":
     data = {
         "csv": {name: csv_output(case) for name, case in CSV_CASES.items()},
         "direct": {name: direct_output(case) for name, case in DIRECT_CASES.items()},
+        "trace": {name: trace_output(case) for name, case in TRACE_CASES.items()},
     }
     GOLDEN.parent.mkdir(exist_ok=True)
     with open(GOLDEN, "w", encoding="utf-8") as fh:
