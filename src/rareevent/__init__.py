@@ -12,7 +12,6 @@ from .distributions import (
     fit_vmfn,
     nakagami_log_density,
     sample_nakagami,
-    sample_std_normal,
     sample_vmf,
     sample_vmfn,
     std_normal_log_cdf,

@@ -46,13 +46,6 @@ def std_normal_log_pdf(u):
     return -0.5 * np.sum(arr * arr, axis=axis) - 0.5 * n * np.log(2.0 * np.pi)
 
 
-def sample_std_normal(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw one standard-normal vector in R^n."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    return rng.standard_normal(n)
-
-
 @dataclass(frozen=True)
 class VmfnParams:
     """Fitted vMFN parameters: mean direction, concentration, shape, spread."""

@@ -108,13 +108,13 @@ class ExperimentConfig:
         if self.reference is not None and not (0 < self.reference < np.inf):
             raise ValueError("reference probability must be positive and finite")
         if self.method in ("sis", "mlsis"):
-            _check_settings(self.n, self.delta_target, self.c)
+            _check_settings(self.n, self.delta_target, self.c, self.n_b)
             if self.method == "mlsis" and self.levels > 1:
                 _peek_count(self.n, self.ns_frac)
         if self.method in ("sus", "mlsus"):
             if self.kernel != "acs":
                 raise ValueError("subset methods use the acs kernel")
-            _validate_p0(self.n, self.p0)
+            _validate_p0(self.n, self.p0, self.n_b)
         if self.n_b < 0:
             raise ValueError("burn-in must be nonnegative")
         if self.workers < 1:

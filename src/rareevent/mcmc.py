@@ -168,6 +168,7 @@ class AcsKernel:
         # the pCN proposal is phi_n-reversible: nothing is left to score
         return np.zeros(states.shape[0])
 
+    # unused here; perfbench/layers.py wraps this method on each kernel class
     def log_accept_extra(self, current, proposal) -> np.ndarray:
         return self.log_score(proposal) - self.log_score(current)
 
@@ -205,6 +206,7 @@ class VmfnIndependentKernel:
         # log phi_n - log q: the independence proposal's terms in the MH ratio
         return std_normal_log_pdf(states) - vmfn_log_density(states, self.params)
 
+    # unused here; perfbench/layers.py wraps this method on each kernel class
     def log_accept_extra(self, current, proposal) -> np.ndarray:
         return self.log_score(proposal) - self.log_score(current)
 
@@ -233,10 +235,8 @@ def run_chains(model: LimitStateModel, target, kernel, seeds: np.ndarray,
     never recomputed; each iteration costs one batched model evaluation per
     target level.  The kernel scores the seeds and each batch of proposals
     once; accepted scores are carried like the limit-state values.  Callers
-    check that 1/c is an integer (`sis._seed_count`).
+    check the layout (burn_in >= 0, integer 1/c) once, with `sis._seed_count`.
     """
-    if burn_in < 0:
-        raise ValueError("burn-in must be nonnegative")
     steps = burn_in + round(1.0 / c)
     begin = getattr(kernel, "begin_target", None)
     if begin is not None:

@@ -159,13 +159,13 @@ def bridge_level(model: LimitStateModel, ensemble: SampleEnsemble,
     raise NonconvergenceError(f"bridge did not reach beta=1 in {MAX_BRIDGE_STEPS} steps")
 
 
-def _check_settings(n_samples: int, delta_target: float, c: float) -> None:
-    """The sample count, COV target and seed fraction SIS and MLSIS accept."""
+def _check_settings(n_samples: int, delta_target: float, c: float, burn_in: int) -> None:
+    """The sample count, COV target and chain layout SIS and MLSIS accept."""
     if n_samples < 2:
         raise ValueError("need at least two samples")
     if not (delta_target > 0):
         raise ValueError("delta_target must be positive")
-    _seed_count(n_samples, c)
+    _seed_count(n_samples, c, burn_in)
 
 
 def _peek_count(n_samples: int, subset_fraction: float) -> int:
@@ -188,7 +188,7 @@ def mlsis_estimate(model: LimitStateModel, max_level: int, n_samples: int,
     the choice open.  The run ends once the stopping COV meets its target and
     the ensemble sits on the finest level.  Returns (probability, EstimatorTrace).
     """
-    _check_settings(n_samples, delta_target, c)
+    _check_settings(n_samples, delta_target, c, burn_in)
     n_subset = _peek_count(n_samples, subset_fraction) if max_level > 1 else 0
 
     def advance(ensemble, trace):

@@ -195,18 +195,22 @@ def _reweight_and_move(model: LimitStateModel, target, kernel, samples: np.ndarr
 
     S-hat is the mean of the solver's weights `log_w`; the kernel is fitted to
     the weighted `samples`, and N*c seeds, drawn by weight with their cached
-    `values` by level, run chains of 1/c steps.  Returns (S-hat, states, values).
+    `values` by level, run chains of burn_in + 1/c steps, a layout the
+    estimator checked with `_seed_count`.  Returns (S-hat, states, values).
     """
     factor = float(np.exp(log_mean_exp(log_w)))
     kernel.prepare(samples, log_w, n_steps=round(1.0 / c))
-    idx = resample_multinomial(np.exp(log_w - log_w.max()), _seed_count(len(samples), c), rng)
+    idx = resample_multinomial(np.exp(log_w - log_w.max()), round(c * len(samples)), rng)
     seed_values = {lvl: values[lvl][idx] for lvl in target.levels}
     states, values = run_chains(model, target, kernel, samples[idx], seed_values,
                                 c, burn_in, rng)
     return factor, states, values
 
 
-def _seed_count(n: int, c: float) -> int:
+def _seed_count(n: int, c: float, burn_in: int) -> int:
+    """N*c, once the chain layout is checked: N*c seeds, each run burn_in + 1/c steps."""
+    if burn_in < 0:
+        raise ValueError("burn-in must be nonnegative")
     if not (0.0 < c <= 1.0):
         raise ValueError(f"seed fraction {c} must lie in (0, 1]")
     inv_c = round(1.0 / c)
@@ -223,8 +227,7 @@ def optimal_log_weights(ensemble: SampleEnsemble) -> np.ndarray:
     g = ensemble.g
     log_w = np.full(g.shape, -np.inf)
     fail = is_failure(g)
-    if np.any(fail):
-        log_w[fail] = -std_normal_log_cdf(-g[fail] / ensemble.sigma)
+    log_w[fail] = -std_normal_log_cdf(-g[fail] / ensemble.sigma)
     return log_w
 
 
@@ -239,11 +242,8 @@ def stopping_cov(ensemble: SampleEnsemble) -> float:
 
 
 def final_correction(ensemble: SampleEnsemble) -> float:
-    """Mean optimal-density weight: the last factor of the estimator."""
-    log_w = optimal_log_weights(ensemble)
-    if np.all(np.isneginf(log_w)):
-        return 0.0
-    return float(np.exp(log_mean_exp(log_w)))
+    """Mean optimal-density weight: the last factor of the estimator; 0 while no sample fails."""
+    return float(np.exp(log_mean_exp(optimal_log_weights(ensemble))))
 
 
 def run_sequence(model: LimitStateModel, max_level: int, n_samples: int,

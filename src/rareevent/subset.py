@@ -43,10 +43,10 @@ class DomainTarget:
         return np.where(g <= self.threshold, 0.0, -np.inf)
 
 
-def _validate_p0(n_samples: int, p0: float) -> int:
+def _validate_p0(n_samples: int, p0: float, burn_in: int) -> int:
     if not p0 < 1.0:
         raise ValueError("p0 must lie in (0, 1)")
-    return _seed_count(n_samples, p0)
+    return _seed_count(n_samples, p0, burn_in)
 
 
 def _stalled(thresholds: list[float]) -> bool:
@@ -83,7 +83,7 @@ def mlsus_estimate(model: LimitStateModel, max_level: int, n_samples: int, p0: f
 
 def _subset_simulation(model, max_level, n_samples, p0, kernel, burn_in, rng,
                        burn_in_every_step: bool):
-    n_seeds = _validate_p0(n_samples, p0)
+    n_seeds = _validate_p0(n_samples, p0, burn_in)
 
     def advance(ensemble, trace):
         evals_at = model.counter.total()

@@ -7,11 +7,11 @@ from scipy import integrate, special, stats
 from rareevent.distributions import (
     VMF_REJECTION_ROUNDS,
     VmfnParams,
+    _log_bessel_iv,
     _sample_vmf_cosines,
     fit_vmfn,
     nakagami_log_density,
     sample_nakagami,
-    sample_std_normal,
     sample_vmf,
     sample_vmfn,
     std_normal_log_cdf,
@@ -100,19 +100,6 @@ class TestStdNormalLogCdf:
 
 
 class TestSampleStdNormal:
-    def test_deterministic_given_seed(self):
-        a = sample_std_normal(3, np.random.default_rng(11))
-        b = sample_std_normal(3, np.random.default_rng(11))
-        assert np.array_equal(a, b)
-
-    def test_zero_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            sample_std_normal(0, np.random.default_rng(0))
-
-    def test_coordinate_means(self, rng):
-        draws = np.array([sample_std_normal(2, rng) for _ in range(100_000)])
-        assert np.all(np.abs(draws.mean(axis=0)) < 0.02)
-
     def test_norm_matches_chi_mean(self, rng):
         n = 150
         draws = rng.standard_normal((10_000, n))
@@ -149,6 +136,15 @@ class TestVmfDensity:
     def test_negative_kappa_rejected(self):
         with pytest.raises(ValueError):
             vmf_log_density([1.0, 0.0], [1.0, 0.0], -1.0)
+
+    def test_log_bessel_series_where_scaled_bessel_underflows(self):
+        # ive(74, 1e-3) underflows to 0, so the ascending series takes over;
+        # its first two terms already hold to roundoff
+        v, x = 74.0, 1e-3
+        assert special.ive(v, x) == 0.0
+        expected = (v * np.log(x / 2) - special.gammaln(v + 1)
+                    + np.log(1 + x * x / (4 * (v + 1))))
+        assert _log_bessel_iv(v, x) == pytest.approx(expected, rel=1e-12)
 
     def test_large_kappa_large_dimension_finite(self):
         n = 150
@@ -383,6 +379,13 @@ class TestFitVmfn:
         samples = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
         fitted = fit_vmfn(samples, np.ones(3))
         assert fitted.s == 1e6
+
+    def test_balanced_directions_give_uniform_directions(self):
+        # the weighted resultant vanishes: any mean direction, zero concentration
+        samples = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]])
+        fitted = fit_vmfn(samples, np.ones(4))
+        assert np.array_equal(fitted.nu, [1.0, 0.0])
+        assert fitted.kappa == 0.0
 
     def test_zero_weight_samples_ignored(self):
         samples = np.array([[1.0, 0.0], [0.0, 2.0], [37.0, 0.0]])

@@ -234,6 +234,14 @@ class TestMlsisEstimate:
             mlsis_estimate(model, 3, 100, 0.5, make_kernel("acs"), 0.5, rng)
         with pytest.raises(ValueError):
             mlsis_estimate(model, 2, 100, -0.1, make_kernel("acs"), 0.5, rng)
+        with pytest.raises(ValueError, match="at least two samples"):
+            mlsis_estimate(model, 2, 1, 0.5, make_kernel("acs"), 1.0, rng)
+
+    def test_negative_burn_in_rejected_before_any_evaluation(self, rng):
+        model = Diffusion1dModel(max_level=3)
+        with pytest.raises(ValueError, match="burn-in must be nonnegative"):
+            mlsis_estimate(model, 3, 500, 0.5, make_kernel("vmfn"), 0.1, rng, burn_in=-1)
+        assert model.counter.counts() == {}
 
     @pytest.mark.parametrize("fraction", [0.0, -0.5])
     def test_subset_fraction_must_be_positive(self, fraction):

@@ -164,6 +164,7 @@ class TestStoppingCov:
     def test_no_failures_gives_infinity(self):
         ens = SampleEnsemble(np.zeros((5, 2)), np.full(5, 1.0), 1, sigma=1.0)
         assert stopping_cov(ens) == np.inf
+        assert final_correction(ens) == 0.0
 
     def test_half_failures_closed_form(self):
         # weights {1/Phi(1), 0} half and half: COV = sqrt(N/N_fail - 1) = 1
@@ -266,11 +267,17 @@ class TestSisEstimate:
         with pytest.raises(ValueError):
             sis_estimate(LinearLsfModel(1.0, 5), 1, 100, 0.25,
                          make_kernel("acs"), 0.3, rng)
+        for c in (0.0, 1.5):
+            with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+                sis_estimate(LinearLsfModel(1.0, 5), 1, 100, 0.25,
+                             make_kernel("acs"), c, rng)
 
     def test_negative_burn_in_rejected(self, rng):
+        # before the level-1 draw: no evaluation is spent
+        model = LinearLsfModel(3.5, 10)
         with pytest.raises(ValueError, match="burn-in must be nonnegative"):
-            sis_estimate(LinearLsfModel(3.5, 10), 1, 1000, 0.5,
-                         make_kernel("vmfn"), 0.1, rng, burn_in=-1)
+            sis_estimate(model, 1, 1000, 0.5, make_kernel("vmfn"), 0.1, rng, burn_in=-1)
+        assert model.counter.counts() == {}
 
 
 class PerfectLinearKernel:

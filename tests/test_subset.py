@@ -58,14 +58,30 @@ class TestSusEstimate:
             sus_estimate(model, 1, 105, 0.1, make_kernel("acs"), 0, rng)
         with pytest.raises(ValueError):
             sus_estimate(model, 1, 100, 0.15, make_kernel("acs"), 0, rng)
+        with pytest.raises(ValueError, match=r"p0 must lie in \(0, 1\)"):
+            sus_estimate(model, 1, 100, 1.0, make_kernel("acs"), 0, rng)
 
     def test_negative_burn_in_rejected(self, rng):
+        # before the level-1 draw: no evaluation is spent
+        model = LinearLsfModel(3.5, 10)
         with pytest.raises(ValueError, match="burn-in must be nonnegative"):
-            sus_estimate(LinearLsfModel(3.5, 10), 1, 1000, 0.1,
-                         make_kernel("acs"), -1, rng)
+            sus_estimate(model, 1, 1000, 0.1, make_kernel("acs"), -1, rng)
+        assert model.counter.counts() == {}
 
 
 class TestMlsusEstimate:
+    @pytest.mark.parametrize("make_model, max_level, n", [
+        (lambda: LinearLsfModel(3.5, 10), 1, 1000),
+        (lambda: Diffusion1dModel(max_level=3), 3, 500),
+    ], ids=["linear-l1", "diffusion1d-l3"])
+    def test_negative_burn_in_rejected_before_any_evaluation(self, rng, make_model,
+                                                              max_level, n):
+        # at one level no step is a level update, whose chains alone burn in
+        model = make_model()
+        with pytest.raises(ValueError, match="burn-in must be nonnegative"):
+            mlsus_estimate(model, max_level, n, 0.1, make_kernel("acs"), -1, rng)
+        assert model.counter.counts() == {}
+
     def test_level_constant_reduces_to_sus(self, rng):
         model = TwoLevelLinear(betas=(3.0, 3.0))
         p, trace = mlsus_estimate(model, 2, 1000, 0.1, make_kernel("acs"), 0, rng)
