@@ -5,10 +5,11 @@ Phi(-G_l/sigma)^beta * Phi(-G_(l-1)/sigma)^(1-beta) * phi_n(u): beta = 1 is
 tempering on level l, beta < 1 a bridge onto it.  Subset simulation's hard
 indicator `subset.DomainTarget` sits beside it.  Kernels supply proposals
 plus a per-state score holding whatever prior/proposal terms do not cancel
-in the acceptance ratio.  Chains from all seeds advance in lockstep so every
-iteration evaluates the limit state once per proposal and per involved
-level, as one batched call.  The aCS kernel's tuning is fixed by its class
-constants TARGET_RATE, ADAPT_FRACTION, RHO_BOUNDS and LAMBDA_BOUNDS.
+in the acceptance ratio.  Chains from all seeds advance in lockstep and
+evaluate each proposal once per involved level, batched per iteration (aCS)
+or per step (vMFN, whose proposals are STATE_INDEPENDENT of the chain).  The
+aCS kernel's tuning is fixed by its class constants TARGET_RATE,
+ADAPT_FRACTION, RHO_BOUNDS and LAMBDA_BOUNDS.
 
 Kernels implement `prepare(samples, log_weights, n_steps)`, `propose`,
 `log_score` and `feedback`.  Tempering and bridging reach `run_chains` through
@@ -190,6 +191,8 @@ class AcsKernel:
 class VmfnIndependentKernel:
     """Independence sampler proposing from a vMFN fit of the weighted ensemble."""
 
+    STATE_INDEPENDENT = True  # proposals ignore the chain: run_chains batches a whole step
+
     def __init__(self, params: VmfnParams | None = None):
         self.params = params
         self.stats = KernelStats()
@@ -232,39 +235,51 @@ def run_chains(model: LimitStateModel, target, kernel, seeds: np.ndarray,
     Returns (states, values) where states stacks the post-burn-in iterations
     of every chain (count = len(seeds) / c) and values carries the cached
     limit-state evaluations per level of the target.  Seed values are reused,
-    never recomputed; each iteration costs one batched model evaluation per
-    target level.  The kernel scores the seeds and each batch of proposals
-    once; accepted scores are carried like the limit-state values.  Callers
-    check the layout (burn_in >= 0, integer 1/c) once, with `sis._seed_count`.
+    never recomputed.  Each iteration draws its proposals, then its uniforms.
+    A kernel whose proposals are STATE_INDEPENDENT draws them for every
+    iteration up front, and the run costs one batched model evaluation per
+    target level; any other kernel costs one per iteration and level.  The
+    kernel scores the seeds and each iteration's proposals once; accepted
+    scores are carried like the limit-state values.  Callers check the layout
+    (burn_in >= 0, integer 1/c) once, with `sis._seed_count`.
     """
     steps = burn_in + round(1.0 / c)
     begin = getattr(kernel, "begin_target", None)
     if begin is not None:
         begin(target)
     current = np.array(seeds, dtype=float)
+    m, n = current.shape
     values = {lvl: np.array(seed_values[lvl], dtype=float) for lvl in target.levels}
-    kept_states = []
-    kept_values = {lvl: [] for lvl in target.levels}
+    states = np.empty(((steps - burn_in) * m, n))
+    kept = {lvl: np.empty(states.shape[0]) for lvl in target.levels}
     log_smooth_cur = target.log_smooth(values)
     score_cur = kernel.log_score(current)
+    # iterations drawn per evaluation: all of them when no proposal reads the state
+    batch = steps if getattr(kernel, "STATE_INDEPENDENT", False) else 1
+    drawn, uniforms = np.empty((batch * m, n)), np.empty((batch, m))
     for step in range(steps):
-        proposals = kernel.propose(current, rng)
-        prop_values = {lvl: model.evaluate_batch(proposals[:, :model.dim(lvl)], lvl)
-                       for lvl in target.levels}
-        log_smooth_prop = target.log_smooth(prop_values)
+        slot = step % batch
+        if slot == 0:
+            for k in range(batch):
+                drawn[k * m:(k + 1) * m] = kernel.propose(current, rng)
+                uniforms[k] = rng.uniform(size=m)
+            drawn_values = {lvl: model.evaluate_batch(drawn[:, :model.dim(lvl)], lvl)
+                            for lvl in target.levels}
+        rows = slice(slot * m, (slot + 1) * m)
+        proposals = drawn[rows]
+        log_smooth_prop = target.log_smooth({lvl: v[rows] for lvl, v in drawn_values.items()})
         score_prop = kernel.log_score(proposals)
         log_alpha = log_smooth_prop - log_smooth_cur + (score_prop - score_cur)
-        accept = np.log(rng.uniform(size=current.shape[0])) < log_alpha
+        accept = np.log(uniforms[slot]) < log_alpha
         current[accept] = proposals[accept]
         log_smooth_cur = np.where(accept, log_smooth_prop, log_smooth_cur)
         score_cur = np.where(accept, score_prop, score_cur)
         for lvl in target.levels:
-            values[lvl] = np.where(accept, prop_values[lvl], values[lvl])
+            values[lvl] = np.where(accept, drawn_values[lvl][rows], values[lvl])
         kernel.feedback(accept)
         if step >= burn_in:
-            kept_states.append(current.copy())
+            keep = slice((step - burn_in) * m, (step - burn_in + 1) * m)
+            states[keep] = current
             for lvl in target.levels:
-                kept_values[lvl].append(values[lvl].copy())
-    states = np.concatenate(kept_states, axis=0)
-    out_values = {lvl: np.concatenate(kept_values[lvl]) for lvl in target.levels}
-    return states, out_values
+                kept[lvl][keep] = values[lvl]
+    return states, kept

@@ -5,6 +5,7 @@ from scipy import stats
 from rareevent import mcmc
 from rareevent.distributions import VmfnParams, sample_vmfn, vmfn_log_density
 from rareevent.errors import DegenerateWeightsError
+from rareevent.fem2d import FlowCellModel
 from rareevent.mcmc import (
     AcsKernel,
     TemperingTarget,
@@ -15,12 +16,32 @@ from rareevent.mcmc import (
     resample_multinomial,
     run_chains,
 )
-from rareevent.models import ConstantModel, LinearLsfModel
+from rareevent.models import ConstantModel, LimitStateModel, LinearLsfModel
 from rareevent.sis import tempering_log_weights
+from rareevent.subset import DomainTarget
 
 
 class CountingModel(ConstantModel):
     """Constant limit state that only counts how often it is evaluated."""
+
+
+class TwoLevelLinear(LimitStateModel):
+    """G_l(u) = beta_l - u_1 on two levels; logs the rows of every batch call."""
+
+    def __init__(self, betas=(2.0, 2.5), dims=(4, 6)):
+        super().__init__(dims, cost_dim=1)
+        self.betas = betas
+        self.calls = []
+
+    def _evaluate_batch(self, xis, level):
+        self.calls.append((level, xis.shape[0]))
+        return self.betas[level - 1] - xis[:, 0]
+
+
+class LockstepVmfn(VmfnIndependentKernel):
+    """The vMFN kernel with its proposals evaluated one iteration at a time."""
+
+    STATE_INDEPENDENT = False
 
 
 class IdentityKernel:
@@ -246,6 +267,86 @@ class TestVmfnKernel:
         run_chains(model, TemperingTarget(level=1, sigma=1.0), kernel, pool[:seeds],
                    {1: g[:seeds]}, c=1.0 / inv_c, burn_in=burn_in, rng=rng)
         assert sum(rows) == seeds + (burn_in + inv_c) * seeds
+
+
+# (model factory, target) pairs: tempering, bridging onto level 2, subset domain
+BATCHING_CASES = {
+    "linear-temper": (lambda: LinearLsfModel(2.0, 6), TemperingTarget(level=1, sigma=0.7)),
+    "linear-bridge": (TwoLevelLinear, TemperingTarget(level=2, sigma=0.7, beta=0.4)),
+    "linear-domain": (lambda: LinearLsfModel(2.0, 6), DomainTarget(level=1, threshold=1.5)),
+    "flowcell-temper": (lambda: FlowCellModel(tau0=0.2, max_level=2),
+                        TemperingTarget(level=2, sigma=0.05)),
+    "flowcell-bridge": (lambda: FlowCellModel(tau0=0.2, max_level=2),
+                        TemperingTarget(level=2, sigma=0.05, beta=0.6)),
+    "flowcell-domain": (lambda: FlowCellModel(tau0=0.2, max_level=2),
+                        DomainTarget(level=2, threshold=0.02)),
+}
+
+
+def weighted_seeds(model, target, n_pool, n_seeds, rng):
+    """A pool at the target's finest level, its log weights and resampled seeds."""
+    pool = rng.standard_normal((n_pool, model.dim(max(target.levels))))
+    g = {lvl: model.evaluate_batch(pool[:, :model.dim(lvl)], lvl) for lvl in target.levels}
+    log_w = target.log_smooth(g)
+    idx = resample_multinomial(np.exp(log_w - log_w.max()), n_seeds, rng)
+    return pool, log_w, pool[idx], {lvl: v[idx] for lvl, v in g.items()}
+
+
+class TestIndependentProposalsBatched:
+    """A vMFN step evaluated in one batch equals the lockstep one bit for bit.
+
+    The linear and flow-cell rows are bitwise the same in any batch, so the
+    states, values, kernel statistics and random stream must all agree.
+    """
+
+    @pytest.mark.parametrize("burn_in", [0, 2])
+    @pytest.mark.parametrize("case", sorted(BATCHING_CASES))
+    def test_batched_equals_lockstep(self, case, burn_in):
+        make_model, target = BATCHING_CASES[case]
+        model = make_model()
+        pool, log_w, seeds, seed_values = weighted_seeds(model, target, 300, 20,
+                                                         np.random.default_rng(5))
+        batched = VmfnIndependentKernel()
+        batched.prepare(pool, log_w, 5)
+        lockstep = LockstepVmfn(batched.params)
+        runs = []
+        for kernel in (batched, lockstep):
+            rng = np.random.default_rng(6)
+            states, values = run_chains(model, target, kernel, seeds, seed_values,
+                                        c=0.2, burn_in=burn_in, rng=rng)
+            runs.append((states, values, kernel.stats, rng.bit_generator.state))
+        (states_b, values_b, stats_b, rng_b), (states_l, values_l, stats_l, rng_l) = runs
+        assert states_b.shape == (5 * 20, seeds.shape[1])
+        assert np.array_equal(states_b, states_l)
+        assert values_b.keys() == values_l.keys() == set(target.levels)
+        for lvl in target.levels:
+            assert np.array_equal(values_b[lvl], values_l[lvl])
+        assert stats_b == stats_l
+        assert stats_b.proposals == (5 + burn_in) * 20
+        assert 0 < stats_b.accepted < stats_b.proposals
+        assert rng_b == rng_l
+
+    @pytest.mark.parametrize("burn_in", [0, 2])
+    @pytest.mark.parametrize("target", [TemperingTarget(level=1, sigma=0.7),
+                                        TemperingTarget(level=2, sigma=0.7, beta=0.4),
+                                        DomainTarget(level=2, threshold=1.5)])
+    def test_one_evaluation_per_level(self, target, burn_in):
+        # vMFN: one call per target level of (burn_in + 1/c) * N * c rows;
+        # aCS: one call per level and iteration, of N * c rows
+        seeds_n, inv_c = 30, 4
+        steps = burn_in + inv_c
+        model = TwoLevelLinear()
+        pool, log_w, seeds, seed_values = weighted_seeds(model, target, 400, seeds_n,
+                                                         np.random.default_rng(8))
+        for kernel, calls in ((VmfnIndependentKernel(), [(lvl, steps * seeds_n)
+                                                         for lvl in target.levels]),
+                              (AcsKernel(), [(lvl, seeds_n) for _ in range(steps)
+                                             for lvl in target.levels])):
+            kernel.prepare(pool, log_w, inv_c)
+            model.calls.clear()
+            run_chains(model, target, kernel, seeds, seed_values, c=1.0 / inv_c,
+                       burn_in=burn_in, rng=np.random.default_rng(9))
+            assert model.calls == calls
 
 
 class TestExtendDimension:

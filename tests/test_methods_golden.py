@@ -17,6 +17,9 @@ on purpose shows there which steps moved.
 Regenerate (only for an intended change of results) with
 
     PYTHONPATH=src python tests/test_methods_golden.py
+
+which prints every entry it changed, its old and new value and, for a
+`float.hex` value, the relative move (CSV text is compared line by line).
 """
 
 import dataclasses
@@ -152,7 +155,30 @@ def test_sequential_traces_match_golden(golden, name):
     assert trace_output(TRACE_CASES[name]) == golden["trace"][name]
 
 
+def changed_entries(old, new, path=""):
+    """(path, old, new) for every leaf of the golden data that differs."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from changed_entries(old.get(key), new.get(key), f"{path}/{key}".lstrip("/"))
+    elif isinstance(old, str) and isinstance(new, str) and "\n" in old + new:
+        yield from changed_entries(old.splitlines(), new.splitlines(), path)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from changed_entries(a, b, f"{path}[{i}]")
+    elif old != new:
+        yield path, old, new
+
+
+def relative_move(old, new) -> str:
+    try:
+        a, b = float.fromhex(old), float.fromhex(new)
+    except (TypeError, ValueError):
+        return ""
+    return f"  (relative {abs(b - a) / abs(a):.1e})" if a else ""
+
+
 if __name__ == "__main__":
+    previous = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     data = {
         "csv": {name: csv_output(case) for name, case in CSV_CASES.items()},
         "direct": {name: direct_output(case) for name, case in DIRECT_CASES.items()},
@@ -163,3 +189,5 @@ if __name__ == "__main__":
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")
     sys.stdout.write(f"wrote {GOLDEN}\n")
+    for path, old, new in changed_entries(previous, data):
+        sys.stdout.write(f"changed {path}: {old!r} -> {new!r}{relative_move(old, new)}\n")
