@@ -129,7 +129,7 @@ def cmd_mc_reference(args) -> int:
 
 
 def _parse_grid(specs: list[str]) -> list[dict]:
-    axes: list[tuple[str, list]] = []
+    axes: dict[str, list] = {}
     for item in specs:
         if "=" not in item:
             raise ValueError(f"grid arguments must be key=v1,v2,... got '{item}'")
@@ -137,11 +137,11 @@ def _parse_grid(specs: list[str]) -> list[dict]:
         key = key.strip().replace("-", "_")
         if key not in _FIELD_TYPES:
             raise ValueError(f"unknown grid key '{key}'")
-        axes.append((key, [_coerce(key, v) for v in raw.split(",")]))
-    cells = []
-    for combo in itertools.product(*(vals for _, vals in axes)):
-        cells.append({k: v for (k, _), v in zip(axes, combo)})
-    return cells
+        values = [_coerce(key, v) for v in raw.split(",")]
+        if key in axes or len(set(values)) < len(values):
+            raise ValueError(f"grid key '{key}' is given twice or repeats a value")
+        axes[key] = values
+    return [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
 
 
 def cmd_sweep(args) -> int:

@@ -351,38 +351,32 @@ def trace_particle(vel, start, h: float, max_steps: int | None = None):
 
 
 class FlowCellModel(LimitStateModel):
-    """Travel-time limit state tau - tau0 for the 2D Darcy flow cell."""
+    """Travel-time limit state tau - tau0 (0 < tau0 < inf) for the 2D Darcy flow cell."""
 
     start = START
 
     def __init__(self, tau0: float = 0.03, max_level: int = len(DEFAULT_LEVEL_DIMS_2D),
                  level_dims=None):
-        if tau0 <= 0:
-            raise ValueError("travel-time threshold must be positive")
+        if not (0 < tau0 < np.inf):
+            raise ValueError("travel-time threshold must be positive and finite")
         super().__init__(checked_level_dims(level_dims, max_level, DEFAULT_LEVEL_DIMS_2D),
                          cost_dim=2)
         self.tau0 = float(tau0)
         self.basis = kl_basis_2d(CORR_LENGTH, KL_TRUNCATION)
-        self._solvers: dict[int, _StreamFunctionSolver] = {}
-        self._mode_matrices: dict[int, np.ndarray] = {}
+        self._level_forms: dict[int, tuple[_StreamFunctionSolver, np.ndarray]] = {}
 
-    def _assembler(self, level: int) -> _StreamFunctionSolver:
-        if level not in self._solvers:
+    def _level_form(self, level: int) -> tuple[_StreamFunctionSolver, np.ndarray]:
+        if level not in self._level_forms:
             mesh = build_mesh(round(1.0 / self.mesh_size(level)))
-            self._solvers[level] = _StreamFunctionSolver(mesh)
-        return self._solvers[level]
-
-    def _modes(self, level: int) -> np.ndarray:
-        if level not in self._mode_matrices:
-            mesh = self._assembler(level).mesh
             theta = self.basis.eigenfunction_matrix(mesh.centroids, self.basis.truncation)
-            self._mode_matrices[level] = theta * np.sqrt(self.basis.eigenvalues)[None, :]
-        return self._mode_matrices[level]
+            self._level_forms[level] = (_StreamFunctionSolver(mesh),
+                                        theta * np.sqrt(self.basis.eigenvalues)[None, :])
+        return self._level_forms[level]
 
     def permeability(self, xi, level: int) -> np.ndarray:
         """Per-triangle log-normal permeability for one coefficient vector."""
         xi = np.asarray(xi, dtype=float)
-        return np.exp(self._modes(level)[:, : xi.shape[0]] @ xi)
+        return np.exp(self._level_form(level)[1][:, : xi.shape[0]] @ xi)
 
     def travel_time(self, xis, level: int) -> np.ndarray:
         """Travel times for an (m, n) batch of coefficient vectors, one per row.
@@ -391,9 +385,9 @@ class FlowCellModel(LimitStateModel):
         differently from a mat-vec, and a sample's value must not depend on
         the batch it arrives in.
         """
-        solver = self._assembler(level)
+        solver, modes = self._level_form(level)
         xis = np.asarray(xis, dtype=float)
-        modes = self._modes(level)[:, : xis.shape[1]]
+        modes = modes[:, : xis.shape[1]]
         a = np.empty((xis.shape[0], modes.shape[0]))
         for xi, row in zip(xis, a):
             np.matmul(modes, xi, out=row)
@@ -402,7 +396,7 @@ class FlowCellModel(LimitStateModel):
         return trace_particle(u, self.start, self.mesh_size(level))
 
     def _evaluate_batch(self, xis, level):
-        chunk = max(1, _CHUNK_VALUES // self._assembler(level).mesh.n_tri)
+        chunk = max(1, _CHUNK_VALUES // self._level_form(level)[0].mesh.n_tri)
         times = np.empty(len(xis))
         for k in range(0, len(xis), chunk):
             times[k:k + chunk] = self.travel_time(xis[k:k + chunk], level)

@@ -163,8 +163,8 @@ def _check_settings(n_samples: int, delta_target: float, c: float, burn_in: int)
     """The sample count, COV target and chain layout SIS and MLSIS accept."""
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    if not (delta_target > 0):
-        raise ValueError("delta_target must be positive")
+    if not (0 < delta_target < np.inf):
+        raise ValueError("delta_target must be positive and finite")
     _seed_count(n_samples, c, burn_in)
 
 

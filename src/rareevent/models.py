@@ -14,6 +14,8 @@ from abc import ABC, abstractmethod
 import numpy as np
 from scipy import special
 
+from .errors import ModelEvaluationError
+
 KL_TRUNCATION = 150
 
 
@@ -78,10 +80,12 @@ class LimitStateModel(ABC):
     implements only `_evaluate_batch`.  Evaluations are tallied in `counter`
     at the level they were requested.
 
-    The batch contract: values are deterministic per (batch, level).  A row's
-    value may change in its last bits with the batch it arrives in, as the 1D
-    diffusion model's GEMM and GEMV round differently for other batch shapes;
-    the linear and flow-cell rows are bitwise the same in any batch.
+    The batch contract: values are finite, or the call raises
+    `ModelEvaluationError` and tallies nothing (in 1D, 1/a overflows where a
+    underflows, and a NaN input stays NaN).  Values are deterministic per
+    (batch, level), but a row's last bits may change with its batch, as the 1D
+    model's GEMM and GEMV round differently for other batch shapes; the
+    linear and flow-cell rows are bitwise the same in any batch.
     """
 
     mesh_size = staticmethod(mesh_size)
@@ -106,13 +110,17 @@ class LimitStateModel(ABC):
     def _evaluate_batch(self, xis: np.ndarray, level: int) -> np.ndarray:
         """Limit-state values of an (m, dim(level)) batch, one per row."""
 
-    def _check(self, xi: np.ndarray, level: int) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        if xi.shape[-1] != self.dim(level):
-            raise ValueError(
-                f"level {level} expects dimension {self.dim(level)}, got {xi.shape[-1]}"
-            )
-        return xi
+    def _tallied(self, xis, level: int, tally_level: int) -> np.ndarray:
+        """Checked values of a batch at `level`, tallied at `tally_level`."""
+        xis = np.atleast_2d(np.asarray(xis, dtype=float))
+        if xis.shape[-1] != self.dim(level):
+            raise ValueError(f"level {level} expects dimension {self.dim(level)}, "
+                             f"got {xis.shape[-1]}")
+        out = self._evaluate_batch(xis, level)
+        if not np.all(np.isfinite(out)):
+            raise ModelEvaluationError(f"non-finite limit-state value at level {level}")
+        self.counter.add(tally_level, xis.shape[0])
+        return out
 
     def evaluate(self, xi, level: int) -> float:
         """One evaluation: a batch of one."""
@@ -120,10 +128,7 @@ class LimitStateModel(ABC):
 
     def evaluate_batch(self, xis, level: int) -> np.ndarray:
         """Evaluate a (m, n_level) batch; counts m evaluations at `level`."""
-        xis = np.atleast_2d(self._check(xis, level))
-        out = self._evaluate_batch(xis, level)
-        self.counter.add(level, xis.shape[0])
-        return out
+        return self._tallied(xis, level, level)
 
 
 class LinearLsfModel(LimitStateModel):
@@ -132,6 +137,8 @@ class LinearLsfModel(LimitStateModel):
     def __init__(self, beta: float, n: int):
         super().__init__((n,), cost_dim=1)
         self.beta = float(beta)
+        if not np.isfinite(self.beta):
+            raise ValueError("beta must be finite")
 
     def exact_probability(self) -> float:
         return float(special.ndtr(-self.beta))
@@ -170,10 +177,7 @@ class PinnedLevelModel(LimitStateModel):
 
     def evaluate_batch(self, xis, level: int = 1) -> np.ndarray:
         """Tallied at the pinned level of the base model, not at level 1."""
-        xis = np.atleast_2d(self._check(xis, level))
-        out = self._evaluate_batch(xis, level)
-        self.counter.add(self.level, xis.shape[0])
-        return out
+        return self._tallied(xis, level, self.level)
 
 
 def mc_estimate(model: LimitStateModel, level: int, n_samples: int,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+from rareevent import _blas
 from rareevent.errors import ModelEvaluationError
 from rareevent.fem1d import Diffusion1dModel, solve_diffusion_1d
 from rareevent.randomfield import lognormal_params
@@ -145,6 +146,16 @@ class TestDiffusionModel:
             model.evaluate(np.full(150, -1e3), 8)
         # a is tiny but positive everywhere: a valid, very negative G
         assert np.isfinite(model.evaluate(np.full(150, 1e3), 8))
+
+    def test_same_bits_on_one_and_two_blas_threads(self, two_blas_threads, rng):
+        # the level-8 GEMM and GEMV of a 2000-row batch, threaded or not
+        model = Diffusion1dModel()
+        xis = rng.standard_normal((2000, model.dim(8)))
+        two = model._evaluate_batch(xis, 8)
+        assert _blas.blas_threads() == two_blas_threads
+        with _blas.single_blas_thread():
+            one = model._evaluate_batch(xis, 8)
+        assert np.array_equal(one, two)
 
     def test_counter_tracks_levels(self, rng):
         model = Diffusion1dModel()

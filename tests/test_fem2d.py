@@ -117,7 +117,7 @@ class TestParticleTracking:
         model = FlowCellModel()
         xi = rng.standard_normal(40)
         a = model.permeability(xi, 3)
-        asm = model._assembler(3)
+        asm = model._level_form(3)[0]
         t1 = trace_particle(asm.solve(a), model.start, model.mesh_size(3))
         t3 = trace_particle(asm.solve(3.0 * a), model.start, model.mesh_size(3))
         assert t3 == pytest.approx(t1 / 3.0, rel=1e-9)
@@ -164,3 +164,8 @@ class TestFlowCellModel:
         g = model.evaluate_batch(xis, 1)
         assert g.shape == (3,)
         assert model.counter.counts() == {1: 3}
+
+    @pytest.mark.parametrize("tau0", [0.0, -1.0, np.nan, np.inf])
+    def test_threshold_must_be_positive_and_finite(self, tau0):
+        with pytest.raises(ValueError, match="must be positive"):
+            FlowCellModel(tau0=tau0)

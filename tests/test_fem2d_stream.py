@@ -27,7 +27,7 @@ def test_matches_saddle_point_golden_values(level):
     model = FlowCellModel()
     ref = GOLDEN["levels"][str(level)]
     xis = np.array(GOLDEN["xi"])[:, : model.dim(level)]
-    solver = model._assembler(level)
+    solver = model._level_form(level)[0]
     for xi, tau_ref, p_ref in zip(xis, ref["travel_time"], ref["pressures"]):
         vel = solver.solve(model.permeability(xi, level))
         tau = trace_particle(vel, model.start, model.mesh_size(level))
@@ -66,7 +66,7 @@ def _dense_p1_stiffness(m, a):
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_band_is_the_p1_stiffness(level, rng):
     model = FlowCellModel()
-    solver = model._assembler(level)
+    solver = model._level_form(level)[0]
     m, n, kd = solver.mesh.m, solver.n, solver.kd
     assert kd == m + 1
     a = np.exp(rng.standard_normal(solver.mesh.n_tri))
@@ -83,7 +83,7 @@ def test_lockstep_times_equal_single_particle_times(rng):
     # random level-3 fields after the uniform fields (1, 0) and (1, 1), whose
     # particles leave through the east face on step 32 and the top on step 23
     model = FlowCellModel()
-    solver = model._assembler(3)
+    solver = model._level_form(3)[0]
     h = model.mesh_size(3)
     xis = rng.standard_normal((6, model.dim(3))) * np.linspace(0.5, 2.0, 6)[:, None]
     a = np.array([model.permeability(xi, 3) for xi in xis])
@@ -101,7 +101,7 @@ def test_lockstep_times_equal_single_particle_times(rng):
 @pytest.mark.parametrize("level", [2, 3])
 def test_evaluate_batch_equals_single_evaluations(level, rng, monkeypatch):
     model = FlowCellModel()
-    n_tri = model._assembler(level).mesh.n_tri
+    n_tri = model._level_form(level)[0].mesh.n_tri
     monkeypatch.setattr(fem2d, "_CHUNK_VALUES", 3 * n_tri)   # chunks of three samples
     xis = rng.standard_normal((7, model.dim(level)))
     batch = model.evaluate_batch(xis, level)
@@ -111,7 +111,7 @@ def test_evaluate_batch_equals_single_evaluations(level, rng, monkeypatch):
 
 def test_zero_field_in_batch_stagnates():
     model = FlowCellModel()
-    solver = model._assembler(2)
+    solver = model._level_form(2)[0]
     u = solver.velocities(solver.stream_functions(np.ones((2, solver.mesh.n_tri))))
     assert np.allclose(trace_particle(u, model.start, solver.mesh.h), 1.0, atol=1e-12)
     u[1] = 0.0
@@ -131,23 +131,11 @@ def test_default_step_cap_scales_with_mesh():
 
 def test_nonpositive_permeability_rejected_in_batch():
     model = FlowCellModel()
-    solver = model._assembler(1)
+    solver = model._level_form(1)[0]
     a = np.ones((3, solver.mesh.n_tri))
     a[2, 5] = 0.0
     with pytest.raises(ModelEvaluationError):
         solver.stream_functions(a)
-
-
-@pytest.fixture
-def two_blas_threads():
-    """Every loaded OpenBLAS on two threads, so a one-thread scope shows on any host."""
-    saved = _blas.blas_threads()
-    if not saved:
-        pytest.skip("no OpenBLAS found in /proc/self/maps")
-    _blas.set_blas_threads(2)
-    yield [2] * len(saved)
-    for (_, set_threads), n in zip(_blas._libraries(), saved):
-        set_threads(n)
 
 
 def _recording_dpbsv(monkeypatch, seen, fail=False):
@@ -185,7 +173,7 @@ def test_blas_threads_restored_when_a_solve_raises(two_blas_threads, rng, monkey
 @pytest.mark.parametrize("level", [3, 4])
 def test_one_thread_solve_matches_two_thread_solve_bit_for_bit(level, two_blas_threads, rng):
     model = FlowCellModel()
-    solver = model._assembler(level)
+    solver = model._level_form(level)[0]
     m, n, kd = solver.mesh.m, solver.n, solver.kd
     for xi in rng.standard_normal((3, model.dim(level))):
         a = model.permeability(xi, level)

@@ -342,9 +342,22 @@ class TestCli:
         # the model constructor rejects tau0 <= 0
         pytest.param(["--model", "flowcell2d", "--method", "mc", "--levels", "1",
                       "--n", "10", "--grid", "tau0=0.2,-1"], id="tau0"),
+        pytest.param(["--model", "flowcell2d", "--method", "mc", "--levels", "1",
+                      "--n", "10", "--grid", "tau0=0.2,nan"], id="tau0-nan"),
+        pytest.param(["--model", "flowcell2d", "--method", "mc", "--levels", "1",
+                      "--n", "10", "--grid", "tau0=0.2,inf"], id="tau0-inf"),
         # SIS needs two samples
         pytest.param(["--method", "sis", "--c", "1", "--n", "10", "--grid", "n=10,1"],
                      id="n"),
+        pytest.param(["--method", "mc", "--n", "10", "--grid", "beta=3,nan"], id="beta-nan"),
+        pytest.param(["--method", "mc", "--n", "10", "--grid", "beta=3,inf"], id="beta-inf"),
+        pytest.param(["--method", "sis", "--n", "100", "--grid", "delta_target=0.5,inf"],
+                     id="delta-target-inf"),
+        # a key given twice, or a value repeated after parsing, would drop or rerun a cell
+        pytest.param(["--method", "mc", "--n", "10", "--grid", "n=10", "--grid", "n=20"],
+                     id="grid-key-twice"),
+        pytest.param(["--method", "mc", "--n", "10", "--grid", "beta=3,3.0"],
+                     id="grid-value-twice"),
     ])
     def test_sweep_validates_every_cell_before_running(self, tmp_path, args):
         out_dir = tmp_path / "sweep"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from rareevent import mlsis, sis, subset
+from rareevent.errors import ModelEvaluationError
 from rareevent.fem1d import Diffusion1dModel
 from rareevent.fem2d import FlowCellModel
 from rareevent.models import (
@@ -68,6 +69,11 @@ class TestLinearModel:
             model.evaluate(np.zeros(2), 1)
         with pytest.raises(ValueError):
             model.evaluate(np.zeros(3), 2)
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+    def test_beta_must_be_finite(self, beta):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            LinearLsfModel(beta, 3)
 
 
 class TestEvalCounter:
@@ -182,6 +188,46 @@ class TestBatchContract:
             assert np.array_equal(split, whole)
         else:
             np.testing.assert_allclose(split, whole, rtol=0.0, atol=atol)
+
+
+def _nan_row(model, level):
+    xis = np.zeros((3, model.dim(level)))
+    xis[1] = np.nan
+    return xis
+
+
+# model, the level it is asked at, and a batch with a non-finite value
+_NON_FINITE = {
+    "linear-nan-row": (lambda: LinearLsfModel(3.0, 4), 1, _nan_row),
+    "constant-nan": (lambda: ConstantModel(np.nan), 1, lambda m, lvl: np.zeros((3, 2))),
+    "constant-inf": (lambda: ConstantModel(np.inf), 1, lambda m, lvl: np.zeros((3, 2))),
+    "pinned-diffusion1d": (lambda: PinnedLevelModel(Diffusion1dModel(max_level=3), 3), 1,
+                           _nan_row),
+    "diffusion1d-nan": (Diffusion1dModel, 8, _nan_row),
+    # a underflows to 0 on part of the mesh, so 1/a overflows
+    "diffusion1d-underflow": (Diffusion1dModel, 8, lambda m, lvl: np.full((2, 150), -1e3)),
+}
+
+
+class TestFiniteOrRaise:
+    """A batch with a non-finite value raises and tallies nothing."""
+
+    @pytest.mark.parametrize("name", sorted(_NON_FINITE))
+    def test_non_finite_value_raises_before_the_tally(self, name):
+        make, level, batch = _NON_FINITE[name]
+        model = make()
+        with pytest.raises(ModelEvaluationError), np.errstate(over="ignore"):
+            model.evaluate_batch(batch(model, level), level)
+        assert model.counter.counts() == {}
+
+    def test_estimators_raise_on_a_nan_model(self, rng):
+        from rareevent.mcmc import make_kernel
+        from rareevent.sis import sis_estimate
+
+        with pytest.raises(ModelEvaluationError):
+            mc_estimate(ConstantModel(np.nan), 1, 100, rng)
+        with pytest.raises(ModelEvaluationError):
+            sis_estimate(ConstantModel(np.nan), 1, 100, 0.5, make_kernel("acs"), 0.5, rng)
 
 
 class TestCheckedLevelDims:

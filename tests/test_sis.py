@@ -272,6 +272,13 @@ class TestSisEstimate:
                 sis_estimate(LinearLsfModel(1.0, 5), 1, 100, 0.25,
                              make_kernel("acs"), c, rng)
 
+    @pytest.mark.parametrize("delta_target", [0.0, -0.1, np.nan, np.inf])
+    def test_cov_target_must_be_positive_and_finite(self, rng, delta_target):
+        model = LinearLsfModel(3.5, 10)
+        with pytest.raises(ValueError, match="delta_target must be positive"):
+            sis_estimate(model, 1, 100, delta_target, make_kernel("vmfn"), 0.1, rng)
+        assert model.counter.counts() == {}
+
     def test_negative_burn_in_rejected(self, rng):
         # before the level-1 draw: no evaluation is spent
         model = LinearLsfModel(3.5, 10)
