@@ -149,29 +149,33 @@ def _sample_vmf_cosines(kappa: float, n: int, size: int, rng: np.random.Generato
     return out
 
 
-def _sample_scaled_vmf(nu: np.ndarray, kappa: float, n: int, r, m: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    """m rows r * a, a ~ vMF(nu, kappa), built in the normals' array z as
-    r w nu + r sqrt(1 - w^2) z_perp / |z_perp| from the cosines w.
+def _sample_scaled_vmf(nu: np.ndarray, kappa: float, r, rng: np.random.Generator,
+                       out: np.ndarray) -> np.ndarray:
+    """Write rows r * a, a ~ vMF(nu, kappa), into out, built in place from the
+    normals z as r w nu + r sqrt(1 - w^2) z_perp / |z_perp|; return the
+    cosines w = nu . a (zeros when kappa = 0, where the law ignores them).
 
     z_perp = z - (z . nu) nu is formed explicitly: |z|^2 - (z . nu)^2 cancels.
     """
+    m, n = out.shape
     if kappa == 0.0:
-        z = rng.standard_normal((m, n))
-        z *= (r / np.sqrt(np.einsum("ij,ij->i", z, z)))[:, None]
-        return z
+        rng.standard_normal(out=out)
+        out *= (r / np.sqrt(np.einsum("ij,ij->i", out, out)))[:, None]
+        return np.zeros(m)
     if n == 1:
         # S^0 = {-1, +1}
         p_plus = 1.0 / (1.0 + np.exp(-2.0 * kappa * nu[0]))
-        return np.where(rng.uniform(size=(m, 1)) < p_plus, 1.0, -1.0) * np.reshape(r, (-1, 1))
+        sign = np.where(rng.uniform(size=m) < p_plus, 1.0, -1.0)
+        np.multiply(sign[:, None], np.reshape(r, (-1, 1)), out=out)
+        return sign * nu[0]
     w = _sample_vmf_cosines(kappa, n, m, rng)
-    z = rng.standard_normal((m, n))
-    z -= np.multiply.outer(z @ nu, nu)
-    norms = np.sqrt(np.einsum("ij,ij->i", z, z))
+    rng.standard_normal(out=out)
+    out -= np.multiply.outer(out @ nu, nu)
+    norms = np.sqrt(np.einsum("ij,ij->i", out, out))
     norms[norms == 0.0] = 1.0
-    z *= (r * np.sqrt(np.clip(1.0 - w * w, 0.0, None)) / norms)[:, None]
-    z += np.multiply.outer(r * w, nu)
-    return z
+    out *= (r * np.sqrt(np.clip(1.0 - w * w, 0.0, None)) / norms)[:, None]
+    out += np.multiply.outer(r * w, nu)
+    return w
 
 
 def sample_vmf(nu, kappa: float, n: int, rng: np.random.Generator, size: int | None = None):
@@ -183,8 +187,8 @@ def sample_vmf(nu, kappa: float, n: int, rng: np.random.Generator, size: int | N
         raise ValueError("nu must be a unit vector")
     if nu.shape[0] != n:
         raise ValueError("nu dimension mismatch")
-    m = 1 if size is None else int(size)
-    a = _sample_scaled_vmf(nu, kappa, n, 1.0, m, rng)
+    a = np.empty((1 if size is None else int(size), n))
+    _sample_scaled_vmf(nu, kappa, 1.0, rng, a)
     return a[0] if size is None else a
 
 
@@ -215,40 +219,57 @@ def sample_nakagami(s: float, gamma: float, rng: np.random.Generator, size: int 
     return np.sqrt(rng.gamma(shape=s, scale=gamma / s, size=size))
 
 
-def vmfn_log_density(u, params: VmfnParams):
-    """log density of the vMFN law on R^n (Lebesgue reference measure).
+def vmfn_log_density_polar(r, w, params: VmfnParams) -> np.ndarray:
+    """log vMFN density at the points of radius r and cosine w = nu . u / r.
 
-    Combines the Nakagami radius density, the vMF direction density and the
-    polar Jacobian r^(n-1); u = 0 has density zero.
+    The one formula behind `vmfn_log_density`: Nakagami radius density, vMF
+    direction density and the polar Jacobian r^(n-1).  A sampler that knows
+    the radius and cosine of its draws scores them here in O(len(r));
+    r = 0 has density zero.
     """
+    ok = r > 0
+    if not ok.all():
+        out = np.full(r.shape, -np.inf)
+        out[ok] = vmfn_log_density_polar(r[ok], w[ok], params)
+        return out
+    n = params.dim
+    return (nakagami_log_density(r, params.s, params.gamma)
+            + vmf_log_normalizer(n, params.kappa)
+            + params.kappa * w
+            - (n - 1) * np.log(r))
+
+
+def vmfn_log_density(u, params: VmfnParams):
+    """log density of the vMFN law on R^n (Lebesgue reference measure); -inf at u = 0."""
     u = np.asarray(u, dtype=float)
     single = u.ndim == 1
     mat = u[None, :] if single else u
-    n = mat.shape[1]
-    if n != params.dim:
+    if mat.shape[1] != params.dim:
         raise ValueError("dimension mismatch between u and params")
-    r = np.linalg.norm(mat, axis=1)
-    out = np.full(mat.shape[0], -np.inf)
-    ok = r > 0
-    if np.any(ok):
-        r_ok = r[ok]
-        dots = (mat[ok] @ params.nu) / r_ok
-        out[ok] = (
-            nakagami_log_density(r_ok, params.s, params.gamma)
-            + vmf_log_normalizer(n, params.kappa)
-            + params.kappa * dots
-            - (n - 1) * np.log(r_ok)
-        )
+    r = np.sqrt(np.einsum("ij,ij->i", mat, mat))
+    with np.errstate(divide="ignore", invalid="ignore"):   # r = 0 rows are not read
+        w = (mat @ params.nu) / r
+    out = vmfn_log_density_polar(r, w, params)
     return float(out[0]) if single else out
+
+
+def draw_vmfn(params: VmfnParams, rng: np.random.Generator, out: np.ndarray):
+    """Draw len(out) points u = r * a into the C-ordered rows of out.
+
+    Returns their radii r and cosines w = nu . a, the polar coordinates
+    `vmfn_log_density_polar` scores them by.
+    """
+    if out.shape[1] != params.dim:
+        raise ValueError("dimension mismatch between out and params")
+    r = sample_nakagami(params.s, params.gamma, rng, size=out.shape[0])
+    w = _sample_scaled_vmf(params.nu, params.kappa, r, rng, out)
+    return r, w
 
 
 def sample_vmfn(params: VmfnParams, n: int, rng: np.random.Generator, size: int | None = None):
     """Draw u = r * a with independent Nakagami radius and vMF direction."""
-    if n != params.dim:
-        raise ValueError("dimension mismatch between n and params")
-    m = 1 if size is None else int(size)
-    r = sample_nakagami(params.s, params.gamma, rng, size=m)
-    u = _sample_scaled_vmf(params.nu, params.kappa, n, r, m, rng)
+    u = np.empty((1 if size is None else int(size), n))
+    draw_vmfn(params, rng, u)
     return u[0] if size is None else u
 
 

@@ -5,15 +5,19 @@ Phi(-G_l/sigma)^beta * Phi(-G_(l-1)/sigma)^(1-beta) * phi_n(u): beta = 1 is
 tempering on level l, beta < 1 a bridge onto it.  Subset simulation's hard
 indicator `subset.DomainTarget` sits beside it.  Kernels supply proposals
 plus a per-state score holding whatever prior/proposal terms do not cancel
-in the acceptance ratio.  Chains from all seeds advance in lockstep and
-evaluate each proposal once per involved level, batched per iteration (aCS)
-or per step (vMFN, whose proposals are STATE_INDEPENDENT of the chain).  The
-aCS kernel's tuning is fixed by its class constants TARGET_RATE,
-ADAPT_FRACTION, RHO_BOUNDS and LAMBDA_BOUNDS.
+in the acceptance ratio.  A proposal is drawn straight into `run_chains`'
+buffer and scored as it is drawn: the vMFN kernel from the radius and
+cosine of its draw, in O(1) per row.  Chains from all seeds advance in
+lockstep and evaluate each proposal once per involved level, batched per
+iteration (aCS) or per step (vMFN, whose proposals are STATE_INDEPENDENT of
+the chain).  The aCS kernel's tuning is fixed by its class constants
+TARGET_RATE, ADAPT_FRACTION, RHO_BOUNDS and LAMBDA_BOUNDS.
 
-Kernels implement `prepare(samples, log_weights, n_steps)`, `propose`,
-`log_score` and `feedback`.  Tempering and bridging reach `run_chains` through
-one weighted move, `sis._reweight_and_move`, fed by their solvers' weights.
+Kernels implement `prepare(samples, log_weights, n_steps)`,
+`propose(current, rng, out)`, which writes the proposals into `out` and
+returns their scores, `log_score(states)`, called for the seeds only, and
+`feedback(accepted)`.  Tempering and bridging reach `run_chains` through one
+weighted move, `sis._reweight_and_move`, fed by their solvers' weights.
 """
 
 from __future__ import annotations
@@ -22,13 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (
+from .distributions import (  # noqa: F401  sample_vmfn: perfbench/layers.py wraps it here
     VmfnParams,
+    draw_vmfn,
     fit_vmfn,
     sample_vmfn,
     std_normal_log_cdf,
     std_normal_log_pdf,
     vmfn_log_density,
+    vmfn_log_density_polar,
 )
 from .errors import DegenerateWeightsError
 from .models import LimitStateModel
@@ -158,12 +164,13 @@ class AcsKernel:
         self._adapt_every = max(1, int(np.ceil(self.ADAPT_FRACTION * n_steps)))
         self._pending.clear()
 
-    def propose(self, current: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def propose(self, current: np.ndarray, rng: np.random.Generator,
+                out: np.ndarray) -> np.ndarray:
         rho = self._rho()
-        step = rng.standard_normal(current.shape)
-        step *= np.sqrt(1.0 - rho * rho)
-        step += rho * current
-        return step
+        rng.standard_normal(out=out)
+        out *= np.sqrt(1.0 - rho * rho)
+        out += rho * current
+        return self.log_score(out)
 
     def log_score(self, states) -> np.ndarray:
         # the pCN proposal is phi_n-reversible: nothing is left to score
@@ -202,8 +209,12 @@ class VmfnIndependentKernel:
         w = np.exp(lw - lw.max())
         self.params = fit_vmfn(np.asarray(samples), w)
 
-    def propose(self, current: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return sample_vmfn(self.params, current.shape[1], rng, size=current.shape[0])
+    def propose(self, current: np.ndarray, rng: np.random.Generator,
+                out: np.ndarray) -> np.ndarray:
+        r, w = draw_vmfn(self.params, rng, out)
+        # log_score of the rows drawn, from the radius and cosine they were built from
+        return (-0.5 * (r * r) - 0.5 * out.shape[1] * np.log(2.0 * np.pi)
+                - vmfn_log_density_polar(r, w, self.params))
 
     def log_score(self, states) -> np.ndarray:
         # log phi_n - log q: the independence proposal's terms in the MH ratio
@@ -235,13 +246,14 @@ def run_chains(model: LimitStateModel, target, kernel, seeds: np.ndarray,
     Returns (states, values) where states stacks the post-burn-in iterations
     of every chain (count = len(seeds) / c) and values carries the cached
     limit-state evaluations per level of the target.  Seed values are reused,
-    never recomputed.  Each iteration draws its proposals, then its uniforms.
-    A kernel whose proposals are STATE_INDEPENDENT draws them for every
-    iteration up front, and the run costs one batched model evaluation per
-    target level; any other kernel costs one per iteration and level.  The
-    kernel scores the seeds and each iteration's proposals once; accepted
-    scores are carried like the limit-state values.  Callers check the layout
-    (burn_in >= 0, integer 1/c) once, with `sis._seed_count`.
+    never recomputed.  Each iteration draws its proposals into a row block
+    of one buffer, then its uniforms.  A kernel whose proposals are
+    STATE_INDEPENDENT draws them for every iteration up front, and the run
+    costs one batched model evaluation per target level; any other kernel
+    costs one per iteration and level.  The kernel scores the seeds with
+    `log_score` and each proposal as it draws it; accepted scores are carried
+    like the limit-state values.  Callers check the layout (burn_in >= 0,
+    integer 1/c) once, with `sis._seed_count`.
     """
     steps = burn_in + round(1.0 / c)
     begin = getattr(kernel, "begin_target", None)
@@ -256,19 +268,20 @@ def run_chains(model: LimitStateModel, target, kernel, seeds: np.ndarray,
     score_cur = kernel.log_score(current)
     # iterations drawn per evaluation: all of them when no proposal reads the state
     batch = steps if getattr(kernel, "STATE_INDEPENDENT", False) else 1
-    drawn, uniforms = np.empty((batch * m, n)), np.empty((batch, m))
+    drawn = np.empty((batch * m, n))
+    scores, uniforms = np.empty((batch, m)), np.empty((batch, m))
     for step in range(steps):
         slot = step % batch
         if slot == 0:
             for k in range(batch):
-                drawn[k * m:(k + 1) * m] = kernel.propose(current, rng)
+                scores[k] = kernel.propose(current, rng, drawn[k * m:(k + 1) * m])
                 uniforms[k] = rng.uniform(size=m)
             drawn_values = {lvl: model.evaluate_batch(drawn[:, :model.dim(lvl)], lvl)
                             for lvl in target.levels}
         rows = slice(slot * m, (slot + 1) * m)
         proposals = drawn[rows]
         log_smooth_prop = target.log_smooth({lvl: v[rows] for lvl, v in drawn_values.items()})
-        score_prop = kernel.log_score(proposals)
+        score_prop = scores[slot]
         log_alpha = log_smooth_prop - log_smooth_cur + (score_prop - score_cur)
         accept = np.log(uniforms[slot]) < log_alpha
         current[accept] = proposals[accept]

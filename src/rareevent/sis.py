@@ -114,11 +114,12 @@ def solve_sigma(g, sigma_prev: float, delta_target: float):
     the whole transition often squeezed into a thin sliver below sigma_prev,
     so the crossing is first bracketed by a geometric walk down from
     sigma_prev and then found by Brent's method in log sigma.  From
-    sigma_prev = inf the walk starts near the large-sigma root instead, when
-    the COV there is below the target.  When the COV stays below the target
-    down to SIGMA_MIN, the walk's last point exp(log SIGMA_MIN) is returned
-    as a boundary value.  Reuses cached limit-state values only.  Returns
-    (sigma, realized_cov, hit_boundary, log_weights), the last two at sigma.
+    sigma_prev = inf the walk starts near the large-sigma root instead,
+    after stepping up from there while the COV is not yet below the target.
+    When the COV stays below the target down to SIGMA_MIN, the walk's last
+    point exp(log SIGMA_MIN) is returned as a boundary value.  Reuses cached
+    limit-state values only.  Returns (sigma, realized_cov, hit_boundary,
+    log_weights), the last two at sigma.
     """
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
@@ -145,9 +146,11 @@ def solve_sigma(g, sigma_prev: float, delta_target: float):
     x_above, x = None, log_hi
     if not np.isfinite(sigma_prev) and (spread := float(np.std(g))) > 0:
         # for large sigma the COV is about 0.8 std(g) / sigma: start three
-        # steps above std(g) / target, if the COV there is still below it
+        # steps above std(g) / target, and step up until the COV is below it
         x_start = np.log(spread / delta_target) + 3 * step
-        if log_lo < x_start < log_hi and cov_of(log_w_at(np.exp(x_start))) < delta_target:
+        while log_lo < x_start < log_hi and cov_of(log_w_at(np.exp(x_start))) >= delta_target:
+            x_start += step
+        if log_lo < x_start < log_hi:
             x_above, x = x_start, max(x_start - step, log_lo)
     while (delta := cov_of(log_w_at(np.exp(x)))) < delta_target:
         if x == log_lo:

@@ -3,7 +3,13 @@ import pytest
 from scipy import stats
 
 from rareevent import mcmc
-from rareevent.distributions import VmfnParams, sample_vmfn, vmfn_log_density
+from rareevent.distributions import (
+    VmfnParams,
+    sample_vmfn,
+    std_normal_log_pdf,
+    vmfn_log_density,
+    vmfn_log_density_polar,
+)
 from rareevent.errors import DegenerateWeightsError
 from rareevent.fem2d import FlowCellModel
 from rareevent.mcmc import (
@@ -50,8 +56,9 @@ class IdentityKernel:
     def prepare(self, *args, **kwargs):
         pass
 
-    def propose(self, current, rng):
-        return current.copy()
+    def propose(self, current, rng, out):
+        out[:] = current
+        return self.log_score(out)
 
     def log_score(self, states):
         return np.zeros(states.shape[0])
@@ -67,8 +74,9 @@ class ForcedKernel(IdentityKernel):
     so each proposal has log alpha = 0 > log U.
     """
 
-    def propose(self, current, rng):
-        return rng.standard_normal(current.shape)
+    def propose(self, current, rng, out):
+        rng.standard_normal(out=out)
+        return self.log_score(out)
 
 
 class TestCovOfWeights:
@@ -127,10 +135,10 @@ class TestMhChain:
         class Recording(ForcedKernel):
             proposals = []
 
-            def propose(self, current, gen):
-                p = gen.standard_normal(current.shape)
-                self.proposals.append(p.copy())
-                return p
+            def propose(self, current, gen, out):
+                score = super().propose(current, gen, out)
+                self.proposals.append(out.copy())
+                return score
 
         kernel = Recording()
         states, _ = run_chains(model, target, kernel, np.zeros((1, 2)),
@@ -161,7 +169,8 @@ class TestAcsKernel:
         kernel = AcsKernel(lambda0=1e-6)  # rho clipped to 0.999
         assert kernel.stats.rho == pytest.approx(0.999)
         current = rng.standard_normal((100, 5))
-        proposal = kernel.propose(current, rng)
+        proposal = np.empty_like(current)
+        kernel.propose(current, rng, proposal)
         assert np.mean(np.linalg.norm(proposal - 0.999 * current, axis=1)) < 0.3
 
     @pytest.mark.parametrize("rho", [0.3, 0.9, 0.999])
@@ -169,10 +178,14 @@ class TestAcsKernel:
         kernel = AcsKernel(lambda0=np.sqrt(1.0 - rho * rho))
         rho = kernel.stats.rho
         current = rng.standard_normal((200, 150))
-        proposal = kernel.propose(current, np.random.default_rng(7))
+        # drawn into a row block of a larger buffer, as run_chains does
+        buffer = np.full((600, 150), np.nan)
+        scores = kernel.propose(current, np.random.default_rng(7), buffer[200:400])
         eps = np.random.default_rng(7).standard_normal(current.shape)
         expected = rho * current + np.sqrt(1.0 - rho * rho) * eps
-        assert np.array_equal(proposal, expected)
+        assert np.array_equal(buffer[200:400], expected)
+        assert np.isnan(buffer[:200]).all() and np.isnan(buffer[400:]).all()
+        assert np.array_equal(scores, np.zeros(200))
 
     def test_preserves_standard_normal(self, rng):
         # flat smooth part: the chain must keep phi_n invariant
@@ -249,14 +262,20 @@ class TestVmfnKernel:
         assert states.mean(axis=0)[0] == pytest.approx(target_mean[0], rel=0.05)
 
     def test_each_state_scored_once(self, rng, monkeypatch):
-        # seeds once, then each lockstep batch of proposals once
-        rows = []
+        # the seeds once from their coordinates, then each iteration's
+        # proposals once from the radii and cosines they were drawn with
+        rows, polar_rows = [], []
 
         def counting(u, params):
             rows.append(np.atleast_2d(u).shape[0])
             return vmfn_log_density(u, params)
 
+        def counting_polar(r, w, params):
+            polar_rows.append(r.shape[0])
+            return vmfn_log_density_polar(r, w, params)
+
         monkeypatch.setattr(mcmc, "vmfn_log_density", counting)
+        monkeypatch.setattr(mcmc, "vmfn_log_density_polar", counting_polar)
         model = LinearLsfModel(2.0, 10)
         pool = rng.standard_normal((2000, 10))
         g = model.evaluate_batch(pool, 1)
@@ -266,7 +285,37 @@ class TestVmfnKernel:
         seeds, burn_in, inv_c = 100, 3, 5
         run_chains(model, TemperingTarget(level=1, sigma=1.0), kernel, pool[:seeds],
                    {1: g[:seeds]}, c=1.0 / inv_c, burn_in=burn_in, rng=rng)
-        assert sum(rows) == seeds + (burn_in + inv_c) * seeds
+        assert rows == [seeds]
+        assert polar_rows == [seeds] * (burn_in + inv_c)
+
+    @pytest.mark.parametrize("kappa", [0.0, 4.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 150])
+    def test_proposal_scores_equal_log_score(self, n, kappa):
+        # log phi_n - log q from (r, w) equals the score from the coordinates,
+        # relative to the two terms (their difference can be 0 at n = 1)
+        nu = np.zeros(n)
+        nu[-1] = -1.0 if n == 1 else 1.0
+        kernel = VmfnIndependentKernel(VmfnParams(nu=nu, kappa=kappa, s=2.5, gamma=n))
+        out = np.empty((300, n))
+        scores = kernel.propose(np.zeros((300, n)), np.random.default_rng(11), out)
+        log_phi, log_q = std_normal_log_pdf(out), vmfn_log_density(out, kernel.params)
+        assert np.all(np.isfinite(scores))
+        error = np.abs(scores - (log_phi - log_q))
+        assert np.all(error <= 1e-12 * (np.abs(log_phi) + np.abs(log_q)))
+
+    @pytest.mark.parametrize("kappa", [0.0, 4.0])
+    @pytest.mark.parametrize("n", [1, 3, 150])
+    def test_draw_into_rows_equals_sample_vmfn(self, n, kappa):
+        # a row block of run_chains' buffer gets sample_vmfn's bits and stream
+        nu = np.full(n, 1.0 / np.sqrt(n))
+        params = VmfnParams(nu=nu, kappa=kappa, s=1.5, gamma=n)
+        expected_rng, rng = np.random.default_rng(12), np.random.default_rng(12)
+        expected = sample_vmfn(params, n, expected_rng, size=70)
+        buffer = np.full((3 * 70 + 1, n), np.nan)
+        VmfnIndependentKernel(params).propose(buffer[:70], rng, buffer[71:141])
+        assert np.array_equal(buffer[71:141], expected)
+        assert np.isnan(buffer[:71]).all() and np.isnan(buffer[141:]).all()
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
 
 
 # (model factory, target) pairs: tempering, bridging onto level 2, subset domain

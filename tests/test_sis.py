@@ -146,6 +146,29 @@ class TestSolveSigma:
         assert sigma == pytest.approx(ref_sigma, rel=1e-8)
         assert boundary == ref_boundary
 
+    @pytest.mark.parametrize("mean, std, target", [
+        (10.0, 0.1, 0.5), (10.0, 0.1, 2.0), (10.0, 0.1, 0.1),
+        (300.0, 50.0, 2.0), (0.05, 0.01, 2.0),
+    ])
+    def test_first_walk_steps_up_when_the_start_is_below_the_root(
+            self, monkeypatch, mean, std, target):
+        # mean(g) >> std(g) or a large target puts the root above the
+        # std-based start; walking down from SIGMA_MAX took 51-76 evaluations
+        g = np.random.default_rng(3).normal(mean, std, size=2000)
+        calls = []
+
+        def counting(log_weights):
+            calls.append(1)
+            return cov_from_log_weights(log_weights)
+
+        monkeypatch.setattr(sis, "cov_from_log_weights", counting)
+        sigma, _, boundary, _ = solve_sigma(g, np.inf, target)
+        assert len(calls) <= 20
+        ref_sigma, ref_boundary = _walk_from_sigma_max(g, target)
+        # both Brent roots lie within xtol = 1e-10 of the crossing in log sigma
+        assert abs(np.log(sigma) - np.log(ref_sigma)) <= 2e-10
+        assert boundary == ref_boundary
+
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("sigma_prev", [np.inf, 5.0, 0.8])
     @pytest.mark.parametrize("target", [0.25, 0.5, 1.0])
@@ -303,14 +326,13 @@ class PerfectLinearKernel:
     def prepare(self, *args, **kwargs):
         pass
 
-    def propose(self, current, rng):
-        n = current.shape[1]
-        m = current.shape[0]
+    def propose(self, current, rng, out):
+        m, n = out.shape
         s2 = self.sigma**2
         v = _truncated_normal_lower(self.beta, np.sqrt(1 + s2), m, rng)
-        u1 = v / (1 + s2) + np.sqrt(s2 / (1 + s2)) * rng.standard_normal(m)
-        rest = rng.standard_normal((m, n - 1))
-        return np.concatenate([u1[:, None], rest], axis=1)
+        out[:, 0] = v / (1 + s2) + np.sqrt(s2 / (1 + s2)) * rng.standard_normal(m)
+        out[:, 1:] = rng.standard_normal((m, n - 1))
+        return self.log_score(out)
 
     def log_score(self, states):
         # exact independence-sampler score for a proposal equal to the
