@@ -54,7 +54,8 @@ from .models import (
     mc_estimate,
 )
 from .randomfield import KlBasis, kl_basis_1d, kl_basis_2d, lognormal_params
-from .sis import SampleEnsemble, sis_estimate, solve_sigma, stopping_cov, tempering_step
+from .sis import (EstimatorTrace, SampleEnsemble, sis_estimate, solve_sigma, stopping_cov,
+                  tempering_step)
 from .subset import mlsus_estimate, sus_estimate
 
 __version__ = "0.1.0"

@@ -29,6 +29,8 @@ EXIT_CONFIG = 2
 EXIT_NONCONVERGED = 3
 
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
 def _coerce(key: str, raw: str):
@@ -37,7 +39,9 @@ def _coerce(key: str, raw: str):
     if typing.get_args(kind):
         kind = typing.get_args(kind)[0]
     if kind is bool:
-        return raw.strip().lower() in ("1", "true", "yes", "on")
+        if (word := raw.strip().lower()) not in _BOOLEANS:
+            raise ValueError(f"{key}={raw.strip()} is not one of {'/'.join(_BOOLEANS)}")
+        return _BOOLEANS[word]
     return kind(raw.strip())
 
 

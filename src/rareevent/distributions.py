@@ -153,15 +153,13 @@ def _sample_scaled_vmf(nu: np.ndarray, kappa: float, r, rng: np.random.Generator
                        out: np.ndarray) -> np.ndarray:
     """Write rows r * a, a ~ vMF(nu, kappa), into out, built in place from the
     normals z as r w nu + r sqrt(1 - w^2) z_perp / |z_perp|; return the
-    cosines w = nu . a (zeros when kappa = 0, where the law ignores them).
+    cosines w = nu . a.
 
     z_perp = z - (z . nu) nu is formed explicitly: |z|^2 - (z . nu)^2 cancels.
+    Wood's sampler needs no case of its own at kappa = 0: it accepts every
+    draw there, and w = 1 - 2 Beta(d/2, d/2) is the cosine of a uniform direction.
     """
     m, n = out.shape
-    if kappa == 0.0:
-        rng.standard_normal(out=out)
-        out *= (r / np.sqrt(np.einsum("ij,ij->i", out, out)))[:, None]
-        return np.zeros(m)
     if n == 1:
         # S^0 = {-1, +1}
         p_plus = 1.0 / (1.0 + np.exp(-2.0 * kappa * nu[0]))

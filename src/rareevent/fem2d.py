@@ -293,10 +293,11 @@ def trace_particle(vel, start, h: float, max_steps: int | None = None):
     of a `DiscreteVelocity`), which is the whole field when it is
     divergence-free, as every flow-cell solution is.
 
-    Step size is h / (2 ||q||); the final step is clipped to the exact exit
-    point.  A crossing requires a strictly outward velocity component through
-    the face, so a start on the boundary (or a path grazing a no-flow
-    boundary tangentially) keeps moving instead of terminating at time zero.
+    Step size is h / (2 ||q||), where h must be the field's mesh size 1/m;
+    the final step is clipped to the exact exit point.  A crossing requires a
+    strictly outward velocity component through the face, so a start on the
+    boundary (or a path grazing a no-flow boundary tangentially) keeps moving
+    instead of terminating at time zero.
     A particle still inside after `max_steps` steps (default STEPS_PER_CELL
     per mesh cell) raises NonconvergenceError; a zero velocity on any path
     raises StagnationError.
@@ -310,6 +311,8 @@ def trace_particle(vel, start, h: float, max_steps: int | None = None):
     m = math.isqrt(u.shape[1] // 2) if u.ndim == 3 else 0
     if u.ndim != 3 or u.shape[2] != 2 or m == 0 or 2 * m * m != u.shape[1]:
         raise ValueError("expected per-triangle velocities of shape (samples, 2 m^2, 2)")
+    if not abs(h * m - 1.0) <= 1e-12:
+        raise ValueError(f"mesh size h={h} does not match the field's {m} x {m} mesh")
     mesh = build_mesh(m)
     if max_steps is None:
         max_steps = STEPS_PER_CELL * m * m

@@ -22,31 +22,26 @@ from .errors import RareEventError
 from .fem1d import DEFAULT_LEVEL_DIMS, Diffusion1dModel
 from .fem2d import DEFAULT_LEVEL_DIMS_2D, FlowCellModel
 from .mcmc import _KERNELS, make_kernel
-from .mlsis import _check_settings, _peek_count, mlsis_estimate
+from .mlsis import _check_settings, mlsis_estimate
 from .models import KL_TRUNCATION, LimitStateModel, LinearLsfModel, mc_estimate, mesh_size
 from .sis import sis_estimate
 from .subset import _validate_p0, mlsus_estimate, sus_estimate
 
-# method name -> estimator call returning (estimate, n_temper, n_bridge); the
-# subset methods report subset steps and level updates in those columns
+# method name -> estimator call returning (estimate, EstimatorTrace), with no
+# trace for crude Monte Carlo
 _METHODS = {
-    "mc": lambda model, cfg, rng: (mc_estimate(model, cfg.levels, cfg.n, rng), 0, 0),
-    "sis": lambda model, cfg, rng: _counts(sis_estimate(
+    "mc": lambda model, cfg, rng: (mc_estimate(model, cfg.levels, cfg.n, rng), None),
+    "sis": lambda model, cfg, rng: sis_estimate(
         model, cfg.levels, cfg.n, cfg.delta_target, make_kernel(cfg.kernel), cfg.c, rng,
-        burn_in=cfg.n_b)),
-    "mlsis": lambda model, cfg, rng: _counts(mlsis_estimate(
+        burn_in=cfg.n_b),
+    "mlsis": lambda model, cfg, rng: mlsis_estimate(
         model, cfg.levels, cfg.n, cfg.delta_target, make_kernel(cfg.kernel), cfg.c, rng,
-        subset_fraction=cfg.ns_frac, burn_in=cfg.n_b)),
-    "sus": lambda model, cfg, rng: _counts(sus_estimate(
-        model, cfg.levels, cfg.n, cfg.p0, make_kernel(cfg.kernel), cfg.n_b, rng)),
-    "mlsus": lambda model, cfg, rng: _counts(mlsus_estimate(
-        model, cfg.levels, cfg.n, cfg.p0, make_kernel(cfg.kernel), cfg.n_b, rng)),
+        subset_fraction=cfg.ns_frac, burn_in=cfg.n_b),
+    "sus": lambda model, cfg, rng: sus_estimate(
+        model, cfg.levels, cfg.n, cfg.p0, make_kernel(cfg.kernel), cfg.n_b, rng),
+    "mlsus": lambda model, cfg, rng: mlsus_estimate(
+        model, cfg.levels, cfg.n, cfg.p0, make_kernel(cfg.kernel), cfg.n_b, rng),
 }
-
-
-def _counts(result):
-    estimate, trace = result
-    return estimate, trace.n_temper, trace.n_bridge
 
 
 # model name -> (finest level, builder from the config and its level dims or None)
@@ -108,9 +103,8 @@ class ExperimentConfig:
         if self.reference is not None and not (0 < self.reference < np.inf):
             raise ValueError("reference probability must be positive and finite")
         if self.method in ("sis", "mlsis"):
-            _check_settings(self.n, self.delta_target, self.c, self.n_b)
-            if self.method == "mlsis" and self.levels > 1:
-                _peek_count(self.n, self.ns_frac)
+            _check_settings(self.n, self.delta_target, self.c, self.n_b, self.ns_frac,
+                            self.levels if self.method == "mlsis" else 1)
         if self.method in ("sus", "mlsus"):
             if self.kernel != "acs":
                 raise ValueError("subset methods use the acs kernel")
@@ -172,8 +166,9 @@ def run_single(config: ExperimentConfig, rep: int) -> RunRecord:
     record = RunRecord(run_id=str(rep), config=config)
     start = time.perf_counter()
     try:
-        record.estimate, record.n_temper, record.n_bridge = _METHODS[config.method](
-            model, config, rng)
+        record.estimate, trace = _METHODS[config.method](model, config, rng)
+        if trace is not None:
+            record.n_temper, record.n_bridge = trace.n_temper, trace.n_bridge
     except RareEventError as exc:
         record.status = f"error:{type(exc).__name__}"
     record.eval_counts = model.counter.counts()

@@ -7,7 +7,9 @@ the next level; its fine-level evaluations are reused if bridging follows.
 A level update that has not reached beta = 1 after MAX_BRIDGE_STEPS steps
 fails, and so does a run that has not stopped after MAX_STEPS steps.
 `solve_beta` returns the log weights at its root, and each bridging stage
-moves the ensemble with `sis._reweight_and_move`, as tempering does.
+moves the ensemble with `sis._reweight_and_move`, as tempering does.  Every
+peek and stage is recorded as a step; a bridge's first stage is also charged
+the extension's fine evaluations, N - N_s after a peek and N otherwise.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .mcmc import TemperingTarget, cov_from_log_weights, extend_dimension
 from .mcmc import resample_multinomial, run_chains  # noqa: F401
 from .models import LimitStateModel
 from .sis import (
+    EstimatorTrace,
     SampleEnsemble,
     TraceStep,
     _reweight_and_move,
@@ -125,51 +128,41 @@ def _extend_ensemble(model, ensemble, rng, peek_cache):
     return samples, g_fine
 
 
-def bridge_level(model: LimitStateModel, ensemble: SampleEnsemble,
-                 delta_target: float, kernel, c: float, burn_in: int,
-                 rng: np.random.Generator, peek_cache: PeekCache | None = None):
-    """Move the ensemble from its level to the next one (Alg-2 style loop)."""
+def bridge_level(model: LimitStateModel, ensemble: SampleEnsemble, trace: EstimatorTrace,
+                 delta_target: float, kernel, c: float, burn_in: int, rng: np.random.Generator,
+                 peek_cache: PeekCache | None = None) -> SampleEnsemble:
+    """Move the ensemble to the next level (Alg-2 style loop), recording each stage."""
     level = ensemble.level
     fine = level + 1
     sigma = ensemble.sigma
     if not np.isfinite(sigma):
         raise ValueError("bridging requires a tempered ensemble")
-    evals_before = model.counter.total()
     samples, g_fine = _extend_ensemble(model, ensemble, rng, peek_cache)
     values = {level: ensemble.g, fine: g_fine}
-
-    steps: list[TraceStep] = []
     beta = 0.0
     for _ in range(MAX_BRIDGE_STEPS):
-        stage_start = model.counter.total()
-        beta_new, delta, boundary, log_w = solve_beta(values[level], values[fine], sigma,
-                                                      beta, delta_target)
-        target = TemperingTarget(level=fine, sigma=sigma, beta=beta_new)
+        beta, delta, boundary, log_w = solve_beta(values[level], values[fine], sigma,
+                                                  beta, delta_target)
+        target = TemperingTarget(level=fine, sigma=sigma, beta=beta)
         factor, samples, values = _reweight_and_move(model, target, kernel, samples, log_w,
                                                      values, c, burn_in, rng)
-        evals_so_far = model.counter.total()
-        steps.append(TraceStep(
-            kind="bridge", level=fine, sigma=sigma, factor=factor, beta=beta_new,
-            delta=delta, boundary=boundary,
-            n_evals=evals_so_far - (stage_start if steps else evals_before),
-        ))
-        beta = beta_new
+        trace.record(TraceStep(kind="bridge", level=fine, sigma=sigma, factor=factor,
+                               beta=beta, delta=delta, boundary=boundary))
         if beta == 1.0:
-            return SampleEnsemble(samples, values[fine], fine, sigma), steps
+            return SampleEnsemble(samples, values[fine], fine, sigma)
     raise NonconvergenceError(f"bridge did not reach beta=1 in {MAX_BRIDGE_STEPS} steps")
 
 
-def _check_settings(n_samples: int, delta_target: float, c: float, burn_in: int) -> None:
-    """The sample count, COV target and chain layout SIS and MLSIS accept."""
+def _check_settings(n_samples: int, delta_target: float, c: float, burn_in: int,
+                    subset_fraction: float, max_level: int) -> int:
+    """The settings SIS and MLSIS accept; returns the peek subset size, 0 at one level."""
     if n_samples < 2:
         raise ValueError("need at least two samples")
     if not (0 < delta_target < np.inf):
         raise ValueError("delta_target must be positive and finite")
     _seed_count(n_samples, c, burn_in)
-
-
-def _peek_count(n_samples: int, subset_fraction: float) -> int:
-    """Size of the random subset that `peek_level_update` evaluates."""
+    if max_level <= 1:
+        return 0
     if not (0 < subset_fraction < 1):
         raise ValueError("subset fraction ns_frac must lie in (0, 1)")
     n_subset = max(1, round(subset_fraction * n_samples))
@@ -188,34 +181,25 @@ def mlsis_estimate(model: LimitStateModel, max_level: int, n_samples: int,
     the choice open.  The run ends once the stopping COV meets its target and
     the ensemble sits on the finest level.  Returns (probability, EstimatorTrace).
     """
-    _check_settings(n_samples, delta_target, c, burn_in)
-    n_subset = _peek_count(n_samples, subset_fraction) if max_level > 1 else 0
+    n_subset = _check_settings(n_samples, delta_target, c, burn_in, subset_fraction,
+                               max_level)
 
     def advance(ensemble, trace):
         tempered = any(s.delta_wopt <= delta_target
                        for s in trace.steps if s.delta_wopt is not None)
         after_bridge = not trace.steps or trace.steps[-1].kind == "bridge"
-        bridge, cache, steps = tempered, None, []
+        bridge, cache = tempered, None
         if not (tempered or ensemble.level == max_level or after_bridge):
-            peek_start = model.counter.total()
             delta_peek, cache = peek_level_update(model, ensemble, n_subset, rng)
             bridge = delta_peek > delta_target
-            steps.append(TraceStep(kind="peek", level=ensemble.level + 1,
-                                   sigma=ensemble.sigma, delta=delta_peek,
-                                   n_evals=model.counter.total() - peek_start,
-                                   wasted=not bridge))
-        if bridge:
-            ensemble, moves = bridge_level(model, ensemble, delta_target, kernel, c,
-                                           burn_in, rng, peek_cache=cache)
-        else:
-            ensemble, move = tempering_step(model, ensemble, delta_target, kernel,
-                                            c, burn_in, rng)
-            moves = [move]
-        steps.extend(moves)
-        delta_wopt = steps[-1].delta_wopt = stopping_cov(ensemble)
+            trace.record(TraceStep(kind="peek", level=ensemble.level + 1,
+                                   sigma=ensemble.sigma, delta=delta_peek, wasted=not bridge))
+        args = (model, ensemble, trace, delta_target, kernel, c, burn_in, rng)
+        ensemble = bridge_level(*args, peek_cache=cache) if bridge else tempering_step(*args)
+        delta_wopt = trace.steps[-1].delta_wopt = stopping_cov(ensemble)
         final = (tempered or delta_wopt <= delta_target) and ensemble.level == max_level
         if final:
             trace.final_correction = final_correction(ensemble)
-        return ensemble, steps, final
+        return ensemble, final
 
     return run_sequence(model, max_level, n_samples, rng, advance, MAX_STEPS)

@@ -10,7 +10,8 @@ at its root; `_reweight_and_move` moves by them, and bridging shares it.
 
 `run_sequence` is the loop every sequential estimator runs: SIS and MLSIS
 (`mlsis`) and subset simulation (`subset`) each pass it one step function.
-All of them record their steps as `TraceStep`s in one `EstimatorTrace`.
+All of them record their steps as `TraceStep`s with `EstimatorTrace.record`,
+which charges each step its evaluations; no step function reads the counter.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .mcmc import (
     resample_multinomial,
     run_chains,
 )
-from .models import LimitStateModel, PinnedLevelModel, is_failure
+from .models import EvalCounter, LimitStateModel, PinnedLevelModel, is_failure
 
 SIGMA_MIN = 1e-8
 SIGMA_MAX = 1e8
@@ -74,12 +75,28 @@ class TraceStep:
 
 @dataclass
 class EstimatorTrace:
-    """Step records whose factors times the final correction give the estimate."""
+    """Step records whose factors times the final correction give the estimate.
 
+    `record` charges each step what `counter` tallied since the previous one;
+    `run_sequence` drops the counter at the end, so a finished trace pickles.
+    """
+
+    counter: EvalCounter | None
     steps: list[TraceStep] = field(default_factory=list)
     final_correction: float = 1.0
     estimate: float = np.nan
     eval_counts: dict[int, int] = field(default_factory=dict)
+    _evals_at: int = field(init=False)
+
+    def __post_init__(self):
+        self._evals_at = self.counter.total()
+
+    def record(self, step: TraceStep) -> None:
+        """Charge `step` the evaluations since the last record, then append it."""
+        evals = self.counter.total()
+        step.n_evals = evals - self._evals_at
+        self._evals_at = evals
+        self.steps.append(step)
 
     def product(self) -> float:
         out = 1.0
@@ -172,12 +189,11 @@ def solve_sigma(g, sigma_prev: float, delta_target: float):
     return sigma, float(delta), bool(on_edge), log_w
 
 
-def tempering_step(model: LimitStateModel, ensemble: SampleEnsemble,
+def tempering_step(model: LimitStateModel, ensemble: SampleEnsemble, trace: EstimatorTrace,
                    delta_target: float, kernel, c: float, burn_in: int,
-                   rng: np.random.Generator) -> tuple[SampleEnsemble, TraceStep]:
-    """One tempering update: new sigma, then the weighted move to it."""
+                   rng: np.random.Generator) -> SampleEnsemble:
+    """One tempering update, recorded on `trace`: new sigma, then the weighted move to it."""
     level = ensemble.level
-    evals_before = model.counter.total()
     sigma, delta, boundary, log_w = solve_sigma(ensemble.g, ensemble.sigma, delta_target)
     if np.isfinite(ensemble.sigma) and not sigma < ensemble.sigma:
         raise FailedTemperingError(
@@ -185,10 +201,9 @@ def tempering_step(model: LimitStateModel, ensemble: SampleEnsemble,
     factor, states, values = _reweight_and_move(
         model, TemperingTarget(level=level, sigma=sigma), kernel, ensemble.samples,
         log_w, {level: ensemble.g}, c, burn_in, rng)
-    step = TraceStep(kind="temper", level=level, sigma=sigma, factor=factor,
-                     delta=delta, boundary=boundary,
-                     n_evals=model.counter.total() - evals_before)
-    return SampleEnsemble(states, values[level], level, sigma), step
+    trace.record(TraceStep(kind="temper", level=level, sigma=sigma, factor=factor,
+                           delta=delta, boundary=boundary))
+    return SampleEnsemble(states, values[level], level, sigma)
 
 
 def _reweight_and_move(model: LimitStateModel, target, kernel, samples: np.ndarray,
@@ -254,25 +269,26 @@ def run_sequence(model: LimitStateModel, max_level: int, n_samples: int,
     """The sequential estimator loop shared by SIS, MLSIS, SuS and MLSuS.
 
     Draws and evaluates N level-1 samples, then calls
-    `advance(ensemble, trace) -> (ensemble, steps, final)` until a call
-    reports its steps final.  `advance` reads what it needs of the run so far
-    from the trace and may set its `final_correction`.  Returns
-    (probability, EstimatorTrace) with the estimate rebuilt from the steps.
+    `advance(ensemble, trace) -> (ensemble, final)` until a call reports its
+    steps final.  `advance` records its steps on the trace, which is built
+    after the level-1 draw, reads the run so far from it and may set its
+    `final_correction`.  Returns (probability, EstimatorTrace) with the
+    estimate rebuilt from the steps.
     """
     if not (1 <= max_level <= model.max_level):
         raise ValueError(f"max_level must lie in 1..{model.max_level}")
     counts_before = model.counter.counts()
     samples = rng.standard_normal((n_samples, model.dim(1)))
     ensemble = SampleEnsemble(samples, model.evaluate_batch(samples, 1), level=1)
-    trace = EstimatorTrace()
+    trace = EstimatorTrace(model.counter)
     final = False
     while not final:
         if len(trace.steps) >= max_steps:
             raise NonconvergenceError(f"no convergence within {max_steps} steps")
-        ensemble, steps, final = advance(ensemble, trace)
-        trace.steps.extend(steps)
+        ensemble, final = advance(ensemble, trace)
     trace.estimate = trace.product()
     trace.eval_counts = model.counter.since(counts_before)
+    trace.counter = None
     return trace.estimate, trace
 
 

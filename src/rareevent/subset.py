@@ -7,8 +7,9 @@ discretization level between subset steps; since domains on different levels
 are not nested, every level update also estimates the reverse conditional
 probability, which divides the estimator, from one coarse-level evaluation of
 the ensemble its chains return.  Both run on `sis.run_sequence` and record
-"subset" steps and "update" (level-update) steps in an `EstimatorTrace`; the
-hard indicator I(G <= b_j) takes the place of the smoothed one.
+"subset" steps and "update" (level-update) steps with `EstimatorTrace.record`,
+which charges an update its extension, its chains and that coarse
+evaluation; the hard indicator I(G <= b_j) takes the place of the smoothed one.
 """
 
 from __future__ import annotations
@@ -86,7 +87,6 @@ def _subset_simulation(model, max_level, n_samples, p0, kernel, burn_in, rng,
     n_seeds = _validate_p0(n_samples, p0, burn_in)
 
     def advance(ensemble, trace):
-        evals_at = model.counter.total()
         prev_threshold = trace.steps[-1].threshold if trace.steps else None
         is_update = prev_threshold is not None and ensemble.level < max_level
         if is_update:
@@ -100,10 +100,9 @@ def _subset_simulation(model, max_level, n_samples, p0, kernel, burn_in, rng,
         threshold = float(g[order[n_seeds - 1]])
         if threshold <= 0 and level == max_level and not is_update:
             # nested final step: plain conditional fraction
-            return ensemble, [TraceStep(
-                kind="subset", level=level, threshold=0.0,
-                factor=float(np.mean(is_failure(g))),
-                n_evals=model.counter.total() - evals_at)], True
+            trace.record(TraceStep(kind="subset", level=level, threshold=0.0,
+                                   factor=float(np.mean(is_failure(g)))))
+            return ensemble, True
         threshold = max(threshold, 0.0)
         if _stalled([s.threshold for s in trace.steps] + [threshold]):
             raise NonconvergenceError(f"intermediate threshold stalled at {threshold:.6g}")
@@ -123,9 +122,8 @@ def _subset_simulation(model, max_level, n_samples, p0, kernel, burn_in, rng,
             denominator = float(np.mean(g_coarse <= prev_threshold))
             if denominator <= 0:
                 raise NonconvergenceError("zero reverse-conditional estimate")
-        step = TraceStep(kind="update" if is_update else "subset", level=level,
-                         threshold=threshold, factor=factor, denominator=denominator,
-                         n_evals=model.counter.total() - evals_at)
-        return SampleEnsemble(samples, values[level], level), [step], False
+        trace.record(TraceStep(kind="update" if is_update else "subset", level=level,
+                               threshold=threshold, factor=factor, denominator=denominator))
+        return SampleEnsemble(samples, values[level], level), False
 
     return run_sequence(model, max_level, n_samples, rng, advance, MAX_SUBSET_LEVELS)

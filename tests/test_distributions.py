@@ -23,9 +23,6 @@ from rareevent.errors import DegenerateWeightsError, NonconvergenceError
 
 def _reference_sample_vmf(nu, kappa, n, rng, m):
     """The vMF draw built the long way: unit tangent, then renormalisation."""
-    if kappa == 0.0:
-        z = rng.standard_normal((m, n))
-        return z / np.linalg.norm(z, axis=1, keepdims=True)
     w = _sample_vmf_cosines(kappa, n, m, rng)
     z = rng.standard_normal((m, n))
     z -= (z @ nu)[:, None] * nu[None, :]

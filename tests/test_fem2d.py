@@ -129,6 +129,13 @@ class TestParticleTracking:
         with pytest.raises(StagnationError):
             trace_particle(vel, (0.5, 0.5), mesh.h)
 
+    @pytest.mark.parametrize("h", [1 / 8, 1 / 32, 2.0, 1 / 16 + 1e-9])
+    def test_mesh_size_must_match_the_field(self, h):
+        vel = solve_darcy_rt0(lambda p: np.ones(len(p)), 1 / 16)
+        for field in (vel, vel.triangle_velocities()[None]):
+            with pytest.raises(ValueError, match="mesh size"):
+                trace_particle(field, (0.0, 0.5), h)
+
     def test_step_cap_enforced(self):
         vel = solve_darcy_rt0(lambda p: np.ones(len(p)), 1 / 8)
         with pytest.raises(NonconvergenceError):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rareevent import harness
+from rareevent import cli, harness
 from rareevent.fem1d import Diffusion1dModel
 from rareevent.fem2d import FlowCellModel
 from rareevent.harness import (
@@ -305,6 +305,23 @@ class TestCli:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("word, value", [
+        ("1", True), ("TRUE", True), (" yes", True), ("On", True),
+        ("0", False), ("false", False), ("No ", False), ("OFF", False),
+    ])
+    def test_boolean_words(self, word, value):
+        assert cli._coerce("stable_timing", word) is value
+
+    def test_unrecognised_boolean_in_config_file_is_a_config_error(self, tmp_path, capsys):
+        # a typo must not turn into False
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("model=linear\nmethod=mc\nn=10\nstable_timing=ture\n")
+        out = tmp_path / "o.csv"
+        assert cli.main(["estimate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "stable_timing=ture is not one of 1/true/yes/on/0/false/no/off" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_config_file_with_overrides(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("model=linear\nmethod=sus\nkernel=acs\nn=100\nreps=1\n# comment\n")
@@ -358,6 +375,9 @@ class TestCli:
                      id="grid-key-twice"),
         pytest.param(["--method", "mc", "--n", "10", "--grid", "beta=3,3.0"],
                      id="grid-value-twice"),
+        # a word that is no boolean would have run as False
+        pytest.param(["--method", "mc", "--n", "10", "--grid", "stable_timing=yes,maybe"],
+                     id="grid-boolean-typo"),
     ])
     def test_sweep_validates_every_cell_before_running(self, tmp_path, args):
         out_dir = tmp_path / "sweep"

@@ -14,7 +14,7 @@ from rareevent.mlsis import (
     solve_beta,
 )
 from rareevent.models import LimitStateModel, LinearLsfModel
-from rareevent.sis import SampleEnsemble, sis_estimate, tempering_step
+from rareevent.sis import EstimatorTrace, SampleEnsemble, sis_estimate, tempering_step
 
 
 class TwoLevelLinear(LimitStateModel):
@@ -31,8 +31,8 @@ class TwoLevelLinear(LimitStateModel):
 def tempered_ensemble(model, n, rng, delta_target=0.5, c=0.5):
     samples = rng.standard_normal((n, model.dim(1)))
     ens = SampleEnsemble(samples, model.evaluate_batch(samples, 1), 1)
-    ens, _ = tempering_step(model, ens, delta_target, make_kernel("acs"), c, 0, rng)
-    return ens
+    return tempering_step(model, ens, EstimatorTrace(model.counter), delta_target,
+                          make_kernel("acs"), c, 0, rng)
 
 
 class TestSolveBeta:
@@ -97,7 +97,9 @@ class TestBridgeLevel:
         model = TwoLevelLinear(betas=(2.0, 2.0))
         ens = tempered_ensemble(model, 200, rng)
         before = ens.g.copy()
-        new_ens, steps = bridge_level(model, ens, 0.25, make_kernel("acs"), 0.5, 0, rng)
+        trace = EstimatorTrace(model.counter)
+        new_ens = bridge_level(model, ens, trace, 0.25, make_kernel("acs"), 0.5, 0, rng)
+        steps = trace.steps
         assert len(steps) == 1
         assert steps[0].beta == 1.0
         assert steps[0].factor == pytest.approx(1.0, rel=1e-12)
@@ -108,7 +110,9 @@ class TestBridgeLevel:
     def test_diffusion_level_update_invariants(self, rng):
         model = Diffusion1dModel()
         ens = tempered_ensemble(model, 400, rng, delta_target=0.5, c=0.5)
-        new_ens, steps = bridge_level(model, ens, 0.5, make_kernel("acs"), 0.5, 0, rng)
+        trace = EstimatorTrace(model.counter)
+        new_ens = bridge_level(model, ens, trace, 0.5, make_kernel("acs"), 0.5, 0, rng)
+        steps = trace.steps
         betas = [s.beta for s in steps]
         s_hats = [s.factor for s in steps]
         assert all(0 < s < np.inf for s in s_hats)
@@ -220,6 +224,38 @@ class TestMlsisEstimate:
         )
         fine_evals = trace.eval_counts.get(2, 0)
         assert fine_evals == n_s * len(peeks) + bridge_chain_evals
+
+    def test_each_step_is_charged_its_closed_form(self):
+        # N*c aCS chains of n_b + 1/c steps solve N(1 + c n_b) proposals on every
+        # level of their target; a bridge's first stage also extends the ensemble
+        n, c, n_b, n_s = 200, 0.5, 2, 20
+        moves = n * (1 + c * n_b)
+        seen = set()
+        runs = [(0.5, 0), (0.5, 1), (0.5, 2), (0.5, 3), (2.0, 0), (4.0, 1)]
+        for delta_target, seed in runs:
+            _, trace = mlsis_estimate(Diffusion1dModel(max_level=3), 3, n, delta_target,
+                                      make_kernel("acs"), c, np.random.default_rng(seed),
+                                      burn_in=n_b)
+            previous = None
+            for step in trace.steps:
+                if step.kind == "peek":
+                    case, expected = "peek", n_s
+                elif step.kind == "temper":
+                    case, expected = "temper", moves
+                elif step.beta < 1:
+                    case, expected = "bridge beta < 1", 2 * moves
+                else:
+                    case, expected = "bridge beta = 1", moves
+                if step.kind == "bridge" and not (previous.kind == "bridge"
+                                                  and previous.level == step.level):
+                    after_peek = previous.kind == "peek"
+                    case += ", first after a peek" if after_peek else ", first"
+                    expected += n - n_s if after_peek else n
+                assert step.n_evals == expected, (delta_target, seed, case)
+                seen.add(case)
+                previous = step
+        # the runs cover every case
+        assert len(seen) == 8
 
     def test_level_dependent_dimension_run(self, rng):
         model = TwoLevelLinear(betas=(3.0, 3.0), dims=(4, 9))

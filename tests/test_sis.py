@@ -1,5 +1,6 @@
 import functools
 import operator
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -17,6 +18,7 @@ from rareevent.mcmc import cov_from_log_weights, make_kernel
 from rareevent.mlsis import mlsis_estimate
 from rareevent.models import ConstantModel, LinearLsfModel
 from rareevent.sis import (
+    EstimatorTrace,
     SampleEnsemble,
     final_correction,
     sis_estimate,
@@ -201,7 +203,9 @@ class TestTemperingStep:
         model = ConstantModel(-50.0, n=3)
         samples = rng.standard_normal((100, 3))
         ens = SampleEnsemble(samples, model.evaluate_batch(samples, 1), 1)
-        ens, record = tempering_step(model, ens, 0.25, make_kernel("acs"), 0.5, 0, rng)
+        trace = EstimatorTrace(model.counter)
+        ens = tempering_step(model, ens, trace, 0.25, make_kernel("acs"), 0.5, 0, rng)
+        (record,) = trace.steps
         assert record.factor == pytest.approx(1.0, abs=1e-6)
         assert record.delta == pytest.approx(0.0, abs=1e-6)
         assert stopping_cov(ens) <= 0.25
@@ -211,7 +215,9 @@ class TestTemperingStep:
         samples = rng.standard_normal((2000, 10))
         ens = SampleEnsemble(samples, model.evaluate_batch(samples, 1), 1)
         before = ens.g.mean()
-        ens, record = tempering_step(model, ens, 0.25, make_kernel("acs"), 0.1, 0, rng)
+        trace = EstimatorTrace(model.counter)
+        ens = tempering_step(model, ens, trace, 0.25, make_kernel("acs"), 0.1, 0, rng)
+        (record,) = trace.steps
         assert 0.0 < record.factor <= 1.0 + 1e-12
         assert ens.g.mean() < before
 
@@ -220,17 +226,20 @@ class TestTemperingStep:
         samples = rng.standard_normal((50, 4))
         ens = SampleEnsemble(samples, model.evaluate_batch(samples, 1), 1)
         counted = model.counter.total()
-        ens, _ = tempering_step(model, ens, 0.3, make_kernel("acs"), 1.0, 0, rng)
-        # N seeds, chains of length 1: exactly N further evaluations
-        assert model.counter.total() - counted == 50
+        trace = EstimatorTrace(model.counter)
+        ens = tempering_step(model, ens, trace, 0.3, make_kernel("acs"), 1.0, 0, rng)
+        # N seeds, chains of length 1: exactly N further evaluations, charged to the step
+        assert model.counter.total() - counted == trace.steps[0].n_evals == 50
         assert ens.size == 50
 
     def test_realized_cov_near_target_unless_boundary(self, rng):
         model = LinearLsfModel(3.5, 20)
         samples = rng.standard_normal((1000, 20))
         ens = SampleEnsemble(samples, model.evaluate_batch(samples, 1), 1)
+        trace = EstimatorTrace(model.counter)
         for _ in range(6):
-            ens, record = tempering_step(model, ens, 0.3, make_kernel("acs"), 0.1, 0, rng)
+            ens = tempering_step(model, ens, trace, 0.3, make_kernel("acs"), 0.1, 0, rng)
+            record = trace.steps[-1]
             if not record.boundary:
                 assert record.delta == pytest.approx(0.3, rel=0.2)
 
@@ -241,7 +250,8 @@ class TestTemperingStep:
         monkeypatch.setattr(sis, "solve_sigma",
                             lambda g, sigma_prev, target: (sigma_prev, target, False, g))
         with pytest.raises(FailedTemperingError):
-            tempering_step(model, ens, 0.3, make_kernel("acs"), 0.5, 0, rng)
+            tempering_step(model, ens, EstimatorTrace(model.counter), 0.3,
+                           make_kernel("acs"), 0.5, 0, rng)
 
 
 class TestSisEstimate:
@@ -393,3 +403,5 @@ def test_sequential_estimators_share_one_accounting(method):
     assert set(by_kind) <= kinds
     assert trace.n_temper == by_kind["temper"] + by_kind["subset"] + by_kind["update"]
     assert trace.n_bridge == by_kind["bridge"] + by_kind["update"]
+    # a finished trace holds no counter, so it pickles like plain data
+    assert pickle.loads(pickle.dumps(trace)) == trace
