@@ -35,7 +35,6 @@ from .harness import (
     rel_rmse,
     run_experiment,
     summarize,
-    write_csv,
 )
 from .mcmc import (
     AcsKernel,

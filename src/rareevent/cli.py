@@ -1,8 +1,13 @@
 """Command-line interface: estimate, mc-reference, sweep, selftest.
 
-Configurations come from an optional flat key=value file plus flag
-overrides; one experiment per invocation.  Exit codes: 0 success, 2 config
-error, 3 all repetitions failed to converge.
+Settings come from an optional flat key=value file, then the flags, then a
+sweep's grid cell.  Every command but selftest takes one path: `_cells`
+builds and validates each configuration the command runs and checks where
+its CSV goes, then `_run` runs and writes them in turn.  `estimate` is a
+sweep of one cell, and `mc-reference` is `estimate` with the method set to
+mc.  Exit codes: 0 success; 2 config error, which only `_cells` raises, so
+before the first repetition; 3 when no repetition of any cell converged.  A
+fault raised inside a repetition is a program error and shows its traceback.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from .harness import (
     records_to_csv,
     run_experiment,
     summarize,
-    write_csv,
 )
 
 EXIT_OK = 0
@@ -88,50 +92,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="CSV output path")
 
 
-def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(read_config_file(args.config))
-    for key in _FIELD_TYPES:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    missing = [k for k in ("model", "method", "n") if k not in values]
-    if missing:
-        raise ValueError(f"missing required settings: {', '.join(missing)}")
-    return ExperimentConfig(**values)
-
-
-def _finish(records, config, out_path: str | None) -> int:
-    summary = summarize(records, config.reference)
-    text = records_to_csv(records, summary)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {len(records)} rows to {out_path}")
-    else:
-        sys.stdout.write(text)
-    if summary.n_ok == 0:
-        print("all repetitions failed to converge", file=sys.stderr)
-        return EXIT_NONCONVERGED
-    rel = "" if summary.relrmse is None else f" relRMSE={summary.relrmse:.4g}"
-    print(f"mean={summary.mean:.6e} std={summary.std:.4e} "
-          f"cost={summary.mean_cost:.6g}{rel} "
-          f"(ok={summary.n_ok}, excluded={summary.n_excluded})")
-    return EXIT_OK
-
-
-def cmd_estimate(args) -> int:
-    config = build_config(args)
-    records = run_experiment(config)
-    return _finish(records, config, args.out)
-
-
-def cmd_mc_reference(args) -> int:
-    args.method = "mc"
-    return cmd_estimate(args)
-
-
 def _parse_grid(specs: list[str]) -> list[dict]:
     axes: dict[str, list] = {}
     for item in specs:
@@ -148,26 +108,60 @@ def _parse_grid(specs: list[str]) -> list[dict]:
     return [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
 
 
-def cmd_sweep(args) -> int:
-    """Every cell is validated before the first one runs."""
-    if not args.out:
+def _cells(args: argparse.Namespace) -> list[tuple[ExperimentConfig, str | None]]:
+    """Every (config, CSV path or None for stdout) the command runs, all checked.
+
+    Settings merge in order: the --config file, the flags, the sweep's grid cell.
+    """
+    base = read_config_file(args.config) if args.config else {}
+    base.update({key: getattr(args, key) for key in _FIELD_TYPES
+                 if getattr(args, key, None) is not None})
+    sweep = args.command == "sweep"
+    if sweep and not args.out:
         raise ValueError("sweep needs --out, the directory for its CSV files")
-    base = build_config(args)
-    cells = [(cell, ExperimentConfig(**{**base.__dict__, **cell}))
-             for cell in _parse_grid(args.grid)]
-    for _, config in cells:
+    cells = []
+    for cell in _parse_grid(args.grid) if sweep else [{}]:
+        values = {**base, **cell}
+        missing = [k for k in ("model", "method", "n") if k not in values]
+        if missing:
+            raise ValueError(f"missing required settings: {', '.join(missing)}")
+        config = ExperimentConfig(**values)
         config.validate()
-    os.makedirs(args.out, exist_ok=True)
+        path = args.out
+        if sweep:
+            tag = "_".join(f"{k}-{v}" for k, v in sorted(cell.items()))
+            path = os.path.join(args.out, f"{config.method}_{config.model}_{tag}.csv")
+        cells.append((config, path))
+    if sweep:
+        os.makedirs(args.out, exist_ok=True)
+    elif args.out and os.path.isdir(args.out):
+        raise IsADirectoryError(f"--out {args.out} is a directory")
+    elif args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise FileNotFoundError(f"the directory of --out {args.out} does not exist")
+    return cells
+
+
+def _run(cells: list[tuple[ExperimentConfig, str | None]]) -> int:
+    """Run and write every cell; 3 when no repetition of any cell converged."""
     any_ok = False
-    for cell, config in cells:
+    for config, path in cells:
         records = run_experiment(config)
         summary = summarize(records, config.reference)
-        tag = "_".join(f"{k}-{v}" for k, v in sorted(cell.items()))
-        path = os.path.join(args.out, f"{config.method}_{config.model}_{tag}.csv")
-        write_csv(path, records, summary)
-        any_ok = any_ok or summary.n_ok > 0
+        text = records_to_csv(records, summary)
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            print(f"wrote {len(records)} rows to {path}")
+        else:
+            sys.stdout.write(text)
+        if summary.n_ok == 0:
+            print("all repetitions failed to converge", file=sys.stderr)
+            continue
+        any_ok = True
         rel = "" if summary.relrmse is None else f" relRMSE={summary.relrmse:.4g}"
-        print(f"{path}: mean={summary.mean:.6e} cost={summary.mean_cost:.6g}{rel}")
+        print(f"mean={summary.mean:.6e} std={summary.std:.4e} "
+              f"cost={summary.mean_cost:.6g}{rel} "
+              f"(ok={summary.n_ok}, excluded={summary.n_excluded})")
     return EXIT_OK if any_ok else EXIT_NONCONVERGED
 
 
@@ -202,27 +196,28 @@ def main(argv=None) -> int:
 
     p_est = sub.add_parser("estimate", help="run one estimation experiment")
     _add_config_flags(p_est)
-    p_est.set_defaults(func=cmd_estimate)
 
     p_ref = sub.add_parser("mc-reference", help="crude Monte Carlo reference run")
     _add_config_flags(p_ref)
-    p_ref.set_defaults(func=cmd_mc_reference)
 
     p_sweep = sub.add_parser("sweep", help="cross-product of configurations")
     _add_config_flags(p_sweep)
     p_sweep.add_argument("--grid", action="append", required=True,
                          help="key=v1,v2,... (repeatable; values cross-multiply)")
-    p_sweep.set_defaults(func=cmd_sweep)
 
-    p_self = sub.add_parser("selftest", help="fast analytic sanity checks")
-    p_self.set_defaults(func=cmd_selftest)
+    sub.add_parser("selftest", help="fast analytic sanity checks")
 
     args = parser.parse_args(argv)
+    if args.command == "selftest":
+        return cmd_selftest(args)
+    if args.command == "mc-reference":
+        args.method = "mc"
     try:
-        return args.func(args)
+        cells = _cells(args)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    return _run(cells)
 
 
 if __name__ == "__main__":

@@ -229,17 +229,17 @@ def _init_worker(slot, cpus: tuple[int, ...]) -> None:
 def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     """All repetitions of one configuration, in repetition order.
 
-    The pool gets no more workers than there are repetitions or CPUs, and a
-    run that would get one worker runs in this process.
+    The pool gets no more workers than there are repetitions or CPUs to pin
+    them to, and a run that would get one worker runs in this process.
     """
     config.validate()
     reps = range(config.reps)
-    workers = min(config.workers, config.reps, os.cpu_count() or 1)
+    cpus = tuple(sorted(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else ()
+    workers = min(config.workers, config.reps, len(cpus) or os.cpu_count() or 1)
     if workers > 1:
         setup = {}
-        if hasattr(os, "sched_getaffinity"):        # Linux
-            setup = dict(initializer=_init_worker, initargs=(
-                multiprocessing.Value("i", 0), tuple(sorted(os.sched_getaffinity(0)))))
+        if cpus:                                    # Linux
+            setup = dict(initializer=_init_worker, initargs=(multiprocessing.Value("i", 0), cpus))
         with ProcessPoolExecutor(max_workers=workers, **setup) as pool:
             return list(pool.map(run_single, [config] * config.reps, reps))
     return [run_single(config, rep) for rep in reps]
@@ -277,9 +277,3 @@ def records_to_csv(records: list[RunRecord], summary: ExperimentSummary | None =
         lines.append(row("summary", summary.mean, summary.mean_cost, 0, 0, {},
                          0, summary.as_status()))
     return "\n".join(lines) + "\n"
-
-
-def write_csv(path: str, records: list[RunRecord],
-              summary: ExperimentSummary | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(records_to_csv(records, summary))

@@ -13,11 +13,12 @@ iteration (aCS) or per step (vMFN, whose proposals are STATE_INDEPENDENT of
 the chain).  The aCS kernel's tuning is fixed by its class constants
 TARGET_RATE, ADAPT_FRACTION, RHO_BOUNDS and LAMBDA_BOUNDS.
 
-Kernels implement `prepare(samples, log_weights, n_steps)`,
-`propose(current, rng, out)`, which writes the proposals into `out` and
-returns their scores, `log_score(states)`, called for the seeds only, and
-`feedback(accepted)`.  Tempering and bridging reach `run_chains` through one
-weighted move, `sis._reweight_and_move`, fed by their solvers' weights.
+Kernels declare the class attribute STATE_INDEPENDENT and implement
+`prepare(samples, log_weights, n_steps)`, `propose(current, rng, out)`,
+which writes the proposals into `out` and returns their scores,
+`log_score(states)`, called for the seeds only, and `feedback(accepted)`.
+Tempering and bridging reach `run_chains` through one weighted move,
+`sis._reweight_and_move`, fed by their solvers' weights.
 """
 
 from __future__ import annotations
@@ -143,6 +144,7 @@ class AcsKernel:
     persists across tempering and bridging steps.
     """
 
+    STATE_INDEPENDENT = False  # a proposal starts from the chain's current state
     TARGET_RATE = 0.44
     ADAPT_FRACTION = 0.1
     RHO_BOUNDS = (0.001, 0.999)
@@ -256,9 +258,6 @@ def run_chains(model: LimitStateModel, target, kernel, seeds: np.ndarray,
     integer 1/c) once, with `sis._seed_count`.
     """
     steps = burn_in + round(1.0 / c)
-    begin = getattr(kernel, "begin_target", None)
-    if begin is not None:
-        begin(target)
     current = np.array(seeds, dtype=float)
     m, n = current.shape
     values = {lvl: np.array(seed_values[lvl], dtype=float) for lvl in target.levels}
@@ -267,7 +266,7 @@ def run_chains(model: LimitStateModel, target, kernel, seeds: np.ndarray,
     log_smooth_cur = target.log_smooth(values)
     score_cur = kernel.log_score(current)
     # iterations drawn per evaluation: all of them when no proposal reads the state
-    batch = steps if getattr(kernel, "STATE_INDEPENDENT", False) else 1
+    batch = steps if kernel.STATE_INDEPENDENT else 1
     drawn = np.empty((batch * m, n))
     scores, uniforms = np.empty((batch, m)), np.empty((batch, m))
     for step in range(steps):

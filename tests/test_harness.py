@@ -24,6 +24,7 @@ from rareevent.harness import (
     run_single,
     summarize,
 )
+from rareevent.models import LinearLsfModel
 
 
 class TestCostUnits:
@@ -229,12 +230,14 @@ class TestRunExperiment:
     def test_pool_sized_from_the_work(self, monkeypatch):
         # a recording stand-in for the pool: it runs the map in this process
         requested = []
+        linux = hasattr(os, "sched_getaffinity")
 
         class RecordingPool:
             def __init__(self, max_workers, initializer=None, initargs=()):
                 requested.append(max_workers)
-                linux = hasattr(os, "sched_getaffinity")
                 assert initializer is (harness._init_worker if linux else None)
+                # the workers are pinned to the CPUs the pool was sized from
+                assert not linux or initargs[1] == (0, 5, 9)
 
             def __enter__(self):
                 return self
@@ -247,12 +250,16 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 16)
+        if linux:
+            # three CPUs to run on out of 16: the affinity set caps the pool
+            monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {9, 0, 5})
         config = ExperimentConfig(model="linear", method="mc", n=10, stable_timing=True)
         assert len(run_experiment(replace(config, reps=1, workers=3))) == 1
         assert requested == []
         assert len(run_experiment(replace(config, reps=2, workers=8))) == 2
         assert requested == [2]
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        if not linux:
+            monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
         assert len(run_experiment(replace(config, reps=8, workers=8))) == 8
         assert requested == [2, 3]
 
@@ -403,3 +410,51 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         files = sorted(os.listdir(out_dir))
         assert len(files) == 2
+
+    def test_sweep_grid_supplies_required_settings(self, tmp_path):
+        out_dir = tmp_path / "sweep"
+        code = cli.main(["sweep", "--model", "linear", "--n", "100", "--kernel", "acs",
+                         "--reps", "1", "--stable-timing", "--grid", "method=sus,mc",
+                         "--out", str(out_dir)])
+        assert code == cli.EXIT_OK
+        assert sorted(os.listdir(out_dir)) == ["mc_linear_method-mc.csv",
+                                               "sus_linear_method-sus.csv"]
+
+    def test_fault_inside_a_repetition_is_no_config_error(self, monkeypatch, capsys):
+        # validation passed, so a ValueError from the run is a program error
+        calls = []
+        evaluate = LinearLsfModel._evaluate_batch
+
+        def faulty(self, xis, level):
+            calls.append(level)
+            if len(calls) == 40:
+                raise ValueError("fault inside a repetition")
+            return evaluate(self, xis, level)
+
+        monkeypatch.setattr(LinearLsfModel, "_evaluate_batch", faulty)
+        with pytest.raises(ValueError, match="fault inside a repetition"):
+            cli.main(["estimate", "--model", "linear", "--method", "sis", "--kernel", "acs",
+                      "--n", "500", "--reps", "3", "--stable-timing"])
+        assert "config error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["missing/o.csv", "."])
+    def test_unwritable_out_is_a_config_error_before_any_run(
+            self, tmp_path, monkeypatch, capsys, out):
+        # a file in a missing directory, or a directory
+        ran, run = [], cli.run_experiment
+        monkeypatch.setattr(cli, "run_experiment", lambda config: ran.append(config) or run(config))
+        out = tmp_path / out
+        code = cli.main(["estimate", "--model", "linear", "--method", "mc", "--n", "10",
+                         "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert ran == []
+
+    def test_mc_reference_overrides_the_config_files_method(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("model=linear\nmethod=sis\nn=100\nreps=2\n")
+        out = tmp_path / "ref.csv"
+        assert cli.main(["mc-reference", "--config", str(cfg), "--stable-timing",
+                         "--out", str(out)]) == cli.EXIT_OK
+        rows = out.read_text().strip().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["mc", "mc", "mc"]

@@ -53,6 +53,8 @@ class LockstepVmfn(VmfnIndependentKernel):
 class IdentityKernel:
     """Proposes the current state; used to freeze chains."""
 
+    STATE_INDEPENDENT = False
+
     def prepare(self, *args, **kwargs):
         pass
 

@@ -326,12 +326,11 @@ class PerfectLinearKernel:
     (X, V) = (X, X - sigma Y) restricted to V >= beta.
     """
 
+    STATE_INDEPENDENT = False
+
     def __init__(self, beta):
         self.beta = beta
-        self.sigma = None
-
-    def begin_target(self, target):
-        self.sigma = target.sigma
+        self.sigma = None   # the bandwidth of the current step, set by its test
 
     def prepare(self, *args, **kwargs):
         pass
@@ -361,14 +360,23 @@ def _truncated_normal_lower(lower, scale, size, rng):
 
 
 class TestPerfectSamplerUnbiasedness:
-    def test_estimator_unbiased_with_exact_kernel(self):
+    def test_estimator_unbiased_with_exact_kernel(self, monkeypatch):
         beta = 2.5
         exact = float(stats.norm.sf(beta))
+        kernel = PerfectLinearKernel(beta)
+        solve = sis.solve_sigma
+
+        def solve_for_kernel(*args):
+            # each tempering step's chains sample at the bandwidth it solved for
+            out = solve(*args)
+            kernel.sigma = out[0]
+            return out
+
+        monkeypatch.setattr(sis, "solve_sigma", solve_for_kernel)
         ests = []
         for rep in range(200):
             rng = np.random.default_rng([777, rep])
-            p, _ = sis_estimate(LinearLsfModel(beta, 5), 1, 400, 0.5,
-                                PerfectLinearKernel(beta), 0.5, rng)
+            p, _ = sis_estimate(LinearLsfModel(beta, 5), 1, 400, 0.5, kernel, 0.5, rng)
             ests.append(p)
         ests = np.array(ests)
         z = (ests.mean() - exact) / (ests.std(ddof=1) / np.sqrt(len(ests)))
