@@ -16,13 +16,14 @@ value.  Edge fluxes are psi differences, so the divergence and the no-flow
 fluxes vanish by construction, and the pressures follow exactly from the
 flux rows of the mixed system.  Numbering the vertex rows bottom to top, top
 value last, keeps the matrix banded for LAPACK's banded Cholesky, with m + 1
-superdiagonals: the P1 coupling across each triangle's SW-NE diagonal is
+subdiagonals: the P1 coupling across each triangle's SW-NE diagonal is
 zero, so the band is the 5-point stencil's, whose farthest neighbours (the
 vertex above, and the top value from the first vertex below it) sit m + 1
-rows away.  Those
+rows away; it is stored lower, which LAPACK factors at unit stride.  Those
 solves run with OpenBLAS set to one thread for the whole process, and the
 caller's thread counts come back when they end: threading only slows the
 small level-2 BLAS calls the banded Cholesky makes, and the bits are the same.
+A batch's particles read curl psi only on the triangles they cross.
 
 The flow cell is the paper's: the log-permeability is a standard Gaussian
 field with exponential covariance of correlation length CORR_LENGTH = 0.5 in
@@ -128,7 +129,7 @@ class _StreamFunctionSolver:
         m = mesh.m
         self.mesh = mesh
         self.n = m * m                  # (m - 1) rows of m + 1 vertices, plus the top row
-        self.kd = m + 1                 # superdiagonals: the vertex above is m + 1 rows on
+        self.kd = m + 1                 # subdiagonals: the vertex above is m + 1 rows on
         dof = np.empty((m + 1, m + 1), dtype=int)                  # [j, i]
         dof[0] = -1                                                # psi = 0, eliminated
         dof[1:m] = np.arange((m - 1) * (m + 1)).reshape(m - 1, m + 1)
@@ -144,13 +145,13 @@ class _StreamFunctionSolver:
                                         [[1, 0, -1], [0, 1, -1], [-1, -1, 2]]]), (m * m, 1, 1))
         rows = tri_dof[:, :, None].repeat(3, axis=2)
         cols = tri_dof[:, None, :].repeat(3, axis=1)
-        # upper band of the symmetric matrix without the zero a-c couplings,
+        # lower band of the symmetric matrix without the zero a-c couplings,
         # which would fall outside it; two top-row vertices of one triangle
         # both land on the top value's diagonal
-        keep = (rows >= 0) & (rows <= cols) & (k_loc != 0)
-        # band entry (r, c) sits at [kd + r - c, c] of the (kd + 1, n) Fortran
-        # array LAPACK reads, i.e. at c (kd + 1) + kd + r - c of its memory
-        self._band_index = (cols * (self.kd + 1) + self.kd + rows - cols)[keep]
+        keep = (cols >= 0) & (rows >= cols) & (k_loc != 0)
+        # band entry (r, c) sits at [r - c, c] of the (kd + 1, n) Fortran
+        # array LAPACK reads, i.e. at c (kd + 1) + r - c of its memory
+        self._band_index = (cols * (self.kd + 1) + rows - cols)[keep]
         self._band_tri = np.nonzero(keep)[0]
         self._band_stiffness = k_loc[keep]
 
@@ -173,7 +174,7 @@ class _StreamFunctionSolver:
                 weights = self._band_stiffness / a[self._band_tri]
                 band = np.bincount(self._band_index, weights=weights, minlength=size)
                 # a contiguous row with overwrite_b: the solution replaces the load in place
-                info = dpbsv(band.reshape(self.n, self.kd + 1).T, sol,
+                info = dpbsv(band.reshape(self.n, self.kd + 1).T, sol, lower=1,
                              overwrite_ab=1, overwrite_b=1)[2]
                 if info != 0:  # pragma: no cover - SPD for every positive finite field
                     raise ModelEvaluationError(f"banded Cholesky failed (info={info})")
@@ -283,15 +284,23 @@ def solve_darcy_rt0(a, h: float) -> DiscreteVelocity:
     return _StreamFunctionSolver(mesh).solve(a_tri)
 
 
+@dataclass(frozen=True)
+class StreamFunctionBatch:
+    """Vertex stream functions psi[s, j, i] of a batch, whose velocities are curl psi."""
+
+    psi: np.ndarray
+
+
 def trace_particle(vel, start, h: float, max_steps: int | None = None):
     """Forward-Euler travel times from `start` to the first boundary crossing.
 
     `vel` is a `DiscreteVelocity`, for which the time is returned as a float,
-    or a (samples, n_tri, 2) batch of per-triangle velocities, for which all
-    particles advance in lockstep and an array of times is returned.  The
-    velocity is read as one constant vector per triangle (the centroid value
-    of a `DiscreteVelocity`), which is the whole field when it is
-    divergence-free, as every flow-cell solution is.
+    or a batch, for which all particles advance in lockstep and an array of
+    times is returned: (samples, n_tri, 2) per-triangle velocities, or a
+    `StreamFunctionBatch`, whose curl psi is read only on the triangles the
+    particles cross.  The velocity is read as one constant vector per
+    triangle (the centroid value of a `DiscreteVelocity`), which is the whole
+    field when it is divergence-free, as every flow-cell solution is.
 
     Step size is h / (2 ||q||), where h must be the field's mesh size 1/m;
     the final step is clipped to the exact exit point.  A crossing requires a
@@ -307,20 +316,40 @@ def trace_particle(vel, start, h: float, max_steps: int | None = None):
     if not (0.0 <= x0 <= 1.0 and 0.0 <= y0 <= 1.0):
         raise ValueError("start point must lie in the closed unit square")
     single = isinstance(vel, DiscreteVelocity)
-    u = vel.triangle_velocities()[None] if single else np.asarray(vel, dtype=float)
-    m = math.isqrt(u.shape[1] // 2) if u.ndim == 3 else 0
-    if u.ndim != 3 or u.shape[2] != 2 or m == 0 or 2 * m * m != u.shape[1]:
-        raise ValueError("expected per-triangle velocities of shape (samples, 2 m^2, 2)")
+    if isinstance(vel, StreamFunctionBatch):
+        psi = np.asarray(vel.psi, dtype=float)
+        m = psi.shape[2] - 1 if psi.ndim == 3 else 0
+        if m < 1 or psi.shape[1] != m + 1:
+            raise ValueError("expected stream functions of shape (samples, m + 1, m + 1)")
+        n_samples, rows = psi.shape[0], (m + 1) ** 2
+        flat = psi.reshape(-1)               # sample s, vertex (i, j) at s rows + j (m + 1) + i
+        # per triangle, the vertex pairs of `velocities`' differences: lower (c - b, a - b) and
+        # upper (d - a, d - c), with b, c, d at a + 1, m + 2, m + 1 from a = (i, j)
+        corner = np.add.outer((m + 1) * np.arange(m), np.arange(m))[..., None, None, None]
+        vertices = (corner + [[[m + 2, 1], [0, 1]], [[m + 1, 0], [m + 1, m + 2]]]).reshape(-1, 2, 2)
+
+        def velocity(first, tri):
+            v = flat[first[:, None, None] + vertices[tri]]
+            return (v[..., 0] - v[..., 1]) / mesh.h
+    else:
+        u = vel.triangle_velocities()[None] if single else np.asarray(vel, dtype=float)
+        m = math.isqrt(u.shape[1] // 2) if u.ndim == 3 else 0
+        if u.ndim != 3 or u.shape[2] != 2 or m == 0 or 2 * m * m != u.shape[1]:
+            raise ValueError("expected per-triangle velocities of shape (samples, 2 m^2, 2)")
+        n_samples, rows = u.shape[:2]
+        flat = u.reshape(-1, 2)              # row s, triangle t at s n_tri + t
+
+        def velocity(first, tri):
+            return flat[first + tri]
     if not abs(h * m - 1.0) <= 1e-12:
         raise ValueError(f"mesh size h={h} does not match the field's {m} x {m} mesh")
     mesh = build_mesh(m)
     if max_steps is None:
         max_steps = STEPS_PER_CELL * m * m
 
-    flat = u.reshape(-1, 2)                  # row s, triangle t at s n_tri + t
-    times = np.empty(u.shape[0])
-    moving = np.arange(u.shape[0])
-    first = moving * u.shape[1]              # each moving particle's first row of `flat`
+    times = np.empty(n_samples)
+    moving = np.arange(n_samples)
+    first = moving * rows                    # each moving particle's first entry of `flat`
     p = np.tile([x0, y0], (moving.size, 1))  # positions, one row per moving particle
     time = np.zeros(moving.size)
     half_h = 0.5 * h                         # the distance of every step
@@ -328,7 +357,7 @@ def trace_particle(vel, start, h: float, max_steps: int | None = None):
     # test for staying inside, so it is caught with the exits
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(max_steps):
-            q = flat[first + mesh.locate(p)]
+            q = velocity(first, mesh.locate(p))
             speed = np.hypot(q[:, 0], q[:, 1])
             dt = half_h / speed
             new = p + dt[:, None] * q
@@ -395,8 +424,8 @@ class FlowCellModel(LimitStateModel):
         for xi, row in zip(xis, a):
             np.matmul(modes, xi, out=row)
         np.exp(a, out=a)
-        u = solver.velocities(solver.stream_functions(a))
-        return trace_particle(u, self.start, self.mesh_size(level))
+        psi = StreamFunctionBatch(solver.stream_functions(a))
+        return trace_particle(psi, self.start, self.mesh_size(level))
 
     def _evaluate_batch(self, xis, level):
         chunk = max(1, _CHUNK_VALUES // self._level_form(level)[0].mesh.n_tri)

@@ -216,13 +216,15 @@ def _reweight_and_move(model: LimitStateModel, target, kernel, samples: np.ndarr
     `values` by level, run chains of burn_in + 1/c steps, a layout the
     estimator checked with `_seed_count`.  Returns (S-hat, states, values).
     """
-    factor = float(np.exp(log_mean_exp(log_w)))
+    log_factor = log_mean_exp(log_w)
+    if not -745.13 < log_factor < 709.78:    # else exp gives 0 or inf, and the estimate 0 * inf
+        raise DegenerateWeightsError(f"step factor exp({log_factor:.6g}) is 0 or not finite")
     kernel.prepare(samples, log_w, n_steps=round(1.0 / c))
     idx = resample_multinomial(np.exp(log_w - log_w.max()), round(c * len(samples)), rng)
     seed_values = {lvl: values[lvl][idx] for lvl in target.levels}
     states, values = run_chains(model, target, kernel, samples[idx], seed_values,
                                 c, burn_in, rng)
-    return factor, states, values
+    return float(np.exp(log_factor)), states, values
 
 
 def _seed_count(n: int, c: float, burn_in: int) -> int:

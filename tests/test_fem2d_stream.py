@@ -17,7 +17,7 @@ from scipy.linalg.lapack import dpbsv
 
 from rareevent import _blas, fem2d
 from rareevent.errors import ModelEvaluationError, NonconvergenceError, StagnationError
-from rareevent.fem2d import FlowCellModel, build_mesh, trace_particle
+from rareevent.fem2d import START, FlowCellModel, StreamFunctionBatch, build_mesh, trace_particle
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "fem2d_rt0_golden.json").read_text())
 
@@ -72,11 +72,75 @@ def test_band_is_the_p1_stiffness(level, rng):
     a = np.exp(rng.standard_normal(solver.mesh.n_tri))
     band = np.bincount(solver._band_index, weights=solver._band_stiffness / a[solver._band_tri],
                        minlength=n * (kd + 1)).reshape(n, kd + 1).T
-    r, c = np.triu_indices(n)
-    r, c = r[c - r <= kd], c[c - r <= kd]
-    upper = np.zeros((n, n))
-    upper[r, c] = band[kd + r - c, c]
-    assert np.array_equal(upper + np.triu(upper, 1).T, _dense_p1_stiffness(m, a))
+    r, c = np.tril_indices(n)
+    r, c = r[r - c <= kd], c[r - c <= kd]
+    lower = np.zeros((n, n))
+    lower[r, c] = band[r - c, c]
+    assert np.array_equal(lower + np.tril(lower, -1).T, _dense_p1_stiffness(m, a))
+
+
+def _upper_band_travel_times(solver, a, h):
+    """Travel times through an upper-band `dpbsv` solve of the solver's mirrored lower band."""
+    m, n, kd = solver.mesh.m, solver.n, solver.kd
+    psi = np.zeros((len(a), m + 1, m + 1))
+    for a_s, psi_s in zip(a, psi):
+        lower = np.bincount(solver._band_index, weights=solver._band_stiffness / a_s[solver._band_tri],
+                            minlength=n * (kd + 1)).reshape(n, kd + 1).T
+        upper = np.zeros_like(lower)
+        for d in range(kd + 1):                  # A[c + d, c] at lower[d, c] and upper[kd - d, c + d]
+            upper[kd - d, d:] = lower[d, : n - d]
+        load = np.zeros(n)
+        load[-1] = 1.0
+        _, sol, info = dpbsv(upper, load)
+        assert info == 0
+        psi_s[1:m] = sol[:-1].reshape(m - 1, m + 1)
+        psi_s[m] = sol[-1]
+    return trace_particle(solver.velocities(psi), START, h)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
+def test_lower_band_travel_times_match_an_upper_band_solve(level):
+    model = FlowCellModel()
+    xis = np.random.default_rng([27, level]).standard_normal((3 if level < 6 else 2, model.dim(level)))
+    a = np.array([model.permeability(xi, level) for xi in xis])
+    ref = _upper_band_travel_times(model._level_form(level)[0], a, model.mesh_size(level))
+    assert np.max(np.abs(model.travel_time(xis, level) / ref - 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("batch", [1, 25, 250])
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_stream_function_tracking_equals_velocity_tracking(level, batch):
+    model = FlowCellModel()
+    solver = model._level_form(level)[0]
+    h = model.mesh_size(level)
+    xis = np.random.default_rng([28, level, batch]).standard_normal((batch, model.dim(level)))
+    psi = solver.stream_functions(np.array([model.permeability(xi, level) for xi in xis]))
+    times = trace_particle(StreamFunctionBatch(psi), START, h)
+    assert np.array_equal(times, trace_particle(solver.velocities(psi), START, h))
+    assert np.array_equal(model.travel_time(xis, level), times)
+    psi[-1] = 0.0                                # the last particle stagnates
+    for field in (StreamFunctionBatch(psi), solver.velocities(psi)):
+        with pytest.raises(StagnationError, match=r"zero velocity at \(0, 0.5\)"):
+            trace_particle(field, START, h)
+
+
+@pytest.mark.parametrize("level", [1, 3])
+def test_stream_function_tracking_keeps_the_step_cap(level):
+    # psi = y is the uniform unit field (1, 0): exactly 2 m steps of h / 2 to the east face
+    model = FlowCellModel()
+    solver = model._level_form(level)[0]
+    m, h = solver.mesh.m, model.mesh_size(level)
+    psi = np.broadcast_to(np.arange(m + 1)[:, None] * h, (2, m + 1, m + 1))
+    for field in (StreamFunctionBatch(psi), solver.velocities(psi)):
+        assert np.array_equal(trace_particle(field, START, h, max_steps=2 * m), [1.0, 1.0])
+        with pytest.raises(NonconvergenceError, match=f"within {2 * m - 1} steps"):
+            trace_particle(field, START, h, max_steps=2 * m - 1)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (3, 4, 5), (3, 1, 1)])
+def test_stream_functions_of_another_shape_rejected(shape):
+    with pytest.raises(ValueError, match="stream functions of shape"):
+        trace_particle(StreamFunctionBatch(np.zeros(shape)), START, 0.25)
 
 
 def test_lockstep_times_equal_single_particle_times(rng):
@@ -182,7 +246,7 @@ def test_one_thread_solve_matches_two_thread_solve_bit_for_bit(level, two_blas_t
         load = np.zeros(n)
         load[-1] = 1.0
         assert _blas.blas_threads() == two_blas_threads
-        _, sol, info = dpbsv(band.reshape(n, kd + 1).T, load)
+        _, sol, info = dpbsv(band.reshape(n, kd + 1).T, load, lower=1)
         assert info == 0
         psi = solver.stream_functions(a[None])[0]
         assert np.array_equal(psi[1:m].ravel(), sol[:-1])

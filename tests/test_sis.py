@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 
 from rareevent import mlsis, sis
 from rareevent.distributions import std_normal_log_cdf
-from rareevent.errors import FailedTemperingError, NonconvergenceError
+from rareevent.errors import DegenerateWeightsError, FailedTemperingError, NonconvergenceError
 from rareevent.fem1d import Diffusion1dModel
 from rareevent.mcmc import cov_from_log_weights, make_kernel
 from rareevent.mlsis import mlsis_estimate
@@ -252,6 +252,20 @@ class TestTemperingStep:
         with pytest.raises(FailedTemperingError):
             tempering_step(model, ens, EstimatorTrace(model.counter), 0.3,
                            make_kernel("acs"), 0.5, 0, rng)
+
+    @pytest.mark.parametrize("log_w", [-800.0, 720.0, -np.inf])
+    def test_step_factor_of_zero_or_inf_raises(self, rng, monkeypatch, log_w):
+        # exp of such a log S-hat is 0 or inf, so the estimate would read 0, inf or 0 * inf
+        model = LinearLsfModel(2.0, 4)
+        samples = rng.standard_normal((50, 4))
+        ens = SampleEnsemble(samples, model.evaluate_batch(samples, 1), 1)
+        monkeypatch.setattr(sis, "solve_sigma", lambda g, sigma_prev, target: (
+            1.0, target, False, np.full(g.shape, log_w)))
+        counted = model.counter.total()
+        with pytest.raises(DegenerateWeightsError, match="step factor"):
+            tempering_step(model, ens, EstimatorTrace(model.counter), 0.3,
+                           make_kernel("acs"), 0.5, 0, rng)
+        assert model.counter.total() == counted      # raised before any chain ran
 
 
 class TestSisEstimate:
