@@ -250,8 +250,9 @@ def run_chains(model: LimitStateModel, target, kernel, seeds: np.ndarray,
     limit-state evaluations per level of the target.  Seed values are reused,
     never recomputed.  Each iteration draws its proposals into a row block
     of one buffer, then its uniforms.  A kernel whose proposals are
-    STATE_INDEPENDENT draws them for every iteration up front, and the run
-    costs one batched model evaluation per target level; any other kernel
+    STATE_INDEPENDENT draws them for every iteration up front, so the run
+    costs one batched model evaluation per target level, and each swept
+    iteration's kept states and values overwrite its rows; any other kernel
     costs one per iteration and level.  The kernel scores the seeds with
     `log_score` and each proposal as it draws it; accepted scores are carried
     like the limit-state values.  Callers check the layout (burn_in >= 0,
@@ -261,13 +262,16 @@ def run_chains(model: LimitStateModel, target, kernel, seeds: np.ndarray,
     current = np.array(seeds, dtype=float)
     m, n = current.shape
     values = {lvl: np.array(seed_values[lvl], dtype=float) for lvl in target.levels}
-    states = np.empty(((steps - burn_in) * m, n))
-    kept = {lvl: np.empty(states.shape[0]) for lvl in target.levels}
     log_smooth_cur = target.log_smooth(values)
     score_cur = kernel.log_score(current)
     # iterations drawn per evaluation: all of them when no proposal reads the state
     batch = steps if kernel.STATE_INDEPENDENT else 1
     drawn = np.empty((batch * m, n))
+    in_place = batch == steps   # the buffer holds every iteration: keep states in it
+    lag = 0 if in_place else burn_in    # iteration k is kept in block k - lag of `states`
+    if not in_place:
+        states = np.empty(((steps - burn_in) * m, n))
+        kept = {lvl: np.empty(states.shape[0]) for lvl in target.levels}
     scores, uniforms = np.empty((batch, m)), np.empty((batch, m))
     for step in range(steps):
         slot = step % batch
@@ -277,6 +281,8 @@ def run_chains(model: LimitStateModel, target, kernel, seeds: np.ndarray,
                 uniforms[k] = rng.uniform(size=m)
             drawn_values = {lvl: model.evaluate_batch(drawn[:, :model.dim(lvl)], lvl)
                             for lvl in target.levels}
+            if in_place:
+                states, kept = drawn, drawn_values
         rows = slice(slot * m, (slot + 1) * m)
         proposals = drawn[rows]
         log_smooth_prop = target.log_smooth({lvl: v[rows] for lvl, v in drawn_values.items()})
@@ -290,8 +296,9 @@ def run_chains(model: LimitStateModel, target, kernel, seeds: np.ndarray,
             values[lvl] = np.where(accept, drawn_values[lvl][rows], values[lvl])
         kernel.feedback(accept)
         if step >= burn_in:
-            keep = slice((step - burn_in) * m, (step - burn_in + 1) * m)
+            keep = slice((step - lag) * m, (step - lag + 1) * m)
             states[keep] = current
             for lvl in target.levels:
                 kept[lvl][keep] = values[lvl]
-    return states, kept
+    first = (burn_in - lag) * m
+    return states[first:], {lvl: v[first:] for lvl, v in kept.items()}

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._roots import _brent
 from .distributions import std_normal_log_cdf
 from .errors import NonconvergenceError
 from .mcmc import TemperingTarget, cov_from_log_weights, extend_dimension
@@ -53,8 +53,8 @@ def solve_beta(g_coarse, g_fine, sigma: float, beta_prev: float,
 
     Returns exactly 1.0 whenever the full remaining step already satisfies the
     target.  Otherwise the COV rises from 0 at beta_prev to above the target
-    at 1, so Brent's method on [beta_prev, 1] finds the crossing.  Returns
-    (beta, realized_cov, hit_boundary, log_weights), the last being
+    at 1, so Brent's method, `_brent`, on [beta_prev, 1] finds the crossing.
+    Returns (beta, realized_cov, hit_boundary, log_weights), the last being
     (beta - beta_prev) times `bridging_log_ratios` at the returned beta.
     """
     if not (0.0 <= beta_prev < 1.0):
@@ -67,7 +67,7 @@ def solve_beta(g_coarse, g_fine, sigma: float, beta_prev: float,
     full = delta_at(1.0)
     if full <= delta_target:
         return 1.0, float(full), False, (1.0 - beta_prev) * ratios
-    beta = brentq(lambda b: delta_at(b) - delta_target, beta_prev, 1.0, xtol=1e-12)
+    beta = _brent(lambda b: delta_at(b) - delta_target, beta_prev, 1.0, 1e-12)
     beta = float(max(beta, np.nextafter(beta_prev, 1.0)))
     log_w = (beta - beta_prev) * ratios
     span = 1.0 - beta_prev
@@ -113,18 +113,18 @@ def _extend_ensemble(model, ensemble, rng, peek_cache):
     N - N_s fine evaluations for this stage.
     """
     fine = ensemble.level + 1
-    fresh = np.arange(ensemble.size)
-    if peek_cache is not None:
-        fresh = np.delete(fresh, peek_cache.indices)
-    extended = extend_dimension(ensemble.samples[fresh],
-                                model.dim(fine) - model.dim(ensemble.level), rng)
+    delta_n = model.dim(fine) - model.dim(ensemble.level)
+    if peek_cache is None:
+        samples = extend_dimension(ensemble.samples, delta_n, rng)
+        return samples, model.evaluate_batch(samples, fine)
+    fresh = np.delete(np.arange(ensemble.size), peek_cache.indices)
+    extended = extend_dimension(ensemble.samples[fresh], delta_n, rng)
     samples = np.empty((ensemble.size, model.dim(fine)))
     g_fine = np.empty(ensemble.size)
     samples[fresh] = extended
     g_fine[fresh] = model.evaluate_batch(extended, fine)
-    if peek_cache is not None:
-        samples[peek_cache.indices] = peek_cache.extended
-        g_fine[peek_cache.indices] = peek_cache.g_fine
+    samples[peek_cache.indices] = peek_cache.extended
+    g_fine[peek_cache.indices] = peek_cache.g_fine
     return samples, g_fine
 
 

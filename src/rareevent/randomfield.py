@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
+
+from ._roots import _brent
 
 _HALF = 0.5  # half-length of [0,1] mapped onto [-1/2, 1/2]
 
@@ -32,6 +33,7 @@ def _kl_roots_1d(c: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     Odd family:  w = -c tan(w/2), one root per branch ((2k-1) pi, 2k pi).
     Returns (omegas, is_even) for the `count` largest eigenvalues; since the
     eigenvalue 2c/(w^2+c^2) decreases in w, that means the smallest roots.
+    `_brent` finds each root inside its branch, eps away from the poles.
     """
     eps = 1e-9
     even_f = lambda w: c - w * np.tan(w * _HALF)
@@ -39,11 +41,11 @@ def _kl_roots_1d(c: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     tol = dict(xtol=1e-13, rtol=4 * np.finfo(float).eps, maxiter=200)
     per_family = count // 2 + 2
     even_roots = [
-        brentq(even_f, 2 * k * np.pi + eps, (2 * k + 1) * np.pi - eps, **tol)
+        _brent(even_f, 2 * k * np.pi + eps, (2 * k + 1) * np.pi - eps, **tol)
         for k in range(per_family)
     ]
     odd_roots = [
-        brentq(odd_f, (2 * k - 1) * np.pi + eps, 2 * k * np.pi - eps, **tol)
+        _brent(odd_f, (2 * k - 1) * np.pi + eps, 2 * k * np.pi - eps, **tol)
         for k in range(1, per_family + 1)
     ]
     omegas = np.array(even_roots + odd_roots)

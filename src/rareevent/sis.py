@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._roots import _brent
 from .distributions import std_normal_log_cdf
 from .errors import DegenerateWeightsError, FailedTemperingError, NonconvergenceError
 from .mcmc import (
@@ -130,8 +130,8 @@ def solve_sigma(g, sigma_prev: float, delta_target: float):
     The weight COV vanishes at sigma_prev and grows as sigma shrinks, with
     the whole transition often squeezed into a thin sliver below sigma_prev,
     so the crossing is first bracketed by a geometric walk down from
-    sigma_prev and then found by Brent's method in log sigma.  From
-    sigma_prev = inf the walk starts near the large-sigma root instead,
+    sigma_prev and then found by Brent's method, `_brent`, in log sigma.
+    From sigma_prev = inf the walk starts near the large-sigma root instead,
     after stepping up from there while the COV is not yet below the target.
     When the COV stays below the target down to SIGMA_MIN, the walk's last
     point exp(log SIGMA_MIN) is returned as a boundary value.  Reuses cached
@@ -176,7 +176,7 @@ def solve_sigma(g, sigma_prev: float, delta_target: float):
             return sigma, float(delta), True, log_w_at(sigma)
         x_above, x = x, max(x - step, log_lo)
     if x_above is not None:     # else the COV reaches the target at hi already
-        x = brentq(lambda t: cov_of(log_w_at(np.exp(t))) - delta_target, x, x_above, xtol=1e-10)
+        x = _brent(lambda t: cov_of(log_w_at(np.exp(t))) - delta_target, x, x_above, 1e-10)
     sigma = float(np.exp(x))
     if np.isfinite(sigma_prev):
         sigma = min(sigma, sigma_prev * (1.0 - 1e-12))
