@@ -41,7 +41,7 @@ from scipy.linalg.lapack import dpbsv
 
 from ._blas import single_blas_thread
 from .errors import ModelEvaluationError, NonconvergenceError, StagnationError
-from .models import KL_TRUNCATION, LimitStateModel, checked_level_dims
+from .models import KL_TRUNCATION, LimitStateModel, _mode_product, checked_level_dims
 from .randomfield import kl_basis_2d
 
 DEFAULT_LEVEL_DIMS_2D = (10, 20, 40, 80, 150, 150)
@@ -401,28 +401,19 @@ class FlowCellModel(LimitStateModel):
         if level not in self._level_forms:
             mesh = build_mesh(round(1.0 / self.mesh_size(level)))
             theta = self.basis.eigenfunction_matrix(mesh.centroids, self.basis.truncation)
-            self._level_forms[level] = (_StreamFunctionSolver(mesh),
-                                        theta * np.sqrt(self.basis.eigenvalues)[None, :])
+            theta *= np.sqrt(self.basis.eigenvalues)
+            self._level_forms[level] = (_StreamFunctionSolver(mesh), np.ascontiguousarray(theta.T))
         return self._level_forms[level]
 
     def permeability(self, xi, level: int) -> np.ndarray:
         """Per-triangle log-normal permeability for one coefficient vector."""
         xi = np.asarray(xi, dtype=float)
-        return np.exp(self._level_form(level)[1][:, : xi.shape[0]] @ xi)
+        return np.exp(_mode_product(xi[None], self._level_form(level)[1])[0])
 
     def travel_time(self, xis, level: int) -> np.ndarray:
-        """Travel times for an (m, n) batch of coefficient vectors, one per row.
-
-        The permeabilities take one mat-vec per row: a batched mat-mul rounds
-        differently from a mat-vec, and a sample's value must not depend on
-        the batch it arrives in.
-        """
-        solver, modes = self._level_form(level)
-        xis = np.asarray(xis, dtype=float)
-        modes = modes[:, : xis.shape[1]]
-        a = np.empty((xis.shape[0], modes.shape[0]))
-        for xi, row in zip(xis, a):
-            np.matmul(modes, xi, out=row)
+        """Travel times for an (m, n) batch of coefficient vectors, one per row."""
+        solver, modes_t = self._level_form(level)
+        a = _mode_product(np.asarray(xis, dtype=float), modes_t)[: len(xis)]
         np.exp(a, out=a)
         psi = StreamFunctionBatch(solver.stream_functions(a))
         return trace_particle(psi, self.start, self.mesh_size(level))

@@ -19,6 +19,22 @@ from .errors import ModelEvaluationError
 KL_TRUNCATION = 150
 
 
+def _mode_product(xis: np.ndarray, modes_t: np.ndarray) -> np.ndarray:
+    """xis @ modes_t[:n] for an (m, n) batch in whole blocks of 16 rows, zero-padded.
+
+    Only the last partial block is copied: OpenBLAS rounds edge rows apart, and
+    with C-ordered modes a row then has the same bits in any batch.
+    """
+    m, n = xis.shape
+    full = m - m % 16
+    out = np.empty((full + 16 * (full < m), modes_t.shape[1]))
+    tail = np.zeros((len(out) - full, n))
+    tail[:m - full] = xis[full:]
+    np.matmul(xis[:full], modes_t[:n], out=out[:full])
+    np.matmul(tail, modes_t[:n], out=out[full:])
+    return out
+
+
 def mesh_size(level: int) -> float:
     """h_l = 2^(-l-1): an evaluation at level l costs (h_L / h_l)^cost_dim finest solves."""
     return 2.0 ** (-(level + 1))
@@ -82,10 +98,8 @@ class LimitStateModel(ABC):
 
     The batch contract: values are finite, or the call raises
     `ModelEvaluationError` and tallies nothing (in 1D, 1/a overflows where a
-    underflows, and a NaN input stays NaN).  Values are deterministic per
-    (batch, level), but a row's last bits may change with its batch, as the 1D
-    model's GEMM and GEMV round differently for other batch shapes; the
-    linear and flow-cell rows are bitwise the same in any batch.
+    underflows, and a NaN input stays NaN).  A row's value is the same bits in
+    any batch.
     """
 
     mesh_size = staticmethod(mesh_size)

@@ -123,7 +123,7 @@ class TestDiffusionModel:
         xis = rng.standard_normal((4, 40))
         batch = model.evaluate_batch(xis, 3)
         singles = [Diffusion1dModel().evaluate(xi, 3) for xi in xis]
-        assert np.allclose(batch, singles, rtol=1e-14)
+        assert np.array_equal(batch, singles)
 
     @pytest.mark.parametrize("level", range(1, 9))
     def test_limit_state_matches_nodal_solve(self, rng, level):

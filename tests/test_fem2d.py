@@ -172,7 +172,27 @@ class TestFlowCellModel:
         assert g.shape == (3,)
         assert model.counter.counts() == {1: 3}
 
-    @pytest.mark.parametrize("tau0", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("level", range(1, 7))
+    def test_permeability_is_its_batch_row(self, rng, level, monkeypatch):
+        # the permeabilities `travel_time` hands to the solver, stopped before
+        # the solve, against one coefficient vector at a time
+        class Handed(Exception):
+            pass
+
+        def hand_over(a):
+            raise Handed(a.copy())
+
+        model = FlowCellModel()
+        monkeypatch.setattr(model._level_form(level)[0], "stream_functions", hand_over)
+        xis = rng.standard_normal((21, model.dim(level)))
+        with pytest.raises(Handed) as handed:
+            model.travel_time(xis, level)
+        batch = handed.value.args[0]
+        assert batch.shape == (21, model._level_form(level)[0].mesh.n_tri)
+        assert all(np.array_equal(model.permeability(xi, level), row)
+                   for xi, row in zip(xis, batch))
+
+    @pytest.mark.parametrize("tau0",[0.0, -1.0, np.nan, np.inf])
     def test_threshold_must_be_positive_and_finite(self, tau0):
         with pytest.raises(ValueError, match="must be positive"):
             FlowCellModel(tau0=tau0)

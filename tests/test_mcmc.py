@@ -11,6 +11,7 @@ from rareevent.distributions import (
     vmfn_log_density_polar,
 )
 from rareevent.errors import DegenerateWeightsError
+from rareevent.fem1d import Diffusion1dModel
 from rareevent.fem2d import FlowCellModel
 from rareevent.mcmc import (
     AcsKernel,
@@ -325,6 +326,10 @@ BATCHING_CASES = {
     "linear-temper": (lambda: LinearLsfModel(2.0, 6), TemperingTarget(level=1, sigma=0.7)),
     "linear-bridge": (TwoLevelLinear, TemperingTarget(level=2, sigma=0.7, beta=0.4)),
     "linear-domain": (lambda: LinearLsfModel(2.0, 6), DomainTarget(level=1, threshold=1.5)),
+    "diffusion1d-temper": (lambda: Diffusion1dModel(max_level=3),
+                           TemperingTarget(level=3, sigma=0.01)),
+    "diffusion1d-bridge": (lambda: Diffusion1dModel(max_level=3),
+                           TemperingTarget(level=3, sigma=0.01, beta=0.6)),
     "flowcell-temper": (lambda: FlowCellModel(tau0=0.2, max_level=2),
                         TemperingTarget(level=2, sigma=0.05)),
     "flowcell-bridge": (lambda: FlowCellModel(tau0=0.2, max_level=2),
@@ -346,8 +351,8 @@ def weighted_seeds(model, target, n_pool, n_seeds, rng):
 class TestIndependentProposalsBatched:
     """A vMFN step evaluated in one batch equals the lockstep one bit for bit.
 
-    The linear and flow-cell rows are bitwise the same in any batch, so the
-    states, values, kernel statistics and random stream must all agree.
+    Every model's rows are bitwise the same in any batch, so the states,
+    values, kernel statistics and random stream must all agree.
     """
 
     @pytest.mark.parametrize("burn_in", [0, 2])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from rareevent import mlsis, sis, subset
+from rareevent import fem2d, mlsis, sis, subset
 from rareevent.errors import ModelEvaluationError
 from rareevent.fem1d import Diffusion1dModel
 from rareevent.fem2d import FlowCellModel
@@ -17,6 +17,7 @@ from rareevent.models import (
     EvalCounter,
     LinearLsfModel,
     PinnedLevelModel,
+    _mode_product,
     is_failure,
     mc_estimate,
     mesh_size,
@@ -154,11 +155,11 @@ class TestLevelHierarchy:
         assert Diffusion1dModel.mesh_size is FlowCellModel.mesh_size is mesh_size
 
 
-# model, its levels, the rows of one batch and the tolerance of a split batch
+# model, its levels and the rows of one batch
 _CONTRACT = {
-    "linear": (lambda: LinearLsfModel(3.0, 20), (1,), 50, 0.0),
-    "diffusion1d": (Diffusion1dModel, tuple(range(1, 9)), 400, 1e-14),
-    "flowcell2d": (lambda: FlowCellModel(max_level=3), (1, 2, 3), 60, 0.0),
+    "linear": (lambda: LinearLsfModel(3.0, 20), (1,), 50),
+    "diffusion1d": (Diffusion1dModel, tuple(range(1, 9)), 400),
+    "flowcell2d": (lambda: FlowCellModel(max_level=3), (1, 2, 3), 60),
 }
 
 
@@ -168,14 +169,13 @@ def _contract_model(name):
 
 
 class TestBatchContract:
-    """Values per (batch, level): a row split off into another batch keeps its
-    bits for the linear and flow-cell models, and its value to roundoff in 1D."""
+    """A row split off into another batch keeps its bits, in every model."""
 
     @pytest.mark.parametrize("name", sorted(_CONTRACT))
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_random_splits_match_the_whole_batch(self, name, data):
-        _, levels, rows, atol = _CONTRACT[name]
+        _, levels, rows = _CONTRACT[name]
         model = _contract_model(name)
         level = data.draw(st.sampled_from(levels), label="level")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
@@ -184,10 +184,49 @@ class TestBatchContract:
         whole = model.evaluate_batch(xis, level)
         split = np.concatenate([model.evaluate_batch(part, level)
                                 for part in np.split(xis, cuts)])
-        if atol == 0.0:
+        assert np.array_equal(split, whole)
+
+
+@functools.lru_cache(maxsize=None)
+def _field_model(name):
+    return Diffusion1dModel() if name == "diffusion1d" else FlowCellModel()
+
+
+def _field_rows(name, level):
+    """A batch's rows at `level` and the rows of the largest batch: the 1D
+    values (mode product, exp and GEMV) and the flow-cell log-permeabilities
+    of one `travel_time` chunk, without its solve."""
+    model = _field_model(name)
+    if name == "diffusion1d":
+        return (lambda xis: model._evaluate_batch(xis, level)), 2000
+    modes_t = model._level_form(level)[1]
+    return (lambda xis: _mode_product(xis, modes_t)[: len(xis)],
+            min(2000, fem2d._CHUNK_VALUES // modes_t.shape[1]))
+
+
+class TestModeProduct:
+    """The padded mode product gives a row the same bits in any batch, on the
+    BLAS threads the process starts with and on two."""
+
+    @pytest.mark.parametrize("threads", ["default", "two"])
+    @pytest.mark.parametrize(("name", "level"),
+                             [("diffusion1d", level) for level in range(1, 9)]
+                             + [("flowcell2d", level) for level in range(1, 7)])
+    def test_split_batches_keep_their_bits(self, name, level, threads, request):
+        if threads == "two":
+            request.getfixturevalue("two_blas_threads")
+        rows, n_rows = _field_rows(name, level)
+        rng = np.random.default_rng(level)
+        xis = rng.standard_normal((n_rows, _field_model(name).dim(level)))
+        whole = rows(xis)
+        # parts of 1, 2, 15, 16, 17 and 33 rows, then parts at random cuts
+        fixed = np.cumsum([1, 2, 15, 16, 17, 33])
+        for _ in range(3):
+            cuts = np.union1d(fixed, rng.integers(1, n_rows, 5))
+            split = np.concatenate([rows(part) for part in np.split(xis, cuts[cuts < n_rows])])
             assert np.array_equal(split, whole)
-        else:
-            np.testing.assert_allclose(split, whole, rtol=0.0, atol=atol)
+        assert all(np.array_equal(rows(xis[i:i + 1]), whole[i:i + 1])
+                   for i in range(0, n_rows, max(1, n_rows // 40)))
 
 
 def _nan_row(model, level):
