@@ -193,9 +193,11 @@ def _field_model(name):
 
 
 def _field_rows(name, level):
-    """A batch's rows at `level` and the rows of the largest batch: the 1D
-    values (mode product, exp and GEMV) and the flow-cell log-permeabilities
-    of one `travel_time` chunk, without its solve."""
+    """The rows of a batch at `level`, and the rows the largest batch holds.
+
+    1D rows are the values (mode product, exp and GEMV); flow-cell rows are
+    the log-permeabilities, without the solve, up to one `travel_time` chunk.
+    """
     model = _field_model(name)
     if name == "diffusion1d":
         return (lambda xis: model._evaluate_batch(xis, level)), 2000
