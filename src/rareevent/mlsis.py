@@ -9,7 +9,10 @@ fails, and so does a run that has not stopped after MAX_STEPS steps.
 `solve_beta` returns the log weights at its root, and each bridging stage
 moves the ensemble with `sis._reweight_and_move`, as tempering does.  Every
 peek and stage is recorded as a step; a bridge's first stage is also charged
-the extension's fine evaluations, N - N_s after a peek and N otherwise.
+the extension's fine evaluations, at most N - N_s after a peek and N
+otherwise.  The peek and the extension solve each distinct row once
+(`evaluate_distinct`): where a level's dimension does not grow, the states
+that chain rejections repeat are repeated rows.
 """
 
 from __future__ import annotations
@@ -89,8 +92,8 @@ def peek_level_update(model: LimitStateModel, ensemble: SampleEnsemble,
     """COV of one-step level-update weights on a random subset.
 
     Draws `n_subset` samples without replacement, extends them to the next
-    level's dimension if needed, and evaluates the fine level once per subset
-    sample.  Returns (delta, PeekCache).
+    level's dimension if needed, and evaluates the fine level once per distinct
+    subset sample.  Returns (delta, PeekCache).
     """
     if not (0 < n_subset < ensemble.size):
         raise ValueError("subset size must lie strictly between 0 and N")
@@ -100,7 +103,7 @@ def peek_level_update(model: LimitStateModel, ensemble: SampleEnsemble,
     subset = ensemble.samples[idx]
     delta_n = model.dim(fine) - model.dim(level)
     extended = extend_dimension(subset, delta_n, rng)
-    g_fine = model.evaluate_batch(extended, fine)
+    g_fine = model.evaluate_distinct(extended, fine)
     log_w = bridging_log_ratios(ensemble.g[idx], g_fine, ensemble.sigma)
     return cov_from_log_weights(log_w), PeekCache(indices=idx, extended=extended, g_fine=g_fine)
 
@@ -110,19 +113,19 @@ def _extend_ensemble(model, ensemble, rng, peek_cache):
 
     Cached peek rows keep their extension coordinates and fine values; only
     the complement is extended and evaluated, so a bridge after a peek costs
-    N - N_s fine evaluations for this stage.
+    at most N - N_s fine evaluations for this stage.
     """
     fine = ensemble.level + 1
     delta_n = model.dim(fine) - model.dim(ensemble.level)
     if peek_cache is None:
         samples = extend_dimension(ensemble.samples, delta_n, rng)
-        return samples, model.evaluate_batch(samples, fine)
+        return samples, model.evaluate_distinct(samples, fine)
     fresh = np.delete(np.arange(ensemble.size), peek_cache.indices)
     extended = extend_dimension(ensemble.samples[fresh], delta_n, rng)
     samples = np.empty((ensemble.size, model.dim(fine)))
     g_fine = np.empty(ensemble.size)
     samples[fresh] = extended
-    g_fine[fresh] = model.evaluate_batch(extended, fine)
+    g_fine[fresh] = model.evaluate_distinct(extended, fine)
     samples[peek_cache.indices] = peek_cache.extended
     g_fine[peek_cache.indices] = peek_cache.g_fine
     return samples, g_fine

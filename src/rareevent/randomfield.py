@@ -87,10 +87,11 @@ class KlBasis:
             raise ValueError("2D basis expects points of shape (npts, 2)")
         if np.any(pts < 0) or np.any(pts > 1):
             raise ValueError("points must lie in [0, 1]^2")
+        # a mesh's points share few coordinates: take cos/sin once per distinct one
         idx = self._pair_idx[:m]
-        th_x = self._theta_1d(pts[:, 0], idx[:, 0])
-        th_y = self._theta_1d(pts[:, 1], idx[:, 1])
-        return th_x * th_y
+        xs, ix = np.unique(pts[:, 0], return_inverse=True)
+        ys, iy = np.unique(pts[:, 1], return_inverse=True)
+        return self._theta_1d(xs, idx[:, 0])[ix] * self._theta_1d(ys, idx[:, 1])[iy]
 
     def _theta_1d(self, x: np.ndarray, mode_idx: np.ndarray) -> np.ndarray:
         shifted = x[:, None] - _HALF

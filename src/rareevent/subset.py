@@ -6,10 +6,11 @@ chains restricted to the current domain.  The multilevel variant updates the
 discretization level between subset steps; since domains on different levels
 are not nested, every level update also estimates the reverse conditional
 probability, which divides the estimator, from one coarse-level evaluation of
-the ensemble its chains return.  Both run on `sis.run_sequence` and record
-"subset" steps and "update" (level-update) steps with `EstimatorTrace.record`,
-which charges an update its extension, its chains and that coarse
-evaluation; the hard indicator I(G <= b_j) takes the place of the smoothed one.
+the distinct states its chains return.  Both run on `sis.run_sequence` and
+record "subset" steps and "update" (level-update) steps with
+`EstimatorTrace.record`, which charges an update its extension (which also
+solves each distinct state once), its chains and that coarse evaluation; the
+hard indicator I(G <= b_j) takes the place of the smoothed one.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def _subset_simulation(model, max_level, n_samples, p0, kernel, burn_in, rng,
         denominator = 1.0
         if is_update:
             # reverse conditional, read on the coarse level once the chains are done
-            g_coarse = model.evaluate_batch(samples[:, :model.dim(level - 1)], level - 1)
+            g_coarse = model.evaluate_distinct(samples[:, :model.dim(level - 1)], level - 1)
             denominator = float(np.mean(g_coarse <= prev_threshold))
             if denominator <= 0:
                 raise NonconvergenceError("zero reverse-conditional estimate")

@@ -28,6 +28,23 @@ class TwoLevelLinear(LimitStateModel):
         return self.betas[level - 1] - xis[:, 0]
 
 
+def distinct_rows(xis) -> int:
+    return len(np.unique(xis, axis=0))
+
+
+def distinct_calls(model):
+    """Record the rows each `model.evaluate_distinct` call is asked for, in order."""
+    asked = []
+    evaluate_distinct = model.evaluate_distinct
+
+    def recording(xis, level):
+        asked.append(np.array(xis))
+        return evaluate_distinct(xis, level)
+
+    model.evaluate_distinct = recording
+    return asked
+
+
 def tempered_ensemble(model, n, rng, delta_target=0.5, c=0.5):
     samples = rng.standard_normal((n, model.dim(1)))
     ens = SampleEnsemble(samples, model.evaluate_batch(samples, 1), 1)
@@ -212,18 +229,25 @@ class TestMlsisEstimate:
 
     def test_eval_accounting_all_tempering_decisions(self, rng):
         # identical levels: every peek signals tempering, so fine-level costs
-        # are N_s per peek plus the single final bridge
+        # are the distinct rows of N_s per peek plus the single final bridge;
+        # the dims do not grow, so a peek's rows are ensemble states, which
+        # chain rejections repeat
         n, n_s = 300, 30
         model = TwoLevelLinear(betas=(2.5, 2.5))
+        asked = distinct_calls(model)
         p, trace = mlsis_estimate(model, 2, n, 0.5, make_kernel("acs"), 0.5, rng,
                                   subset_fraction=0.1)
         peeks = [s for s in trace.steps if s.kind == "peek"]
         assert peeks and all(s.wasted for s in peeks)
+        assert [len(rows) for rows in asked[:len(peeks)]] == [n_s] * len(peeks)
+        charged = [distinct_rows(rows) for rows in asked[:len(peeks)]]
+        assert [s.n_evals for s in peeks] == charged
+        assert sum(charged) < n_s * len(peeks)
         bridge_chain_evals = sum(
             s.n_evals for s in trace.steps if s.kind == "bridge"
         )
         fine_evals = trace.eval_counts.get(2, 0)
-        assert fine_evals == n_s * len(peeks) + bridge_chain_evals
+        assert fine_evals == sum(charged) + bridge_chain_evals
 
     def test_each_step_is_charged_its_closed_form(self):
         # N*c aCS chains of n_b + 1/c steps solve N(1 + c n_b) proposals on every
@@ -256,6 +280,36 @@ class TestMlsisEstimate:
                 previous = step
         # the runs cover every case
         assert len(seen) == 8
+
+    def test_fixed_dims_charge_each_peek_and_extension_its_distinct_rows(self):
+        # as the closed form above, but no coordinate is added between levels:
+        # a peek and a bridge's extension solve the distinct states they are
+        # asked for, N_s and N - N_s after a peek, N otherwise
+        n, c, n_b, n_s = 200, 0.5, 2, 20
+        moves = n * (1 + c * n_b)
+        seen, repeated = set(), 0
+        for delta_target, seed in [(0.5, 0), (0.5, 1), (2.0, 0), (4.0, 1)]:
+            model = Diffusion1dModel(max_level=3, level_dims=(20, 20, 20))
+            asked = iter(distinct_calls(model))
+            _, trace = mlsis_estimate(model, 3, n, delta_target, make_kernel("acs"), c,
+                                      np.random.default_rng(seed), burn_in=n_b)
+            previous = None
+            for step in trace.steps:
+                first = step.kind == "bridge" and not (previous.kind == "bridge"
+                                                       and previous.level == step.level)
+                if step.kind == "peek" or first:
+                    case = "peek" if step.kind == "peek" else (
+                        "extension after a peek" if previous.kind == "peek" else "extension")
+                    rows = next(asked)
+                    assert len(rows) == {"peek": n_s, "extension": n}.get(case, n - n_s)
+                    chains = 0 if step.kind == "peek" else moves * (2 if step.beta < 1 else 1)
+                    assert step.n_evals == chains + distinct_rows(rows), (delta_target, seed)
+                    repeated += distinct_rows(rows) < len(rows)
+                    seen.add(case)
+                previous = step
+            assert next(asked, None) is None
+        assert seen == {"peek", "extension after a peek", "extension"}
+        assert repeated
 
     def test_level_dependent_dimension_run(self, rng):
         model = TwoLevelLinear(betas=(3.0, 3.0), dims=(4, 9))

@@ -187,6 +187,59 @@ class TestBatchContract:
         assert np.array_equal(split, whole)
 
 
+def _repeating_batch(model, level, rows, rng):
+    """`rows` rows drawn with repeats from rows//4, plus two rows that share
+    their first coordinate and differ later, and two copies of a row, one
+    with 0.0 and one with -0.0, at the first coordinate and at a later one."""
+    dim = model.dim(level)
+    xis = rng.standard_normal((rows // 4, dim))[rng.integers(0, rows // 4, rows)]
+    xis[1] = xis[0]
+    xis[1, -1] += 1.0
+    for pair, col in ((2, 0), (4, dim - 1)):
+        xis[pair + 1] = xis[pair]
+        xis[pair, col], xis[pair + 1, col] = 0.0, -0.0
+    return xis
+
+
+# the _CONTRACT models at one level each, and a pinned view of a 1D level
+_DISTINCT = {
+    "linear": (lambda: _contract_model("linear"), 1, 1, 50),
+    "diffusion1d": (lambda: _contract_model("diffusion1d"), 8, 8, 400),
+    "flowcell2d": (lambda: _contract_model("flowcell2d"), 3, 3, 60),
+    "pinned-diffusion1d": (lambda: PinnedLevelModel(_contract_model("diffusion1d"), 6),
+                           1, 6, 400),
+}
+
+
+class TestEvaluateDistinct:
+    """Each bytewise-distinct row is solved once; the values are `evaluate_batch`'s."""
+
+    @pytest.mark.parametrize("name", sorted(_DISTINCT))
+    def test_values_equal_the_batch_and_each_distinct_row_is_tallied_once(self, name):
+        make, level, tally_level, rows = _DISTINCT[name]
+        model = make()
+        xis = _repeating_batch(model, level, rows, np.random.default_rng(rows))
+        n_distinct = len({row.tobytes() for row in xis})
+        assert rows // 8 < n_distinct < rows
+        before = model.counter.counts()
+        values = model.evaluate_distinct(xis, level)
+        tallied = {lvl: n for lvl, n in model.counter.since(before).items() if n}
+        assert tallied == {tally_level: n_distinct}
+        assert np.array_equal(values, model.evaluate_batch(xis, level))
+
+    def test_distinct_rows_are_one_batch(self, rng):
+        model = LinearLsfModel(3.0, 4)
+        xis = rng.standard_normal((30, 4))
+        assert np.array_equal(model.evaluate_distinct(xis, 1), model.evaluate_batch(xis, 1))
+        assert model.counter.counts() == {1: 60}
+
+    def test_a_repeated_non_finite_row_raises_before_the_tally(self):
+        model = LinearLsfModel(3.0, 4)
+        with pytest.raises(ModelEvaluationError):
+            model.evaluate_distinct(np.vstack([_nan_row(model, 1)] * 2), 1)
+        assert model.counter.counts() == {}
+
+
 @functools.lru_cache(maxsize=None)
 def _field_model(name):
     return Diffusion1dModel() if name == "diffusion1d" else FlowCellModel()

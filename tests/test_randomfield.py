@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from rareevent.fem2d import CORR_LENGTH, build_mesh
+from rareevent.models import mesh_size
 from rareevent.randomfield import (
     kl_basis_1d,
     kl_basis_2d,
@@ -92,6 +94,16 @@ class TestKl2d:
         weights = np.outer(w, w).ravel()
         gram = (theta * weights[:, None]).T @ theta
         assert np.max(np.abs(gram - np.eye(10))) < 1e-6
+
+
+    @pytest.mark.parametrize("level", range(1, 7))
+    def test_flow_cell_modes_equal_the_per_point_product(self, level):
+        # the modes are built from each distinct centroid coordinate once
+        basis = kl_basis_2d(CORR_LENGTH, 150)
+        pts = build_mesh(round(1 / mesh_size(level))).centroids
+        idx = basis._pair_idx
+        per_point = basis._theta_1d(pts[:, 0], idx[:, 0]) * basis._theta_1d(pts[:, 1], idx[:, 1])
+        assert np.array_equal(basis.eigenfunction_matrix(pts), per_point)
 
 
 class TestEvaluateLogField:

@@ -2,13 +2,28 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from rareevent import subset
 from rareevent.errors import NonconvergenceError
 from rareevent.fem1d import Diffusion1dModel
 from rareevent.mcmc import make_kernel
 from rareevent.models import ConstantModel, LinearLsfModel
 from rareevent.subset import mlsus_estimate, sus_estimate
 
-from test_mlsis import TwoLevelLinear
+from test_mlsis import TwoLevelLinear, distinct_rows
+
+
+def chain_outputs(monkeypatch):
+    """The states each `run_chains` call of a subset run returns, in call order."""
+    returned = []
+    run_chains = subset.run_chains
+
+    def recording(*args):
+        samples, values = run_chains(*args)
+        returned.append(samples.copy())
+        return samples, values
+
+    monkeypatch.setattr(subset, "run_chains", recording)
+    return returned
 
 
 class TestSusEstimate:
@@ -121,16 +136,40 @@ class TestMlsusEstimate:
         assert p > 0
         assert {r.level for r in trace.steps} >= {1, 2}
 
-    def test_level_update_evaluates_coarse_level_once(self, rng):
+    def test_level_update_evaluates_coarse_level_once(self, rng, monkeypatch):
         # chains run on the fine level only; the reverse conditional reads the
-        # coarse level once, on the N returned states, whatever the burn-in
+        # coarse level once, on the distinct states among the N returned,
+        # whatever the burn-in; the extension draws new coordinates, so it
+        # solves all N
         n, burn_in = 400, 5
         model = Diffusion1dModel(max_level=3, level_dims=(10, 20, 40))
+        returned = chain_outputs(monkeypatch)
         _, trace = mlsus_estimate(model, 3, n, 0.1, make_kernel("acs"), burn_in, rng)
         assert [r.level for r in trace.steps] == [1, 2, 3, 3]
         chain = n // 10 * (burn_in + 10)   # N·p0 chains of burn_in + 1/p0 steps
-        assert trace.steps[1].n_evals == trace.steps[2].n_evals == n + chain + n
-        assert trace.eval_counts == {1: 3 * n, 2: n + chain + n, 3: n + chain}
+        coarse = [distinct_rows(returned[k][:, :model.dim(k)]) for k in (1, 2)]
+        assert max(coarse) < n
+        assert [s.n_evals for s in trace.steps[1:3]] == [n + chain + d for d in coarse]
+        assert trace.eval_counts == {1: 2 * n + coarse[0], 2: n + chain + coarse[1],
+                                     3: n + chain}
+        assert trace.eval_counts == model.counter.counts()
+
+    def test_level_update_with_fixed_dims_solves_each_state_once(self, rng, monkeypatch):
+        # no coordinate is added, so the extension too solves only the
+        # distinct states of the ensemble the previous chains returned
+        n, burn_in = 400, 5
+        model = Diffusion1dModel(max_level=3, level_dims=(20, 20, 20))
+        returned = chain_outputs(monkeypatch)
+        _, trace = mlsus_estimate(model, 3, n, 0.1, make_kernel("acs"), burn_in, rng)
+        assert [s.kind for s in trace.steps[:3]] == ["subset", "update", "update"]
+        chain = n // 10 * (burn_in + 10)
+        d = [distinct_rows(states) for states in returned[:3]]
+        assert max(d) < n
+        assert [s.n_evals for s in trace.steps[1:3]] == [d[0] + chain + d[1],
+                                                         d[1] + chain + d[2]]
+        # after the updates, subset steps at level 3 run N·p0 chains of 1/p0 steps
+        assert trace.eval_counts == {1: 2 * n + d[1], 2: d[0] + chain + d[2],
+                                     3: d[1] + chain + n * (len(returned) - 3)}
         assert trace.eval_counts == model.counter.counts()
 
     def test_estimate_matches_record_product(self, rng):
