@@ -149,12 +149,12 @@ class LimitStateModel(ABC):
         """`evaluate_batch` of the bytewise-distinct rows, scattered back to all m.
 
         Rows compare as 8-byte words, so 0.0 and -0.0 stay apart.  They are
-        keyed on their first word, and on the whole row only when two unequal
-        rows share it.
+        keyed on their last word, which an extension draws afresh, and on the
+        whole row only when two unequal rows share it.
         """
         xis = np.ascontiguousarray(np.atleast_2d(xis), dtype=float)
         words = xis.view(np.uint64)
-        _, first, inverse = np.unique(words[:, 0], return_index=True, return_inverse=True)
+        _, first, inverse = np.unique(words[:, -1], return_index=True, return_inverse=True)
         if not np.array_equal(words[first[inverse]], words):
             rows = words.view(np.dtype((np.void, 8 * words.shape[1])))[:, 0]
             _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)

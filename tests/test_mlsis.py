@@ -287,12 +287,14 @@ class TestMlsisEstimate:
         # asked for, N_s and N - N_s after a peek, N otherwise
         n, c, n_b, n_s = 200, 0.5, 2, 20
         moves = n * (1 + c * n_b)
+        asked_rows = {"peek": n_s, "extension after a peek": n - n_s, "extension": n}
         seen, repeated = set(), 0
         for delta_target, seed in [(0.5, 0), (0.5, 1), (2.0, 0), (4.0, 1)]:
             model = Diffusion1dModel(max_level=3, level_dims=(20, 20, 20))
-            asked = iter(distinct_calls(model))
+            recorded = distinct_calls(model)
             _, trace = mlsis_estimate(model, 3, n, delta_target, make_kernel("acs"), c,
                                       np.random.default_rng(seed), burn_in=n_b)
+            asked = iter(recorded)
             previous = None
             for step in trace.steps:
                 first = step.kind == "bridge" and not (previous.kind == "bridge"
@@ -301,7 +303,7 @@ class TestMlsisEstimate:
                     case = "peek" if step.kind == "peek" else (
                         "extension after a peek" if previous.kind == "peek" else "extension")
                     rows = next(asked)
-                    assert len(rows) == {"peek": n_s, "extension": n}.get(case, n - n_s)
+                    assert len(rows) == asked_rows[case]
                     chains = 0 if step.kind == "peek" else moves * (2 if step.beta < 1 else 1)
                     assert step.n_evals == chains + distinct_rows(rows), (delta_target, seed)
                     repeated += distinct_rows(rows) < len(rows)

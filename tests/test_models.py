@@ -188,14 +188,16 @@ class TestBatchContract:
 
 
 def _repeating_batch(model, level, rows, rng):
-    """`rows` rows drawn with repeats from rows//4, plus two rows that share
-    their first coordinate and differ later, and two copies of a row, one
-    with 0.0 and one with -0.0, at the first coordinate and at a later one."""
+    """`rows` rows drawn with repeats from rows//4, plus two rows that differ
+    only in their last coordinate and two that differ only in their first,
+    and two copies of a row, one with 0.0 and one with -0.0, at the first
+    coordinate and at the last."""
     dim = model.dim(level)
     xis = rng.standard_normal((rows // 4, dim))[rng.integers(0, rows // 4, rows)]
-    xis[1] = xis[0]
-    xis[1, -1] += 1.0
-    for pair, col in ((2, 0), (4, dim - 1)):
+    for pair, col in ((0, -1), (2, 0)):
+        xis[pair + 1] = xis[pair]
+        xis[pair + 1, col] += 1.0
+    for pair, col in ((4, 0), (6, -1)):
         xis[pair + 1] = xis[pair]
         xis[pair, col], xis[pair + 1, col] = 0.0, -0.0
     return xis
