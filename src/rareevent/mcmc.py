@@ -5,13 +5,13 @@ Phi(-G_l/sigma)^beta * Phi(-G_(l-1)/sigma)^(1-beta) * phi_n(u): beta = 1 is
 tempering on level l, beta < 1 a bridge onto it.  Subset simulation's hard
 indicator `subset.DomainTarget` sits beside it.  Kernels supply proposals
 plus a per-state score holding whatever prior/proposal terms do not cancel
-in the acceptance ratio.  A proposal is drawn straight into `run_chains`'
-buffer and scored as it is drawn: the vMFN kernel from the radius and
-cosine of its draw, in O(1) per row.  Chains from all seeds advance in
-lockstep and evaluate each proposal once per involved level, batched per
-iteration (aCS) or per step (vMFN, whose proposals are STATE_INDEPENDENT of
-the chain).  The aCS kernel's tuning is fixed by its class constants
-TARGET_RATE, ADAPT_FRACTION, RHO_BOUNDS and LAMBDA_BOUNDS.
+in the acceptance ratio.  The chains of both kernels advance in lockstep in
+one row buffer: a proposal is drawn into it and scored as it is drawn (vMFN
+from the radius and cosine of its draw, O(1) per row), evaluated once per
+level, per iteration (aCS) or per step (vMFN, STATE_INDEPENDENT of the
+chain), and overwritten by its kept state once swept.  The aCS kernel's
+tuning is fixed by its class constants TARGET_RATE, ADAPT_FRACTION,
+RHO_BOUNDS and LAMBDA_BOUNDS.
 
 Kernels declare the class attribute STATE_INDEPENDENT and implement
 `prepare(samples, log_weights, n_steps)`, `propose(current, rng, out)`,
@@ -248,15 +248,15 @@ def run_chains(model: LimitStateModel, target, kernel, seeds: np.ndarray,
     Returns (states, values) where states stacks the post-burn-in iterations
     of every chain (count = len(seeds) / c) and values carries the cached
     limit-state evaluations per level of the target.  Seed values are reused,
-    never recomputed.  Each iteration draws its proposals into a row block
-    of one buffer, then its uniforms.  A kernel whose proposals are
-    STATE_INDEPENDENT draws them for every iteration up front, so the run
-    costs one batched model evaluation per target level, and each swept
-    iteration's kept states and values overwrite its rows; any other kernel
-    costs one per iteration and level.  The kernel scores the seeds with
-    `log_score` and each proposal as it draws it; accepted scores are carried
-    like the limit-state values.  Callers check the layout (burn_in >= 0,
-    integer 1/c) once, with `sis._seed_count`.
+    never recomputed.  Both kernels use one buffer of m-row blocks: an
+    iteration draws its proposals into a block, then its uniforms, and a kept
+    iteration writes its states and values over them once swept.  A
+    STATE_INDEPENDENT kernel draws every iteration up front, for one model
+    evaluation per target level; any other kernel costs one per iteration and
+    level, its burn-in drawing into the first kept block.  The kernel scores
+    the seeds with `log_score` and each proposal as it draws it; accepted
+    scores are carried like the limit-state values.  Callers check the layout
+    (burn_in >= 0, integer 1/c) once, with `sis._seed_count`.
     """
     steps = burn_in + round(1.0 / c)
     current = np.array(seeds, dtype=float)
@@ -266,39 +266,36 @@ def run_chains(model: LimitStateModel, target, kernel, seeds: np.ndarray,
     score_cur = kernel.log_score(current)
     # iterations drawn per evaluation: all of them when no proposal reads the state
     batch = steps if kernel.STATE_INDEPENDENT else 1
-    drawn = np.empty((batch * m, n))
-    in_place = batch == steps   # the buffer holds every iteration: keep states in it
-    lag = 0 if in_place else burn_in    # iteration k is kept in block k - lag of `states`
-    if not in_place:
-        states = np.empty(((steps - burn_in) * m, n))
-        kept = {lvl: np.empty(states.shape[0]) for lvl in target.levels}
-    scores, uniforms = np.empty((batch, m)), np.empty((batch, m))
+    # iteration k draws into, and is kept in, block max(k - lag, 0); a one-block
+    # draw's burn-in shares block 0 with the first kept iteration
+    blocks = max(batch, steps - burn_in)
+    lag = steps - blocks
+    drawn = np.empty((blocks * m, n))
+    drawn_values = {lvl: np.empty(blocks * m) for lvl in target.levels}
+    scores, uniforms = np.empty((blocks, m)), np.empty((blocks, m))
     for step in range(steps):
-        slot = step % batch
-        if slot == 0:
-            for k in range(batch):
+        block = max(step - lag, 0)
+        rows = slice(block * m, (block + 1) * m)
+        if step % batch == 0:
+            for k in range(block, block + batch):
                 scores[k] = kernel.propose(current, rng, drawn[k * m:(k + 1) * m])
                 uniforms[k] = rng.uniform(size=m)
-            drawn_values = {lvl: model.evaluate_batch(drawn[:, :model.dim(lvl)], lvl)
-                            for lvl in target.levels}
-            if in_place:
-                states, kept = drawn, drawn_values
-        rows = slice(slot * m, (slot + 1) * m)
-        proposals = drawn[rows]
+            fresh = slice(block * m, (block + batch) * m)
+            for lvl in target.levels:
+                drawn_values[lvl][fresh] = model.evaluate_batch(drawn[fresh, :model.dim(lvl)], lvl)
         log_smooth_prop = target.log_smooth({lvl: v[rows] for lvl, v in drawn_values.items()})
-        score_prop = scores[slot]
+        score_prop = scores[block]
         log_alpha = log_smooth_prop - log_smooth_cur + (score_prop - score_cur)
-        accept = np.log(uniforms[slot]) < log_alpha
-        current[accept] = proposals[accept]
+        accept = np.log(uniforms[block]) < log_alpha
+        current[accept] = drawn[rows][accept]
         log_smooth_cur = np.where(accept, log_smooth_prop, log_smooth_cur)
         score_cur = np.where(accept, score_prop, score_cur)
         for lvl in target.levels:
             values[lvl] = np.where(accept, drawn_values[lvl][rows], values[lvl])
         kernel.feedback(accept)
         if step >= burn_in:
-            keep = slice((step - lag) * m, (step - lag + 1) * m)
-            states[keep] = current
+            drawn[rows] = current
             for lvl in target.levels:
-                kept[lvl][keep] = values[lvl]
+                drawn_values[lvl][rows] = values[lvl]
     first = (burn_in - lag) * m
-    return states[first:], {lvl: v[first:] for lvl, v in kept.items()}
+    return drawn[first:], {lvl: v[first:] for lvl, v in drawn_values.items()}

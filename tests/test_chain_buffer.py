@@ -1,6 +1,7 @@
-"""Chains keep their states in the buffer that drew them, and an ensemble
-without a peek is extended in one call; both give the same bits as the
-separate-array loops they replace, which this module keeps as references.
+"""The chains of both kernels keep their states in the one row buffer that
+drew them, and an ensemble without a peek is extended in one call; both give
+the same bits as the separate-array loops they replace, which this module
+keeps as references.
 """
 
 import copy
@@ -114,8 +115,9 @@ TARGETS = {
 
 @pytest.mark.parametrize("kernel_class", [VmfnIndependentKernel, AcsKernel])
 @pytest.mark.parametrize("target", TARGETS.values(), ids=TARGETS.keys())
-@pytest.mark.parametrize("burn_in", [0, 1, 3])
-@pytest.mark.parametrize("c", [0.2, 1.0])
+# (c, burn_in); the last is the MLSuS workload's aCS layout
+@pytest.mark.parametrize("c, burn_in",
+                         [(c, b) for b in (0, 1, 3) for c in (0.2, 1.0)] + [(0.1, 40)])
 def test_chains_match_the_separate_array_loop(kernel_class, target, burn_in, c):
     kernel = kernel_class()
     model, seeds, seed_values = _chain_inputs(target, kernel, burn_in)
