@@ -7,7 +7,9 @@ its CSV goes, then `_run` runs and writes them in turn.  `estimate` is a
 sweep of one cell, and `mc-reference` is `estimate` with the method set to
 mc.  Exit codes: 0 success; 2 config error, which only `_cells` raises, so
 before the first repetition; 3 when no repetition of any cell converged.  A
-fault raised inside a repetition is a program error and shows its traceback.
+fault raised inside a repetition is a program error: the rows of the
+repetitions that finished before it are written, without a summary row, and
+the fault shows its traceback.
 """
 
 from __future__ import annotations
@@ -141,19 +143,28 @@ def _cells(args: argparse.Namespace) -> list[tuple[ExperimentConfig, str | None]
     return cells
 
 
+def _write(records, summary, path: str | None) -> None:
+    text = records_to_csv(records, summary)
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(f"wrote {len(records)} rows to {path}")
+    else:
+        sys.stdout.write(text)
+
+
 def _run(cells: list[tuple[ExperimentConfig, str | None]]) -> int:
     """Run and write every cell; 3 when no repetition of any cell converged."""
     any_ok = False
     for config, path in cells:
-        records = run_experiment(config)
+        try:
+            records = run_experiment(config)
+        except Exception as exc:
+            if getattr(exc, "finished_records", None):  # the rows before the fault, no summary
+                _write(exc.finished_records, None, path)
+            raise
         summary = summarize(records, config.reference)
-        text = records_to_csv(records, summary)
-        if path:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            print(f"wrote {len(records)} rows to {path}")
-        else:
-            sys.stdout.write(text)
+        _write(records, summary, path)
         if summary.n_ok == 0:
             print("all repetitions failed to converge", file=sys.stderr)
             continue

@@ -230,19 +230,32 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     """All repetitions of one configuration, in repetition order.
 
     The pool gets no more workers than there are repetitions or CPUs to pin
-    them to, and a run that would get one worker runs in this process.
+    them to, and a run that would get one worker runs in this process.  A
+    fault raised in repetition k (anything but a `RareEventError`, which
+    becomes an error record) propagates with the records of repetitions
+    0..k-1 attached as its `finished_records`.
     """
     config.validate()
     reps = range(config.reps)
     cpus = tuple(sorted(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else ()
     workers = min(config.workers, config.reps, len(cpus) or os.cpu_count() or 1)
-    if workers > 1:
-        setup = {}
-        if cpus:                                    # Linux
-            setup = dict(initializer=_init_worker, initargs=(multiprocessing.Value("i", 0), cpus))
-        with ProcessPoolExecutor(max_workers=workers, **setup) as pool:
-            return list(pool.map(run_single, [config] * config.reps, reps))
-    return [run_single(config, rep) for rep in reps]
+    records: list[RunRecord] = []
+    try:
+        if workers > 1:
+            setup = {}
+            if cpus:                                    # Linux
+                setup = dict(initializer=_init_worker,
+                             initargs=(multiprocessing.Value("i", 0), cpus))
+            with ProcessPoolExecutor(max_workers=workers, **setup) as pool:
+                for record in pool.map(run_single, [config] * config.reps, reps):
+                    records.append(record)
+        else:
+            for rep in reps:
+                records.append(run_single(config, rep))
+    except Exception as exc:
+        exc.finished_records = records
+        raise
+    return records
 
 
 def csv_header(levels: int) -> str:

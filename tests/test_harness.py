@@ -437,6 +437,27 @@ class TestCli:
                       "--n", "500", "--reps", "3", "--stable-timing"])
         assert "config error" not in capsys.readouterr().err
 
+    def test_fault_in_a_later_repetition_writes_the_finished_rows(self, tmp_path, monkeypatch):
+        args = ["estimate", "--model", "linear", "--method", "sis", "--n", "500",
+                "--reps", "3", "--stable-timing", "--out"]
+        clean = tmp_path / "clean.csv"
+        assert cli.main(args + [str(clean)]) == cli.EXIT_OK
+        calls = []
+        evaluate = LinearLsfModel._evaluate_batch
+
+        def faulty(self, xis, level):
+            calls.append(level)
+            if len(calls) == 45:
+                raise ValueError("fault inside a repetition")
+            return evaluate(self, xis, level)
+
+        monkeypatch.setattr(LinearLsfModel, "_evaluate_batch", faulty)
+        out = tmp_path / "o.csv"
+        with pytest.raises(ValueError, match="fault inside a repetition"):
+            cli.main(args + [str(out)])
+        # the header and repetition 0's row as a clean run writes them; no summary row
+        assert out.read_text().splitlines() == clean.read_text().splitlines()[:2]
+
     @pytest.mark.parametrize("out", ["missing/o.csv", "."])
     def test_unwritable_out_is_a_config_error_before_any_run(
             self, tmp_path, monkeypatch, capsys, out):
