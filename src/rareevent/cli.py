@@ -144,6 +144,7 @@ def _cells(args: argparse.Namespace) -> list[tuple[ExperimentConfig, str | None]
 
 
 def _write(records, summary, path: str | None) -> None:
+    """The CSV of `records` and an optional summary row, to `path` or stdout."""
     text = records_to_csv(records, summary)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
