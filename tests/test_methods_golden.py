@@ -20,10 +20,18 @@ Regenerate (only for an intended change of results) with
 
 which prints every entry it changed, its old and new value and, for a
 `float.hex` value, the relative move (CSV text is compared line by line).
+A change that only saves or spends evaluations regenerates with
+
+    PYTHONPATH=src python tests/test_methods_golden.py --counts-only
+
+which rewrites the count leaves alone (the CSV `cost_units` and `evals_l*`
+columns, summary cost included, and every `n_evals` and `eval_counts`); if
+any other leaf moved, it prints those leaves, writes nothing and exits 1.
 """
 
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -177,13 +185,46 @@ def relative_move(old, new) -> str:
     return f"  (relative {abs(b - a) / abs(a):.1e})" if a else ""
 
 
+def csv_without_counts(text: str) -> str:
+    """CSV text with its cost and per-level evaluation columns blanked."""
+    lines = text.splitlines()
+    header = lines[0].split(",")
+    counts = [i for i, name in enumerate(header) if re.fullmatch(r"cost_units|evals_l\d+", name)]
+    # the status column, last, may hold commas
+    rows = [line.split(",", len(header) - 1) for line in lines[1:]]
+    return "\n".join([lines[0]] + [",".join("" if i in counts else f for i, f in enumerate(row))
+                                   for row in rows])
+
+
+def without_counts(data: dict) -> dict:
+    """The golden data with every count leaf blanked: what `--counts-only` must keep."""
+    return {
+        "csv": {name: csv_without_counts(text) for name, text in data["csv"].items()},
+        "direct": {name: {**e, "records": [r[:3] for r in e["records"]], "eval_counts": None}
+                   for name, e in data["direct"].items()},
+        "trace": {name: {**e, "steps": [{**s, "n_evals": None} for s in e["steps"]],
+                         "eval_counts": None} for name, e in data["trace"].items()},
+    }
+
+
 if __name__ == "__main__":
+    counts_only = sys.argv[1:] == ["--counts-only"]
+    if sys.argv[1:] not in ([], ["--counts-only"]):
+        sys.exit(f"usage: {sys.argv[0]} [--counts-only]")
     previous = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    if counts_only and not previous:
+        sys.exit(f"--counts-only rewrites {GOLDEN}, which does not exist")
     data = {
         "csv": {name: csv_output(case) for name, case in CSV_CASES.items()},
         "direct": {name: direct_output(case) for name, case in DIRECT_CASES.items()},
         "trace": {name: trace_output(case) for name, case in TRACE_CASES.items()},
     }
+    if counts_only:
+        moved = list(changed_entries(without_counts(previous), without_counts(data)))
+        for path, old, new in moved:
+            sys.stdout.write(f"moved {path}: {old!r} -> {new!r}{relative_move(old, new)}\n")
+        if moved:
+            sys.exit(f"{len(moved)} entries other than counts moved; {GOLDEN} not written")
     GOLDEN.parent.mkdir(exist_ok=True)
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
