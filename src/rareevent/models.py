@@ -131,6 +131,8 @@ class LimitStateModel(ABC):
         if xis.shape[-1] != self.dim(level):
             raise ValueError(f"level {level} expects dimension {self.dim(level)}, "
                              f"got {xis.shape[-1]}")
+        if not len(xis):
+            return np.empty(0)
         out = self._evaluate_batch(xis, level)
         if not np.all(np.isfinite(out)):
             raise ModelEvaluationError(f"non-finite limit-state value at level {level}")

@@ -187,6 +187,21 @@ class TestBatchContract:
         assert np.array_equal(split, whole)
 
 
+class TestEmptyBatch:
+    """A 0-row batch returns no values, solves nothing and tallies no level."""
+
+    @pytest.mark.parametrize("name", sorted(_CONTRACT))
+    def test_an_empty_batch_is_neither_solved_nor_tallied(self, name, monkeypatch):
+        make, levels, _ = _CONTRACT[name]
+        model = make()
+        monkeypatch.setattr(model, "_evaluate_batch",
+                            lambda xis, level: pytest.fail("an empty batch was solved"))
+        for level in levels:
+            out = model.evaluate_batch(np.empty((0, model.dim(level))), level)
+            assert out.shape == (0,) and out.dtype == float
+        assert model.counter.counts() == {}
+
+
 def _repeating_batch(model, level, rows, rng):
     """`rows` rows drawn with repeats from rows//4, plus two rows that differ
     only in their last coordinate and two that differ only in their first,
