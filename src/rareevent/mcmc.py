@@ -7,11 +7,12 @@ indicator `subset.DomainTarget` sits beside it.  Kernels supply proposals
 plus a per-state score holding whatever prior/proposal terms do not cancel
 in the acceptance ratio.  The chains of both kernels advance in lockstep in
 one row buffer: a proposal is drawn into it and scored as it is drawn (vMFN
-from the radius and cosine of its draw, O(1) per row), evaluated once per
-level, per iteration (aCS) or per step (vMFN, STATE_INDEPENDENT of the
-chain), and overwritten by its kept state once swept.  The aCS kernel's
-tuning is fixed by its class constants TARGET_RATE, ADAPT_FRACTION,
-RHO_BOUNDS and LAMBDA_BOUNDS.
+from the radius and cosine of its draw, O(1) per row), solved only if it
+can still be accepted (every target's `log_smooth` is <= 0, so a proposal
+failing the MH test with 0 in its place is rejected unsolved), and
+overwritten by its kept state once swept.  The aCS kernel's tuning is fixed
+by its class constants TARGET_RATE, ADAPT_FRACTION, RHO_BOUNDS and
+LAMBDA_BOUNDS.
 
 Kernels declare the class attribute STATE_INDEPENDENT and implement
 `prepare(samples, log_weights, n_steps)`, `propose(current, rng, out)`,
@@ -99,7 +100,7 @@ def extend_dimension(samples, delta_n: int, rng: np.random.Generator) -> np.ndar
 
 @dataclass(frozen=True)
 class TemperingTarget:
-    """Smooth part of p_(j,l) at beta = 1; of the bridge from level - 1 below 1."""
+    """Smooth part of p_(j,l), bridged from level - 1 when beta < 1; log_smooth <= 0."""
 
     level: int
     sigma: float
@@ -251,12 +252,18 @@ def run_chains(model: LimitStateModel, target, kernel, seeds: np.ndarray,
     never recomputed.  Both kernels use one buffer of m-row blocks: an
     iteration draws its proposals into a block, then its uniforms, and a kept
     iteration writes its states and values over them once swept.  A
-    STATE_INDEPENDENT kernel draws every iteration up front, for one model
-    evaluation per target level; any other kernel costs one per iteration and
-    level, its burn-in drawing into the first kept block.  The kernel scores
-    the seeds with `log_score` and each proposal as it draws it; accepted
-    scores are carried like the limit-state values.  Callers check the layout
-    (burn_in >= 0, integer 1/c) once, with `sis._seed_count`.
+    STATE_INDEPENDENT kernel draws every iteration up front; any other kernel
+    draws one at a time, its burn-in into the first kept block.  The kernel
+    scores the seeds with `log_score` and each proposal as it draws it;
+    accepted scores are carried like the limit-state values.  Callers check
+    the layout (burn_in >= 0, integer 1/c) once, with `sis._seed_count`.
+
+    A proposal with log u >= (0 - log_smooth_cur) + (score_prop - score_cur)
+    is rejected whatever its value, as log_smooth <= 0.  When the current
+    block holds an unsolved proposal that passes, every unsolved one left in
+    the drawn blocks that passes against the current states is solved, in
+    one call per target level; the rest get log_smooth -inf, which leaves
+    every accept decision as solving them would.
     """
     steps = burn_in + round(1.0 / c)
     current = np.array(seeds, dtype=float)
@@ -264,29 +271,42 @@ def run_chains(model: LimitStateModel, target, kernel, seeds: np.ndarray,
     values = {lvl: np.array(seed_values[lvl], dtype=float) for lvl in target.levels}
     log_smooth_cur = target.log_smooth(values)
     score_cur = kernel.log_score(current)
-    # iterations drawn per evaluation: all of them when no proposal reads the state
+    # iterations drawn at once: all of them when no proposal reads the state
     batch = steps if kernel.STATE_INDEPENDENT else 1
     # iteration k draws into, and is kept in, block max(k - lag, 0); a one-block
     # draw's burn-in shares block 0 with the first kept iteration
     blocks = max(batch, steps - burn_in)
     lag = steps - blocks
     drawn = np.empty((blocks * m, n))
-    drawn_values = {lvl: np.empty(blocks * m) for lvl in target.levels}
-    scores, uniforms = np.empty((blocks, m)), np.empty((blocks, m))
+    # an unsolved row holds a finite placeholder, whose log_smooth is discarded
+    drawn_values = {lvl: np.zeros(blocks * m) for lvl in target.levels}
+    scores, log_u = np.empty((blocks, m)), np.empty((blocks, m))
+    solved = np.empty((blocks, m), dtype=bool)
     for step in range(steps):
         block = max(step - lag, 0)
         rows = slice(block * m, (block + 1) * m)
         if step % batch == 0:
-            for k in range(block, block + batch):
+            end = block + batch
+            for k in range(block, end):
                 scores[k] = kernel.propose(current, rng, drawn[k * m:(k + 1) * m])
-                uniforms[k] = rng.uniform(size=m)
-            fresh = slice(block * m, (block + batch) * m)
+                log_u[k] = np.log(rng.uniform(size=m))
+            solved[block:end] = False
+        # log_smooth <= 0, so a proposal failing this test is rejected unsolved
+        ahead = slice(block, end)
+        wanted = ~solved[ahead] & (log_u[ahead] < (0.0 - log_smooth_cur)
+                                   + (scores[ahead] - score_cur))
+        if wanted[0].any():
+            part = slice(block * m, end * m) if wanted.all() else block * m + np.flatnonzero(wanted)
+            passing = drawn[part]  # a view for a slice, one gathered copy for all levels
             for lvl in target.levels:
-                drawn_values[lvl][fresh] = model.evaluate_batch(drawn[fresh, :model.dim(lvl)], lvl)
-        log_smooth_prop = target.log_smooth({lvl: v[rows] for lvl, v in drawn_values.items()})
+                drawn_values[lvl][part] = model.evaluate_batch(passing[:, :model.dim(lvl)], lvl)
+            del passing  # no gathered copy outlives its solve
+            solved[ahead] |= wanted
+        log_smooth_prop = np.where(solved[block], target.log_smooth(
+            {lvl: v[rows] for lvl, v in drawn_values.items()}), -np.inf)
         score_prop = scores[block]
         log_alpha = log_smooth_prop - log_smooth_cur + (score_prop - score_cur)
-        accept = np.log(uniforms[block]) < log_alpha
+        accept = log_u[block] < log_alpha
         current[accept] = drawn[rows][accept]
         log_smooth_cur = np.where(accept, log_smooth_prop, log_smooth_cur)
         score_cur = np.where(accept, score_prop, score_cur)

@@ -31,7 +31,7 @@ STALL_LIMIT = 3
 
 @dataclass(frozen=True)
 class DomainTarget:
-    """Indicator target I(G_level <= threshold) * phi_n on one level."""
+    """Indicator target I(G_level <= threshold) * phi_n on one level; log_smooth <= 0."""
 
     level: int
     threshold: float

@@ -1,7 +1,8 @@
 """The chains of both kernels keep their states in the one row buffer that
-drew them, and an ensemble without a peek is extended in one call; both give
-the same bits as the separate-array loops they replace, which this module
-keeps as references.
+drew them and solve only the proposals that can still be accepted, and an
+ensemble without a peek is extended in one call; both give the same bits as
+the separate-array loops they replace, which this module keeps as
+references.  The chain reference solves every proposal.
 """
 
 import copy
@@ -24,17 +25,28 @@ from rareevent.subset import DomainTarget
 
 
 class TwoLevelLinear(LimitStateModel):
-    """G_l(u) = beta_l - u_1 - u_n / 4 on two levels of dimension 5 and 8."""
+    """G_l(u) = beta_l - u_1 - u_n / 4 on two levels of dimension 5 and 8;
+    `solved` logs the level and the rows of every batch call."""
 
     def __init__(self):
         super().__init__((5, 8), cost_dim=1)
+        self.solved = []
 
     def _evaluate_batch(self, xis, level):
+        self.solved.append((level, xis.copy()))
         return (2.0, 2.4)[level - 1] - xis[:, 0] - 0.25 * xis[:, -1]
 
 
-def reference_run_chains(model, target, kernel, seeds, seed_values, c, burn_in, rng):
-    """`run_chains` with the kept states and values in arrays of their own."""
+def reference_run_chains(model, target, kernel, seeds, seed_values, c, burn_in, rng,
+                         passing=None):
+    """`run_chains` with the kept states and values in arrays of their own,
+    solving every proposal.
+
+    `passing`, a list, receives each iteration's proposals whose test
+    log u < (0 - log_smooth_cur) + (score_prop - score_cur) passes against
+    their chain's current state: those that the bound log_smooth <= 0 leaves
+    a chance of acceptance.
+    """
     steps = burn_in + round(1.0 / c)
     current = np.array(seeds, dtype=float)
     m, n = current.shape
@@ -60,6 +72,9 @@ def reference_run_chains(model, target, kernel, seeds, seed_values, c, burn_in, 
         score_prop = scores[slot]
         log_alpha = log_smooth_prop - log_smooth_cur + (score_prop - score_cur)
         accept = np.log(uniforms[slot]) < log_alpha
+        if passing is not None:
+            bound = (0.0 - log_smooth_cur) + (score_prop - score_cur)
+            passing.extend(proposals[np.log(uniforms[slot]) < bound])
         current[accept] = proposals[accept]
         log_smooth_cur = np.where(accept, log_smooth_prop, log_smooth_cur)
         score_cur = np.where(accept, score_prop, score_cur)
@@ -123,9 +138,13 @@ def test_chains_match_the_separate_array_loop(kernel_class, target, burn_in, c):
     model, seeds, seed_values = _chain_inputs(target, kernel, burn_in)
     ref_kernel = copy.deepcopy(kernel)
     rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    model.solved.clear()
     states, values = run_chains(model, target, kernel, seeds, seed_values, c, burn_in, rng)
+    solved, passing = list(model.solved), []
+    model.solved.clear()
     ref_states, ref_values = reference_run_chains(model, target, ref_kernel, seeds,
-                                                  seed_values, c, burn_in, ref_rng)
+                                                  seed_values, c, burn_in, ref_rng, passing)
+    ref_solved = model.solved
     assert_same_bits(states, ref_states)
     assert values.keys() == ref_values.keys() == set(target.levels)
     for lvl in target.levels:
@@ -133,6 +152,19 @@ def test_chains_match_the_separate_array_loop(kernel_class, target, burn_in, c):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert kernel.stats == ref_kernel.stats
     assert states.shape[0] == round(seeds.shape[0] / c)
+    # the reference solves every proposal, once per target level
+    proposals = (burn_in + round(1.0 / c)) * seeds.shape[0]
+    assert all(sum(len(rows) for lvl, rows in ref_solved if lvl == level) == proposals
+               for level in target.levels)
+    for level in target.levels:
+        sent = [row.tobytes() for lvl, rows in solved if lvl == level for row in rows]
+        assert len(sent) == len(set(sent))
+        assert {row[:model.dim(level)].tobytes() for row in passing} <= set(sent)
+    if kernel_class is AcsKernel:
+        # an aCS proposal always passes: its score is 0 and log_smooth_cur <= 0
+        assert [lvl for lvl, _ in solved] == [lvl for lvl, _ in ref_solved]
+        for (_, rows), (_, ref_rows) in zip(solved, ref_solved):
+            assert_same_bits(rows, ref_rows)
 
 
 @pytest.mark.parametrize("level_dims", [None, (150, 150)], ids=["ldd", "fixed"])

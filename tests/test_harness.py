@@ -439,22 +439,26 @@ class TestCli:
 
     def test_fault_in_a_later_repetition_writes_the_finished_rows(self, tmp_path, monkeypatch):
         args = ["estimate", "--model", "linear", "--method", "sis", "--n", "500",
-                "--reps", "3", "--stable-timing", "--out"]
+                "--stable-timing", "--out"]
         clean = tmp_path / "clean.csv"
-        assert cli.main(args + [str(clean)]) == cli.EXIT_OK
-        calls = []
+        assert cli.main(args + [str(clean), "--reps", "3"]) == cli.EXIT_OK
+        calls, fault_at = [], []
         evaluate = LinearLsfModel._evaluate_batch
 
         def faulty(self, xis, level):
             calls.append(level)
-            if len(calls) == 45:
+            if fault_at == [len(calls)]:
                 raise ValueError("fault inside a repetition")
             return evaluate(self, xis, level)
 
         monkeypatch.setattr(LinearLsfModel, "_evaluate_batch", faulty)
+        # fault on the first call after those of a clean repetition 0: repetition 1's
+        assert cli.main(args + [str(tmp_path / "one.csv"), "--reps", "1"]) == cli.EXIT_OK
+        fault_at.append(len(calls) + 1)
+        calls.clear()
         out = tmp_path / "o.csv"
         with pytest.raises(ValueError, match="fault inside a repetition"):
-            cli.main(args + [str(out)])
+            cli.main(args + [str(out), "--reps", "3"])
         # the header and repetition 0's row as a clean run writes them; no summary row
         assert out.read_text().splitlines() == clean.read_text().splitlines()[:2]
 

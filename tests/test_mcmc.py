@@ -10,7 +10,7 @@ from rareevent.distributions import (
     vmfn_log_density,
     vmfn_log_density_polar,
 )
-from rareevent.errors import DegenerateWeightsError
+from rareevent.errors import DegenerateWeightsError, ModelEvaluationError
 from rareevent.fem1d import Diffusion1dModel
 from rareevent.fem2d import FlowCellModel
 from rareevent.mcmc import (
@@ -387,22 +387,87 @@ class TestIndependentProposalsBatched:
                                         TemperingTarget(level=2, sigma=0.7, beta=0.4),
                                         DomainTarget(level=2, threshold=1.5)])
     def test_one_evaluation_per_level(self, target, burn_in):
-        # vMFN: one call per target level of (burn_in + 1/c) * N * c rows;
-        # aCS: one call per level and iteration, of N * c rows
+        # at most one call per target level and iteration, none empty.  vMFN:
+        # calls in the first iteration, and in all fewer rows than the
+        # (burn_in + 1/c) * N * c proposals; aCS: calls in every iteration, of
+        # N * c rows
         seeds_n, inv_c = 30, 4
         steps = burn_in + inv_c
         model = TwoLevelLinear()
         pool, log_w, seeds, seed_values = weighted_seeds(model, target, 400, seeds_n,
                                                          np.random.default_rng(8))
-        for kernel, calls in ((VmfnIndependentKernel(), [(lvl, steps * seeds_n)
-                                                         for lvl in target.levels]),
-                              (AcsKernel(), [(lvl, seeds_n) for _ in range(steps)
-                                             for lvl in target.levels])):
+        for kernel in (VmfnIndependentKernel(), AcsKernel()):
             kernel.prepare(pool, log_w, inv_c)
+            per_iteration = [[]]
+            feedback = kernel.feedback
+
+            def next_iteration(accepted):
+                per_iteration[-1].extend(model.calls)
+                per_iteration.append([])
+                model.calls.clear()
+                feedback(accepted)
+
+            kernel.feedback = next_iteration
             model.calls.clear()
             run_chains(model, target, kernel, seeds, seed_values, c=1.0 / inv_c,
                        burn_in=burn_in, rng=np.random.default_rng(9))
-            assert model.calls == calls
+            assert per_iteration.pop() == [] and model.calls == []
+            assert len(per_iteration) == steps
+            if isinstance(kernel, AcsKernel):
+                assert per_iteration == [[(lvl, seeds_n) for lvl in target.levels]] * steps
+                continue
+            solving = [calls for calls in per_iteration if calls]
+            assert per_iteration[0] and len(solving) > 1
+            for calls in solving:
+                assert calls == [(lvl, calls[0][1]) for lvl in target.levels]
+                assert calls[0][1] > 0
+            assert sum(calls[0][1] for calls in solving) < steps * seeds_n
+
+
+class CutOffAcs(AcsKernel):
+    """aCS on the target cut off at u_1 > 1: a proposal there scores -inf."""
+
+    def log_score(self, states):
+        return np.where(states[:, 0] > 1.0, -np.inf, 0.0)
+
+
+class NanBeyondOne(LinearLsfModel):
+    """G(u) = 2 - u_1, and NaN where u_1 > 1; logs the rows of every batch."""
+
+    def __init__(self):
+        super().__init__(2.0, 3)
+        self.solved = []
+
+    def _evaluate_batch(self, xis, level):
+        self.solved.append(xis.copy())
+        return np.where(xis[:, 0] > 1.0, np.nan, super()._evaluate_batch(xis, level))
+
+
+class TestContainedFailure:
+    def test_proposals_that_cannot_be_accepted_are_never_solved(self, rng):
+        # a proposal scored -inf fails every MH test, so the model never sees
+        # the region where it cannot be evaluated
+        model, kernel = NanBeyondOne(), CutOffAcs(lambda0=0.9)
+        seeds = rng.standard_normal((50, 3))
+        seeds[:, 0] = np.minimum(seeds[:, 0], 1.0)
+        drawn = []
+        propose = kernel.propose
+
+        def logged(current, rng, out):
+            scores = propose(current, rng, out)
+            drawn.append(out.copy())
+            return scores
+
+        kernel.propose = logged
+        target = TemperingTarget(level=1, sigma=0.5)
+        states, values = run_chains(model, target, kernel, seeds,
+                                    {1: 2.0 - seeds[:, 0]}, c=0.25, burn_in=2, rng=rng)
+        assert np.count_nonzero(np.vstack(drawn)[:, 0] > 1.0) > 50
+        assert np.all(np.vstack(model.solved)[:, 0] <= 1.0)
+        assert np.all(states[:, 0] <= 1.0)
+        assert np.array_equal(values[1], 2.0 - states[:, 0])
+        with pytest.raises(ModelEvaluationError):
+            model.evaluate_batch(np.vstack(drawn), 1)
 
 
 class TestExtendDimension:
