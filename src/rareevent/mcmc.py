@@ -293,8 +293,8 @@ def run_chains(model: LimitStateModel, target, kernel, seeds: np.ndarray,
             solved[block:end] = False
         # log_smooth <= 0, so a proposal failing this test is rejected unsolved
         ahead = slice(block, end)
-        wanted = ~solved[ahead] & (log_u[ahead] < (0.0 - log_smooth_cur)
-                                   + (scores[ahead] - score_cur))
+        bound = (0.0 - log_smooth_cur) + (scores[ahead] - score_cur)
+        wanted = ~solved[ahead] & (log_u[ahead] < bound)
         if wanted[0].any():
             part = slice(block * m, end * m) if wanted.all() else block * m + np.flatnonzero(wanted)
             passing = drawn[part]  # a view for a slice, one gathered copy for all levels
