@@ -12,10 +12,8 @@ from .distributions import (
     fit_vmfn,
     nakagami_log_density,
     sample_nakagami,
-    sample_vmf,
     sample_vmfn,
     std_normal_log_cdf,
-    vmf_log_density,
     vmfn_log_density,
 )
 from .errors import (
@@ -45,13 +43,7 @@ from .mcmc import (
     resample_multinomial,
 )
 from .mlsis import bridge_level, mlsis_estimate, peek_level_update, solve_beta
-from .models import (
-    ConstantModel,
-    EvalCounter,
-    LimitStateModel,
-    LinearLsfModel,
-    mc_estimate,
-)
+from .models import EvalCounter, LimitStateModel, LinearLsfModel, mc_estimate
 from .randomfield import KlBasis, kl_basis_1d, kl_basis_2d, lognormal_params
 from .sis import (EstimatorTrace, SampleEnsemble, sis_estimate, solve_sigma, stopping_cov,
                   tempering_step)

@@ -112,19 +112,6 @@ def vmf_log_normalizer(n: int, kappa: float) -> float:
     return v * np.log(kappa) - 0.5 * n * np.log(2.0 * np.pi) - _log_bessel_iv(v, kappa)
 
 
-def vmf_log_density(a, nu, kappa: float) -> float:
-    """log density on the unit sphere of the von Mises-Fisher law."""
-    a = np.asarray(a, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    if kappa < 0:
-        raise ValueError("kappa must be >= 0")
-    for name, vec in (("a", a), ("nu", nu)):
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
-            raise ValueError(f"{name} must be a unit vector")
-    n = a.shape[0]
-    return vmf_log_normalizer(n, kappa) + kappa * float(nu @ a)
-
-
 def _sample_vmf_cosines(kappa: float, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """Draw `size` cosines W = nu . a via Wood's beta-envelope rejection scheme."""
     d = n - 1
@@ -174,20 +161,6 @@ def _sample_scaled_vmf(nu: np.ndarray, kappa: float, r, rng: np.random.Generator
     out *= (r * np.sqrt(np.clip(1.0 - w * w, 0.0, None)) / norms)[:, None]
     out += np.multiply.outer(r * w, nu)
     return w
-
-
-def sample_vmf(nu, kappa: float, n: int, rng: np.random.Generator, size: int | None = None):
-    """Sample directions from the vMF law; (n,) for size=None, else (size, n)."""
-    nu = np.asarray(nu, dtype=float)
-    if not (0.0 <= kappa < np.inf):
-        raise ValueError("kappa must be finite and >= 0")
-    if abs(np.linalg.norm(nu) - 1.0) > 1e-9:
-        raise ValueError("nu must be a unit vector")
-    if nu.shape[0] != n:
-        raise ValueError("nu dimension mismatch")
-    a = np.empty((1 if size is None else int(size), n))
-    _sample_scaled_vmf(nu, kappa, 1.0, rng, a)
-    return a[0] if size is None else a
 
 
 def nakagami_log_density(r, s: float, gamma: float):

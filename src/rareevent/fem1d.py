@@ -13,11 +13,13 @@ also the exact solution for the elementwise-constant coefficient;
 `solve_diffusion_1d` returns them.
 
 The limit state reads only v(1) = sum_e h (1 - x_mid,e) / a_e, and
-1/a_e = exp(-mu - sqrt(zeta2) (Theta sqrt(nu) xi)_e) for the log-normal field.
-The mean, the field scale and the division fold into two per-level constants,
-the scaled modes S = -sqrt(zeta2) Theta sqrt(nu) and the weights
-w = h (1 - x_mid) exp(-mu), so a batch costs one padded mode product, one
-in-place `exp` and one GEMV on the padded rows: v(1) = exp(xi S^T) w.
+1/a_e = exp(-mu - sqrt(zeta2) (Theta sqrt(nu) xi)_e) for the log-normal field,
+where mu, zeta2 = lognormal_params(MEAN_A, STD_A) and (Theta, nu) is the
+standard field's KL basis.  `_level_form` folds the mean, the field scale and
+the division into two per-level constants, the scaled modes
+S = -sqrt(zeta2) Theta sqrt(nu) and the weights w = h (1 - x_mid) exp(-mu), so
+a batch costs one padded mode product, one in-place `exp` and one GEMV on the
+padded rows: v(1) = exp(xi S^T) w.
 
 The problem is the paper's: a log-normal coefficient with mean MEAN_A = 1 and
 standard deviation STD_A = 0.1, exponential covariance with correlation length
@@ -70,8 +72,7 @@ class Diffusion1dModel(LimitStateModel):
     def __init__(self, max_level: int = len(DEFAULT_LEVEL_DIMS), level_dims=None):
         super().__init__(checked_level_dims(level_dims, max_level, DEFAULT_LEVEL_DIMS),
                          cost_dim=1)
-        mu, zeta2 = lognormal_params(MEAN_A, STD_A)
-        self.basis = kl_basis_1d(CORR_LENGTH, KL_TRUNCATION, mean=mu, variance=zeta2)
+        self.basis = kl_basis_1d(CORR_LENGTH, KL_TRUNCATION)
         # (scaled modes S_l^T, weights w_l) per level, see the module docstring
         self._level_forms: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -81,8 +82,9 @@ class Diffusion1dModel(LimitStateModel):
             m = round(1.0 / h)
             x_mid = (np.arange(m) + 0.5) * h
             theta = self.basis.eigenfunction_matrix(x_mid, self.basis.truncation)
-            scale = -np.sqrt(self.basis.variance) * np.sqrt(self.basis.eigenvalues)
-            weights = h * (1.0 - x_mid) * np.exp(-self.basis.mean)
+            mu, zeta2 = lognormal_params(MEAN_A, STD_A)
+            scale = -np.sqrt(zeta2) * np.sqrt(self.basis.eigenvalues)
+            weights = h * (1.0 - x_mid) * np.exp(-mu)
             self._level_forms[level] = (np.ascontiguousarray((theta * scale).T), weights)
         return self._level_forms[level]
 

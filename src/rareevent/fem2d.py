@@ -236,13 +236,6 @@ class DiscreteVelocity:
     def _signed(self) -> np.ndarray:
         return self.fluxes[self.mesh.tri_edges] * self.mesh.tri_signs
 
-    def velocity_at(self, point) -> np.ndarray:
-        point = np.array([float(point[0]), float(point[1])])
-        mesh = self.mesh
-        tri = mesh.locate(point)
-        rel = point - mesh.centroids[tri] + mesh.offsets[tri % 2]
-        return (self._signed()[tri] @ rel) / (2.0 * mesh.area)
-
     def triangle_velocities(self) -> np.ndarray:
         """Velocity at each centroid, shape (n_tri, 2); the whole field if divergence-free."""
         mesh = self.mesh
@@ -252,20 +245,6 @@ class DiscreteVelocity:
     def divergence(self) -> np.ndarray:
         """Constant per-triangle divergence (net outflux over area)."""
         return self._signed().sum(axis=1) / self.mesh.area
-
-    def boundary_flux(self, side: str) -> float:
-        """Net outward flux across the 'west' or 'east' boundary."""
-        m = self.mesh.m
-        n_h = m * (m + 1)
-        if side == "west":
-            ids = [n_h + j * (m + 1) + 0 for j in range(m)]
-            orient = -1.0  # outward normal (-1, 0) vs global (1, 0)
-        elif side == "east":
-            ids = [n_h + j * (m + 1) + m for j in range(m)]
-            orient = 1.0
-        else:
-            raise ValueError("side must be 'west' or 'east'")
-        return float(orient * self.fluxes[ids].sum())
 
 
 def solve_darcy_rt0(a, h: float) -> DiscreteVelocity:

@@ -1,4 +1,4 @@
-"""Limit-state abstraction shared by all estimators, plus analytic test models.
+"""Limit-state abstraction shared by all estimators, plus the linear limit state.
 
 Failure is the event G <= 0 throughout; `is_failure` is the single predicate
 every indicator call site goes through, and `mesh_size` the one level rule.
@@ -12,7 +12,6 @@ import threading
 from abc import ABC, abstractmethod
 
 import numpy as np
-from scipy import special
 
 from .errors import ModelEvaluationError
 
@@ -139,10 +138,6 @@ class LimitStateModel(ABC):
         self.counter.add(tally_level, xis.shape[0])
         return out
 
-    def evaluate(self, xi, level: int) -> float:
-        """One evaluation: a batch of one."""
-        return float(self.evaluate_batch(np.asarray(xi, dtype=float)[None], level)[0])
-
     def evaluate_batch(self, xis, level: int) -> np.ndarray:
         """Evaluate a (m, n_level) batch; counts m evaluations at `level`."""
         return self._tallied(xis, level, level)
@@ -174,22 +169,8 @@ class LinearLsfModel(LimitStateModel):
         if not np.isfinite(self.beta):
             raise ValueError("beta must be finite")
 
-    def exact_probability(self) -> float:
-        return float(special.ndtr(-self.beta))
-
     def _evaluate_batch(self, xis, level):
         return self.beta - xis[:, 0]
-
-
-class ConstantModel(LimitStateModel):
-    """G identically equal to a constant, on any number of levels."""
-
-    def __init__(self, value: float, n: int = 2, max_level: int = 1):
-        super().__init__((n,) * max_level, cost_dim=1)
-        self.value = float(value)
-
-    def _evaluate_batch(self, xis, level):
-        return np.full(xis.shape[0], self.value)
 
 
 class PinnedLevelModel(LimitStateModel):

@@ -56,11 +56,9 @@ def _kl_roots_1d(c: float, count: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class KlBasis:
-    """Ordered KL eigenpairs plus the Gaussian field's mean and variance."""
+    """Ordered KL eigenpairs of the standard Gaussian field; models apply mean and scale."""
 
     domain_dim: int
-    mean: float
-    variance: float
     eigenvalues: np.ndarray
     _omegas: np.ndarray = field(repr=False)
     _is_even: np.ndarray = field(repr=False)
@@ -99,29 +97,13 @@ class KlBasis:
         vals = np.where(self._is_even[mode_idx][None, :], np.cos(phase), np.sin(phase))
         return vals / self._norms[mode_idx][None, :]
 
-    def evaluate_log_field(self, xi, points) -> np.ndarray:
-        """Gaussian field Z(x) = mean + sqrt(variance) * sum sqrt(nu_m) theta_m(x) xi_m.
 
-        Uses the first len(xi) modes, so a truncated coefficient vector is a
-        prefix of the full one.
-        """
-        xi = np.asarray(xi, dtype=float)
-        if xi.ndim != 1:
-            raise ValueError("xi must be a vector")
-        theta = self.eigenfunction_matrix(points, count=xi.shape[0])
-        coeff = np.sqrt(self.eigenvalues[: xi.shape[0]]) * xi
-        return self.mean + np.sqrt(self.variance) * (theta @ coeff)
-
-
-def kl_basis_1d(corr_length: float, truncation: int,
-                mean: float = 0.0, variance: float = 1.0) -> KlBasis:
+def kl_basis_1d(corr_length: float, truncation: int) -> KlBasis:
     """KL basis of exp(-|x-y|/corr_length) on [0,1], largest `truncation` modes."""
     if corr_length <= 0:
         raise ValueError("correlation length must be positive")
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    if variance <= 0:
-        raise ValueError("variance must be positive")
     c = 1.0 / corr_length
     omegas, is_even = _kl_roots_1d(c, truncation)
     eigenvalues = 2.0 * c / (omegas**2 + c * c)
@@ -129,8 +111,6 @@ def kl_basis_1d(corr_length: float, truncation: int,
     norms = np.sqrt(np.where(is_even, _HALF + half_sin, _HALF - half_sin))
     return KlBasis(
         domain_dim=1,
-        mean=mean,
-        variance=variance,
         eigenvalues=eigenvalues,
         _omegas=omegas,
         _is_even=is_even,
@@ -141,9 +121,8 @@ def kl_basis_1d(corr_length: float, truncation: int,
 def kl_basis_2d(corr_length: float, truncation: int) -> KlBasis:
     """Tensor-product KL basis of exp(-||x-y||_1/corr_length) on [0,1]^2.
 
-    The field is standard (mean 0, variance 1).  The `truncation` largest
-    products nu_i * nu_j are kept; ties are broken lexicographically by
-    (i, j) so the ordering is deterministic.
+    The `truncation` largest products nu_i * nu_j are kept; ties are broken
+    lexicographically by (i, j) so the ordering is deterministic.
     """
     base = kl_basis_1d(corr_length, truncation)
     nu1 = base.eigenvalues
@@ -155,8 +134,6 @@ def kl_basis_2d(corr_length: float, truncation: int) -> KlBasis:
     top = flat[order[:truncation]]
     return KlBasis(
         domain_dim=2,
-        mean=0.0,
-        variance=1.0,
         eigenvalues=top[:, 0].copy(),
         _omegas=base._omegas,
         _is_even=base._is_even,

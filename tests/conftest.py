@@ -9,10 +9,6 @@ def rng():
     return np.random.default_rng(20240810)
 
 
-def make_rng(*key):
-    return np.random.default_rng(list(key))
-
-
 @pytest.fixture
 def two_blas_threads():
     """Every loaded OpenBLAS on two threads, so a one-thread scope shows on any host."""

@@ -12,7 +12,11 @@ def midpoint_coefficients(model, xis, level):
     """a = exp(Z) at the element midpoints, straight from the KL basis."""
     h = model.mesh_size(level)
     x_mid = (np.arange(round(1 / h)) + 0.5) * h
-    return np.array([np.exp(model.basis.evaluate_log_field(xi, x_mid)) for xi in xis])
+    mu, zeta2 = lognormal_params(1.0, 0.1)
+    n = xis.shape[1]
+    theta = model.basis.eigenfunction_matrix(x_mid, n)
+    sqrt_nu = np.sqrt(model.basis.eigenvalues[:n])
+    return np.array([np.exp(mu + np.sqrt(zeta2) * (theta @ (sqrt_nu * xi))) for xi in xis])
 
 
 class TestSolver:
@@ -90,7 +94,7 @@ class TestDiffusionModel:
         expected = 0.535 - 0.5 / np.exp(mu)
         model = Diffusion1dModel()
         for level in (1, 4, 8):
-            g = model.evaluate(np.zeros(model.dim(level)), level)
+            g = model.evaluate_batch(np.zeros((1, model.dim(level))), level)[0]
             assert g == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(0.03251, abs=5e-6)
 
@@ -111,7 +115,7 @@ class TestDiffusionModel:
         model = Diffusion1dModel(level_dims=(150,) * 8)
         v = {}
         for level in (5, 6, 7, 8):
-            v[level] = 0.535 - model.evaluate(xi, level)
+            v[level] = 0.535 - model.evaluate_batch(xi[None], level)[0]
         d1 = abs(v[6] - v[5])
         d2 = abs(v[7] - v[6])
         d3 = abs(v[8] - v[7])
@@ -122,7 +126,7 @@ class TestDiffusionModel:
         model = Diffusion1dModel()
         xis = rng.standard_normal((4, 40))
         batch = model.evaluate_batch(xis, 3)
-        singles = [Diffusion1dModel().evaluate(xi, 3) for xi in xis]
+        singles = [Diffusion1dModel().evaluate_batch(xi[None], 3)[0] for xi in xis]
         assert np.array_equal(batch, singles)
 
     @pytest.mark.parametrize("level", range(1, 9))
@@ -140,12 +144,12 @@ class TestDiffusionModel:
     def test_nonfinite_limit_state_rejected(self):
         model = Diffusion1dModel()
         with pytest.raises(ModelEvaluationError):
-            model.evaluate(np.full(150, np.nan), 8)
+            model.evaluate_batch(np.full((1, 150), np.nan), 8)
         # a underflows to 0 on part of the mesh
         with pytest.raises(ModelEvaluationError), np.errstate(over="ignore"):
-            model.evaluate(np.full(150, -1e3), 8)
+            model.evaluate_batch(np.full((1, 150), -1e3), 8)
         # a is tiny but positive everywhere: a valid, very negative G
-        assert np.isfinite(model.evaluate(np.full(150, 1e3), 8))
+        assert np.isfinite(model.evaluate_batch(np.full((1, 150), 1e3), 8)[0])
 
     def test_same_bits_on_one_and_two_blas_threads(self, two_blas_threads, rng):
         # the level-8 GEMM and GEMV of a 2000-row batch, threaded or not
@@ -160,5 +164,5 @@ class TestDiffusionModel:
     def test_counter_tracks_levels(self, rng):
         model = Diffusion1dModel()
         model.evaluate_batch(rng.standard_normal((7, 10)), 1)
-        model.evaluate(rng.standard_normal(150), 8)
+        model.evaluate_batch(rng.standard_normal((1, 150)), 8)
         assert model.counter.counts() == {1: 7, 8: 1}

@@ -25,23 +25,36 @@ def uniform_vertical_flow(mesh):
     return DiscreteVelocity(mesh=mesh, fluxes=fluxes, pressures=np.zeros(mesh.n_tri))
 
 
+def velocities_at(vel, points):
+    """A divergence-free field's velocity at points: its triangle's constant value."""
+    return vel.triangle_velocities()[vel.mesh.locate(points)]
+
+
+def east_and_west_fluxes(vel):
+    """Fluxes in +x through the east and the west face, summed over their edges."""
+    m = vel.mesh.m
+    west = m * (m + 1) + (m + 1) * np.arange(m)      # vertical edges V(0, j)
+    return vel.fluxes[west + m].sum(), vel.fluxes[west].sum()
+
+
 class TestDarcySolver:
     def test_uniform_permeability_exact_flow(self):
         vel = solve_darcy_rt0(lambda p: np.ones(len(p)), 1 / 8)
         mesh = vel.mesh
-        for point in [(0.13, 0.7), (0.51, 0.49), (0.9, 0.05)]:
-            assert np.allclose(vel.velocity_at(point), [1.0, 0.0], atol=1e-10)
+        points = [(0.13, 0.7), (0.51, 0.49), (0.9, 0.05)]
+        assert np.allclose(velocities_at(vel, points), [1.0, 0.0], atol=1e-10)
         assert np.allclose(vel.pressures, 1 - mesh.centroids[:, 0], atol=1e-10)
 
     def test_constant_scaling(self):
         vel = solve_darcy_rt0(lambda p: 3.0 * np.ones(len(p)), 1 / 8)
-        assert np.allclose(vel.velocity_at((0.4, 0.6)), [3.0, 0.0], atol=1e-9)
+        assert np.allclose(velocities_at(vel, [(0.4, 0.6)]), [3.0, 0.0], atol=1e-9)
 
     def test_mass_conservation_random_field(self, rng):
         mesh = build_mesh(8)
         a = np.exp(rng.standard_normal(mesh.n_tri))
         vel = solve_darcy_rt0(a, 1 / 8)
-        assert abs(vel.boundary_flux("east") - (-vel.boundary_flux("west"))) < 1e-10
+        east, west = east_and_west_fluxes(vel)
+        assert abs(east - west) < 1e-10
 
     def test_divergence_free_every_solve(self, rng):
         mesh = build_mesh(8)
@@ -59,9 +72,9 @@ class TestDarcySolver:
         col = np.minimum((mesh.centroids[:, 0] * m).astype(int), m - 1)
         vel = solve_darcy_rt0(column_a[col], 1.0 / m)
         q_exact = 1.0 / np.mean(1.0 / column_a)
-        for point in [(0.21, 0.33), (0.72, 0.9)]:
-            assert np.allclose(vel.velocity_at(point), [q_exact, 0.0], atol=1e-9)
-        assert vel.boundary_flux("east") == pytest.approx(q_exact, abs=1e-9)
+        points = [(0.21, 0.33), (0.72, 0.9)]
+        assert np.allclose(velocities_at(vel, points), [q_exact, 0.0], atol=1e-9)
+        assert east_and_west_fluxes(vel)[0] == pytest.approx(q_exact, abs=1e-9)
 
     def test_no_flow_edges_exactly_zero(self, rng):
         mesh = build_mesh(4)
@@ -109,7 +122,7 @@ class TestParticleTracking:
     def test_vertical_synthetic_field(self):
         mesh = build_mesh(8)
         vel = uniform_vertical_flow(mesh)
-        assert np.allclose(vel.velocity_at((0.3, 0.2)), [0.0, 1.0], atol=1e-12)
+        assert np.allclose(velocities_at(vel, [(0.3, 0.2)]), [0.0, 1.0], atol=1e-12)
         tau = trace_particle(vel, (0.0, 0.5), mesh.h)
         assert tau == pytest.approx(0.5, abs=1e-12)
 
@@ -146,7 +159,7 @@ class TestFlowCellModel:
     def test_zero_coefficients_time_one(self):
         model = FlowCellModel()
         for level in (1, 3):
-            g = model.evaluate(np.zeros(model.dim(level)), level)
+            g = model.evaluate_batch(np.zeros((1, model.dim(level))), level)[0]
             assert g == pytest.approx(0.97, abs=1e-10)
 
     def test_small_fields_stay_safe(self, rng):
@@ -155,7 +168,7 @@ class TestFlowCellModel:
         for _ in range(100):
             xi = rng.standard_normal(20)
             xi *= 0.1 / np.linalg.norm(xi)
-            assert model.evaluate(xi, 2) > 0
+            assert model.evaluate_batch(xi[None], 2)[0] > 0
 
     def test_level_dims(self):
         model = FlowCellModel()

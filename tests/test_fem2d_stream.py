@@ -169,7 +169,7 @@ def test_evaluate_batch_equals_single_evaluations(level, rng, monkeypatch):
     monkeypatch.setattr(fem2d, "_CHUNK_VALUES", 3 * n_tri)   # chunks of three samples
     xis = rng.standard_normal((7, model.dim(level)))
     batch = model.evaluate_batch(xis, level)
-    single = np.array([model.evaluate(x, level) for x in xis])
+    single = np.array([model.evaluate_batch(x[None], level)[0] for x in xis])
     assert np.array_equal(batch, single)
 
 

@@ -23,9 +23,11 @@ from rareevent.mcmc import (
     resample_multinomial,
     run_chains,
 )
-from rareevent.models import ConstantModel, LimitStateModel, LinearLsfModel
+from rareevent.models import LimitStateModel, LinearLsfModel
 from rareevent.sis import tempering_log_weights
 from rareevent.subset import DomainTarget
+
+from helper_models import ConstantModel
 
 
 class CountingModel(ConstantModel):

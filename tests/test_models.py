@@ -13,7 +13,6 @@ from rareevent.errors import ModelEvaluationError
 from rareevent.fem1d import Diffusion1dModel
 from rareevent.fem2d import FlowCellModel
 from rareevent.models import (
-    ConstantModel,
     EvalCounter,
     LinearLsfModel,
     PinnedLevelModel,
@@ -22,6 +21,8 @@ from rareevent.models import (
     mc_estimate,
     mesh_size,
 )
+
+from helper_models import ConstantModel
 
 
 class TestFailureConvention:
@@ -51,25 +52,18 @@ class TestFailureConvention:
 
 
 class TestLinearModel:
-    def test_exact_probability(self):
-        model = LinearLsfModel(3.5, 150)
-        assert model.exact_probability() == pytest.approx(2.3263e-4, rel=1e-4)
-
-    def test_symmetric_at_zero(self):
-        assert LinearLsfModel(0.0, 3).exact_probability() == 0.5
-
     def test_boundary_input(self):
         model = LinearLsfModel(2.0, 4)
-        g = model.evaluate(np.array([2.0, 0.0, 0.0, 0.0]), 1)
+        g = model.evaluate_batch(np.array([[2.0, 0.0, 0.0, 0.0]]), 1)[0]
         assert g == 0.0
         assert is_failure(g)
 
     def test_dimension_validation(self):
         model = LinearLsfModel(1.0, 3)
         with pytest.raises(ValueError):
-            model.evaluate(np.zeros(2), 1)
+            model.evaluate_batch(np.zeros((1, 2)), 1)
         with pytest.raises(ValueError):
-            model.evaluate(np.zeros(3), 2)
+            model.evaluate_batch(np.zeros((1, 3)), 2)
 
     @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
     def test_beta_must_be_finite(self, beta):
@@ -80,7 +74,7 @@ class TestLinearModel:
 class TestEvalCounter:
     def test_each_evaluate_increments_one_level(self):
         model = LinearLsfModel(1.0, 2)
-        model.evaluate(np.zeros(2), 1)
+        model.evaluate_batch(np.zeros((1, 2)), 1)
         model.evaluate_batch(np.zeros((5, 2)), 1)
         assert model.counter.counts() == {1: 6}
 
@@ -112,7 +106,7 @@ class TestPinnedLevelModel:
 
         base = TwoLevel(0.0, n=2, max_level=3)
         pinned = PinnedLevelModel(base, 2)
-        assert pinned.evaluate(np.zeros(2), 1) == 2.0
+        assert pinned.evaluate_batch(np.zeros((1, 2)), 1)[0] == 2.0
         assert base.counter.counts() == {2: 1}
 
 

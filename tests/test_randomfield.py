@@ -107,49 +107,33 @@ class TestKl2d:
 
 
 class TestEvaluateLogField:
-    def test_zero_coefficients_give_mean(self):
-        basis = kl_basis_1d(0.1, 30, mean=-0.7, variance=2.0)
-        vals = basis.evaluate_log_field(np.zeros(30), np.linspace(0, 1, 11))
-        assert np.allclose(vals, -0.7)
-
-    def test_linearity_in_coefficients(self, rng):
-        basis = kl_basis_1d(0.1, 30, mean=0.3, variance=1.5)
-        xi = rng.standard_normal(30)
-        x = np.linspace(0, 1, 7)
-        doubled = basis.evaluate_log_field(2 * xi, x) - 0.3
-        single = basis.evaluate_log_field(xi, x) - 0.3
-        assert np.allclose(doubled, 2 * single, rtol=1e-12)
+    """The log field mu + zeta Theta sqrt(nu) xi, evaluated from the basis as a model does."""
 
     def test_pointwise_variance_matches_mercer_sum(self, rng):
         mu, zeta2 = lognormal_params(1.0, 0.1)
-        basis = kl_basis_1d(0.01, 150, mean=mu, variance=zeta2)
+        basis = kl_basis_1d(0.01, 150)
         theta = basis.eigenfunction_matrix(np.array([0.5]), 150)[0]
         exact = zeta2 * np.sum(basis.eigenvalues * theta**2)
         draws = rng.standard_normal((100_000, 150))
-        vals = basis.mean + np.sqrt(basis.variance) * (
-            draws @ (np.sqrt(basis.eigenvalues) * theta)
-        )
+        vals = mu + np.sqrt(zeta2) * (draws @ (np.sqrt(basis.eigenvalues) * theta))
         assert vals.var() == pytest.approx(exact, rel=0.03)
         # the truncation keeps roughly 87% of the full variance at x=0.5
         assert exact / zeta2 == pytest.approx(0.87, abs=0.04)
 
-    def test_prefix_consistency_across_level_dims(self, rng):
+    def test_prefix_consistency_across_level_dims(self):
+        # a level with fewer dims reads the leading modes of the full basis
         basis = kl_basis_1d(0.01, 150)
-        xi_small = rng.standard_normal(40)
-        xi_big = np.concatenate([xi_small, np.zeros(110)])
         x = np.linspace(0, 1, 13)
-        assert np.allclose(
-            basis.evaluate_log_field(xi_small, x),
-            basis.evaluate_log_field(xi_big, x),
-            rtol=0, atol=0,
-        )
+        assert np.array_equal(basis.eigenfunction_matrix(x, 40),
+                              basis.eigenfunction_matrix(x)[:, :40])
 
     def test_out_of_domain_rejected(self):
         basis = kl_basis_1d(0.1, 5)
-        with pytest.raises(ValueError):
-            basis.evaluate_log_field(np.zeros(5), [1.5])
+        for points in ([1.5], [-0.1, 0.5]):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                basis.eigenfunction_matrix(points)
 
     def test_truncation_exceeded_rejected(self):
         basis = kl_basis_1d(0.1, 5)
-        with pytest.raises(ValueError):
-            basis.evaluate_log_field(np.zeros(6), [0.5])
+        with pytest.raises(ValueError, match="requested 6 modes"):
+            basis.eigenfunction_matrix([0.5], 6)
