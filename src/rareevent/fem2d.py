@@ -23,6 +23,8 @@ rows away; it is stored lower, which LAPACK factors at unit stride.  Those
 solves run with OpenBLAS set to one thread for the whole process, and the
 caller's thread counts come back when they end: threading only slows the
 small level-2 BLAS calls the banded Cholesky makes, and the bits are the same.
+The LAPACK solver is imported at the first solve, so importing the package
+or running another model never loads scipy.linalg.
 A batch's particles read curl psi only on the triangles they cross.
 
 The flow cell is the paper's: the log-permeability is a standard Gaussian
@@ -37,7 +39,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dpbsv
 
 from ._blas import single_blas_thread
 from .errors import ModelEvaluationError, NonconvergenceError, StagnationError
@@ -169,6 +170,7 @@ class _StreamFunctionSolver:
         sols = np.zeros((a_batch.shape[0], self.n))
         sols[:, -1] = 1.0                       # the load: one on the top value
         size = self.n * (self.kd + 1)
+        from scipy.linalg.lapack import dpbsv  # loaded at the first solve, not at import
         with single_blas_thread():
             for a, sol in zip(a_batch, sols):
                 weights = self._band_stiffness / a[self._band_tri]

@@ -282,6 +282,7 @@ def run_sequence(model: LimitStateModel, max_level: int, n_samples: int,
     counts_before = model.counter.counts()
     samples = rng.standard_normal((n_samples, model.dim(1)))
     ensemble = SampleEnsemble(samples, model.evaluate_batch(samples, 1), level=1)
+    del samples                     # once `advance` replaces the ensemble, the draw is freed
     trace = EstimatorTrace(model.counter)
     final = False
     while not final:

@@ -203,15 +203,14 @@ def test_nonpositive_permeability_rejected_in_batch():
 
 
 def _recording_dpbsv(monkeypatch, seen, fail=False):
-    real = fem2d.dpbsv
-
+    # `stream_functions` imports dpbsv at call time, so the module attribute is patched
     def recording(*args, **kwargs):
         seen.append(_blas.blas_threads())
         if fail:
             raise RuntimeError("injected solver failure")
-        return real(*args, **kwargs)
+        return dpbsv(*args, **kwargs)
 
-    monkeypatch.setattr(fem2d, "dpbsv", recording)
+    monkeypatch.setattr("scipy.linalg.lapack.dpbsv", recording)
 
 
 def test_banded_solves_run_on_one_blas_thread_and_restore(two_blas_threads, rng, monkeypatch):

@@ -1,5 +1,6 @@
 """`_brent` is scipy's brentq step for step, and importing the package leaves
-scipy.optimize (and the scipy.sparse it pulls in) unloaded.
+scipy.optimize (and the scipy.sparse it pulls in) unloaded, and scipy.linalg
+too until the first flow-cell solve.
 
 Every comparison runs both solvers on the same function and bracket and
 asserts the same root in `float.hex` after the same number of calls of f.
@@ -9,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -176,3 +178,43 @@ def test_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _fresh_interpreter(code):
+    env = dict(os.environ, PYTHONPATH=str(Path(rareevent.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, check=True).stdout.split()
+
+
+def test_scipy_linalg_loads_at_the_first_flow_cell_solve():
+    out = _fresh_interpreter("""
+        import sys
+        import numpy as np
+        from rareevent import Diffusion1dModel, FlowCellModel, make_kernel, mlsis_estimate
+        rng = np.random.default_rng(3)
+        mlsis_estimate(Diffusion1dModel(max_level=2), 2, 200, 0.5, make_kernel("vmfn"), 0.1, rng)
+        print("scipy.linalg" in sys.modules)
+        model = FlowCellModel(tau0=0.2)
+        model.evaluate_batch(rng.standard_normal((2, model.dim(1))), 1)
+        print("scipy.linalg" in sys.modules)
+    """)
+    assert out == ["False", "True"]
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
+def test_blas_libraries_cached_at_import_cover_scipy_linalg():
+    # `_blas._libraries()` is filled once; the deferred LAPACK import must map
+    # no OpenBLAS that the package's import had not already mapped
+    out = _fresh_interpreter("""
+        from rareevent import _blas
+
+        def mapped():
+            with open("/proc/self/maps", encoding="utf-8") as fh:
+                return sorted({line.split()[-1] for line in fh if "openblas" in line})
+
+        cached, at_import = len(_blas._libraries()), mapped()
+        import scipy.linalg.lapack
+        _blas._libraries.cache_clear()
+        print(mapped() == at_import, cached == len(_blas._libraries()), cached > 0)
+    """)
+    assert out == ["True", "True", "True"]
