@@ -18,11 +18,12 @@ where mu, zeta2 = lognormal_params(MEAN_A, STD_A) and (Theta, nu) is the
 standard field's KL basis.  `_level_form` folds the mean, the field scale and
 the division into two per-level constants, the scaled modes
 S = -sqrt(zeta2) Theta sqrt(nu) and the weights w = h (1 - x_mid) exp(-mu), so
-v(1) = exp(xi S^T) w.  A batch is worked through in chunks of _CHUNK_ROWS rows,
-each one padded mode product, one in-place `exp` on its real rows and one
-GEMV on the whole padded block.  A chunk is a whole number of the product's
-16-row blocks, so a row has the same bits in any batch, and at level 8 its
-exp(xi S^T) table takes 1 MB whatever the batch size.
+v(1) = exp(xi S^T) w.  A batch is worked through in chunks of at most
+_CHUNK_VALUES table values (256 rows at level 8), each one padded mode
+product, one in-place `exp` on its real rows and one GEMV on the whole padded
+block.  A chunk is a whole number of the product's 16-row blocks, so a row
+has the same bits in any batch, and the exp(xi S^T) table takes at most 1 MB
+on any mesh of up to 8,192 elements, whatever the batch size.
 
 The problem is the paper's: a log-normal coefficient with mean MEAN_A = 1 and
 standard deviation STD_A = 0.1, exponential covariance with correlation length
@@ -43,8 +44,10 @@ THRESHOLD = 0.535
 CORR_LENGTH = 0.01
 MEAN_A, STD_A = 1.0, 0.1
 
-# Rows one `_evaluate_batch` pass holds: 16 of `_mode_product`'s 16-row blocks.
-_CHUNK_ROWS = 256
+# exp(xi S^T) values (rows x elements) one `_evaluate_batch` pass holds: 1 MB,
+# 256 rows at level 8.  Coarser meshes take more rows per pass, since a GEMM
+# split into small ones runs slower on two BLAS threads.
+_CHUNK_VALUES = 1 << 17
 
 
 def solve_diffusion_1d(a, h: float) -> np.ndarray:
@@ -97,8 +100,9 @@ class Diffusion1dModel(LimitStateModel):
     def _evaluate_batch(self, xis, level):
         modes_t, weights = self._level_form(level)
         g = np.empty(len(xis))
-        for start in range(0, len(xis), _CHUNK_ROWS):
-            part = xis[start:start + _CHUNK_ROWS]
+        step = 16 * max(1, _CHUNK_VALUES // (16 * len(weights)))  # whole 16-row blocks
+        for start in range(0, len(xis), step):
+            part = xis[start:start + step]
             z = _mode_product(part, modes_t)
             real = z[:len(part)]            # the rows below it are the block's zero padding
             np.exp(real, out=real)          # exp(mu) / a at the element midpoints
