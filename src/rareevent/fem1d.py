@@ -18,12 +18,10 @@ where mu, zeta2 = lognormal_params(MEAN_A, STD_A) and (Theta, nu) is the
 standard field's KL basis.  `_level_form` folds the mean, the field scale and
 the division into two per-level constants, the scaled modes
 S = -sqrt(zeta2) Theta sqrt(nu) and the weights w = h (1 - x_mid) exp(-mu), so
-v(1) = exp(xi S^T) w.  A batch is worked through in chunks of at most
-_CHUNK_VALUES table values (256 rows at level 8), each one padded mode
-product, one in-place `exp` on its real rows and one GEMV on the whole padded
-block.  A chunk is a whole number of the product's 16-row blocks, so a row
-has the same bits in any batch, and the exp(xi S^T) table takes at most 1 MB
-on any mesh of up to 8,192 elements, whatever the batch size.
+v(1) = exp(xi S^T) w.  A batch runs in chunks of whole 16-row blocks holding
+at most _CHUNK_VALUES table values (256 rows at level 8), each one padded mode
+product, one in-place `exp` on its real rows and one GEMV on the padded block,
+so a row has the same bits in any batch and a level-8 table takes 1 MB.
 
 The problem is the paper's: a log-normal coefficient with mean MEAN_A = 1 and
 standard deviation STD_A = 0.1, exponential covariance with correlation length
@@ -44,9 +42,8 @@ THRESHOLD = 0.535
 CORR_LENGTH = 0.01
 MEAN_A, STD_A = 1.0, 0.1
 
-# exp(xi S^T) values (rows x elements) one `_evaluate_batch` pass holds: 1 MB,
-# 256 rows at level 8.  Coarser meshes take more rows per pass, since a GEMM
-# split into small ones runs slower on two BLAS threads.
+# exp(xi S^T) values one `_evaluate_batch` chunk holds; a coarse mesh takes more
+# rows per chunk, since a GEMM split into small ones runs slower on two BLAS threads
 _CHUNK_VALUES = 1 << 17
 
 
@@ -104,7 +101,6 @@ class Diffusion1dModel(LimitStateModel):
         for start in range(0, len(xis), step):
             part = xis[start:start + step]
             z = _mode_product(part, modes_t)
-            real = z[:len(part)]            # the rows below it are the block's zero padding
-            np.exp(real, out=real)          # exp(mu) / a at the element midpoints
+            np.exp(z[:len(part)], out=z[:len(part)])  # exp(mu) / a; the padding stays 0
             g[start:start + len(part)] = self.threshold - (z @ weights)[:len(part)]
         return g
