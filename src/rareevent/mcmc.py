@@ -7,12 +7,14 @@ indicator `subset.DomainTarget` sits beside it.  Kernels supply proposals
 plus a per-state score holding whatever prior/proposal terms do not cancel
 in the acceptance ratio.  The chains of both kernels advance in lockstep in
 one row buffer: a proposal is drawn into it and scored as it is drawn (vMFN
-from the radius and cosine of its draw, O(1) per row), solved only if it
-can still be accepted (every target's `log_smooth` is <= 0, so a proposal
-failing the MH test with 0 in its place is rejected unsolved), and
-overwritten by its kept state once swept.  The aCS kernel's tuning is fixed
-by its class constants TARGET_RATE, ADAPT_FRACTION, RHO_BOUNDS and
-LAMBDA_BOUNDS.
+from the radius and cosine of its draw, O(1) per row), solved only if its
+accept test reads the value (every target's `log_smooth` is <= 0, so a
+proposal failing the MH test with 0 in its place is rejected unsolved; a
+vMFN proposal is solved ahead of its iteration only if it passes against
+every state its chain can still hold), its `log_smooth` computed once when
+solved, and overwritten by its kept state once swept.  The aCS kernel's
+tuning is fixed by its class constants TARGET_RATE, ADAPT_FRACTION,
+RHO_BOUNDS and LAMBDA_BOUNDS.
 
 Kernels declare the class attribute STATE_INDEPENDENT and implement
 `prepare(samples, log_weights, n_steps)`, `propose(current, rng, out)`,
@@ -260,10 +262,13 @@ def run_chains(model: LimitStateModel, target, kernel, seeds: np.ndarray,
 
     A proposal with log u >= (0 - log_smooth_cur) + (score_prop - score_cur)
     is rejected whatever its value, as log_smooth <= 0.  When the current
-    block holds an unsolved proposal that passes, every unsolved one left in
-    the drawn blocks that passes against the current states is solved, in
-    one call per target level; the rest get log_smooth -inf, which leaves
-    every accept decision as solving them would.
+    block holds an unsolved proposal that passes, one call per target level
+    solves it with each unsolved later proposal that passes against every
+    state its chain can hold by then: the current one, or a proposal of the
+    chain drawn in between, at its log_smooth if solved and at 0 if not.  The
+    rest wait for their own iteration, so the rows solved are exactly those
+    whose accept test reads a value.  A proposal's log_smooth is computed
+    when it is solved, and is -inf, which rejects it, until then.
     """
     steps = burn_in + round(1.0 / c)
     current = np.array(seeds, dtype=float)
@@ -278,10 +283,9 @@ def run_chains(model: LimitStateModel, target, kernel, seeds: np.ndarray,
     blocks = max(batch, steps - burn_in)
     lag = steps - blocks
     drawn = np.empty((blocks * m, n))
-    # an unsolved row holds a finite placeholder, whose log_smooth is discarded
-    drawn_values = {lvl: np.zeros(blocks * m) for lvl in target.levels}
+    drawn_values = {lvl: np.empty(blocks * m) for lvl in target.levels}
     scores, log_u = np.empty((blocks, m)), np.empty((blocks, m))
-    solved = np.empty((blocks, m), dtype=bool)
+    log_smooth, solved = np.empty((blocks, m)), np.empty((blocks, m), dtype=bool)
     for step in range(steps):
         block = max(step - lag, 0)
         rows = slice(block * m, (block + 1) * m)
@@ -290,20 +294,30 @@ def run_chains(model: LimitStateModel, target, kernel, seeds: np.ndarray,
             for k in range(block, end):
                 scores[k] = kernel.propose(current, rng, drawn[k * m:(k + 1) * m])
                 log_u[k] = np.log(rng.uniform(size=m))
-            solved[block:end] = False
-        # log_smooth <= 0, so a proposal failing this test is rejected unsolved
+            solved[block:end], log_smooth[block:end] = False, -np.inf
         ahead = slice(block, end)
-        bound = (0.0 - log_smooth_cur) + (scores[ahead] - score_cur)
-        wanted = ~solved[ahead] & (log_u[ahead] < bound)
+        wanted = ~solved[ahead]
+        # log_smooth <= 0, so a proposal failing this test is rejected unsolved
+        wanted[0] &= log_u[block] < (0.0 - log_smooth_cur) + (scores[block] - score_cur)
         if wanted[0].any():
+            if end - block > 1:
+                # held[j]: the current state, then the proposals of block + j - 1;
+                # iteration block + 1 + i can hold held[:i + 2], each tested as above
+                held = slice(block, end - 1)
+                held_ls = np.vstack([log_smooth_cur, np.where(solved[held], log_smooth[held], 0.0)])
+                bound = (0.0 - held_ls) + (scores[block + 1:end, None]
+                                           - np.vstack([score_cur, scores[held]]))
+                can_hold = np.tri(end - block - 1, end - block, 1, dtype=bool)[..., None]
+                wanted[1:] &= log_u[block + 1:end] < np.where(can_hold, bound, np.inf).min(axis=1)
             part = slice(block * m, end * m) if wanted.all() else block * m + np.flatnonzero(wanted)
             passing = drawn[part]  # a view for a slice, one gathered copy for all levels
             for lvl in target.levels:
                 drawn_values[lvl][part] = model.evaluate_batch(passing[:, :model.dim(lvl)], lvl)
             del passing  # no gathered copy outlives its solve
+            log_smooth.reshape(-1)[part] = target.log_smooth(
+                {lvl: v[part] for lvl, v in drawn_values.items()})
             solved[ahead] |= wanted
-        log_smooth_prop = np.where(solved[block], target.log_smooth(
-            {lvl: v[rows] for lvl, v in drawn_values.items()}), -np.inf)
+        log_smooth_prop = log_smooth[block]
         score_prop = scores[block]
         log_alpha = log_smooth_prop - log_smooth_cur + (score_prop - score_cur)
         accept = log_u[block] < log_alpha

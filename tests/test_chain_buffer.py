@@ -1,5 +1,5 @@
 """The chains of both kernels keep their states in the one row buffer that
-drew them and solve only the proposals that can still be accepted, and an
+drew them and solve exactly the proposals that can still be accepted, and an
 ensemble without a peek is extended in one call; both give the same bits as
 the separate-array loops they replace, which this module keeps as
 references.  The chain reference solves every proposal.
@@ -159,7 +159,9 @@ def test_chains_match_the_separate_array_loop(kernel_class, target, burn_in, c):
     for level in target.levels:
         sent = [row.tobytes() for lvl, rows in solved if lvl == level for row in rows]
         assert len(sent) == len(set(sent))
-        assert {row[:model.dim(level)].tobytes() for row in passing} <= set(sent)
+        # exactly the proposals whose accept test reads a value: those passing
+        # against the state their chain holds at their own iteration
+        assert {row[:model.dim(level)].tobytes() for row in passing} == set(sent)
     if kernel_class is AcsKernel:
         # an aCS proposal always passes: its score is 0 and log_smooth_cur <= 0
         assert [lvl for lvl, _ in solved] == [lvl for lvl, _ in ref_solved]
