@@ -27,6 +27,8 @@ A change that only saves or spends evaluations regenerates with
 which rewrites the count leaves alone (the CSV `cost_units` and `evals_l*`
 columns, summary cost included, and every `n_evals` and `eval_counts`); if
 any other leaf moved, it prints those leaves, writes nothing and exits 1.
+Either way it ends with each entry whose counts moved and its total before
+and after: a CSV's summary cost, or a direct or trace entry's evaluations.
 """
 
 import dataclasses
@@ -196,6 +198,14 @@ def csv_without_counts(text: str) -> str:
                                    for row in rows])
 
 
+def count_total(kind: str, entry) -> tuple[str, float]:
+    """What an entry spends: a CSV's summary cost, else its evaluations over all levels."""
+    if kind == "csv":
+        lines = entry.splitlines()
+        return "summary cost", float(lines[-1].split(",")[lines[0].split(",").index("cost_units")])
+    return "evaluations", sum(entry["eval_counts"].values())
+
+
 def without_counts(data: dict) -> dict:
     """The golden data with every count leaf blanked: what `--counts-only` must keep."""
     return {
@@ -232,3 +242,10 @@ if __name__ == "__main__":
     sys.stdout.write(f"wrote {GOLDEN}\n")
     for path, old, new in changed_entries(previous, data):
         sys.stdout.write(f"changed {path}: {old!r} -> {new!r}{relative_move(old, new)}\n")
+    for kind, entries in data.items():
+        for name, entry in entries.items():
+            if name in previous.get(kind, {}):
+                label, before = count_total(kind, previous[kind][name])
+                after = count_total(kind, entry)[1]
+                if after != before:
+                    sys.stdout.write(f"counts {kind} {name}: {label} {before:,.10g} -> {after:,.10g}\n")
