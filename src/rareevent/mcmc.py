@@ -301,14 +301,16 @@ def run_chains(model: LimitStateModel, target, kernel, seeds: np.ndarray,
         wanted[0] &= log_u[block] < (0.0 - log_smooth_cur) + (scores[block] - score_cur)
         if wanted[0].any():
             if end - block > 1:
-                # held[j]: the current state, then the proposals of block + j - 1;
-                # iteration block + 1 + i can hold held[:i + 2], each tested as above
+                # bound[k, j]: the test above, its sum commuted (same bits), against
+                # the current state (j = 0) or the proposal of block + j - 1, which
+                # iteration block + 1 + k can hold if j <= k + 1
                 held = slice(block, end - 1)
-                held_ls = np.vstack([log_smooth_cur, np.where(solved[held], log_smooth[held], 0.0)])
-                bound = (0.0 - held_ls) + (scores[block + 1:end, None]
-                                           - np.vstack([score_cur, scores[held]]))
-                can_hold = np.tri(end - block - 1, end - block, 1, dtype=bool)[..., None]
-                wanted[1:] &= log_u[block + 1:end] < np.where(can_hold, bound, np.inf).min(axis=1)
+                bound = scores[block + 1:end, None] - np.vstack([score_cur, scores[held]])
+                held_ls = np.where(solved[held], log_smooth[held], 0.0)
+                bound += 0.0 - np.vstack([log_smooth_cur, held_ls])
+                beyond = ~np.tri(end - block - 1, end - block, 1, dtype=bool)
+                np.copyto(bound, np.inf, where=beyond[..., None])
+                wanted[1:] &= log_u[block + 1:end] < bound.min(axis=1)
             part = slice(block * m, end * m) if wanted.all() else block * m + np.flatnonzero(wanted)
             passing = drawn[part]  # a view for a slice, one gathered copy for all levels
             for lvl in target.levels:
@@ -317,8 +319,7 @@ def run_chains(model: LimitStateModel, target, kernel, seeds: np.ndarray,
             log_smooth.reshape(-1)[part] = target.log_smooth(
                 {lvl: v[part] for lvl, v in drawn_values.items()})
             solved[ahead] |= wanted
-        log_smooth_prop = log_smooth[block]
-        score_prop = scores[block]
+        log_smooth_prop, score_prop = log_smooth[block], scores[block]
         log_alpha = log_smooth_prop - log_smooth_cur + (score_prop - score_cur)
         accept = log_u[block] < log_alpha
         current[accept] = drawn[rows][accept]
