@@ -286,6 +286,7 @@ def run_chains(model: LimitStateModel, target, kernel, seeds: np.ndarray,
     drawn_values = {lvl: np.empty(blocks * m) for lvl in target.levels}
     scores, log_u = np.empty((blocks, m)), np.empty((blocks, m))
     log_smooth, solved = np.empty((blocks, m)), np.empty((blocks, m), dtype=bool)
+    beyond = ~np.tri(batch - 1, batch, 1, dtype=bool)[..., None]  # bound[k, j] for j > k + 1
     for step in range(steps):
         block = max(step - lag, 0)
         rows = slice(block * m, (block + 1) * m)
@@ -304,13 +305,12 @@ def run_chains(model: LimitStateModel, target, kernel, seeds: np.ndarray,
                 # bound[k, j]: the test above, its sum commuted (same bits), against
                 # the current state (j = 0) or the proposal of block + j - 1, which
                 # iteration block + 1 + k can hold if j <= k + 1
-                held = slice(block, end - 1)
-                bound = scores[block + 1:end, None] - np.vstack([score_cur, scores[held]])
+                held, fut, later = slice(block, end - 1), slice(block + 1, end), end - block - 1
+                bound = scores[fut, None] - np.concatenate((score_cur[None], scores[held]))
                 held_ls = np.where(solved[held], log_smooth[held], 0.0)
-                bound += 0.0 - np.vstack([log_smooth_cur, held_ls])
-                beyond = ~np.tri(end - block - 1, end - block, 1, dtype=bool)
-                np.copyto(bound, np.inf, where=beyond[..., None])
-                wanted[1:] &= log_u[block + 1:end] < bound.min(axis=1)
+                bound += 0.0 - np.concatenate((log_smooth_cur[None], held_ls))
+                np.copyto(bound, np.inf, where=beyond[:later, :later + 1])
+                wanted[1:] &= log_u[fut] < bound.min(axis=1)
             part = slice(block * m, end * m) if wanted.all() else block * m + np.flatnonzero(wanted)
             passing = drawn[part]  # a view for a slice, one gathered copy for all levels
             for lvl in target.levels:
