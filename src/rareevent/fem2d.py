@@ -25,7 +25,17 @@ caller's thread counts come back when they end: threading only slows the
 small level-2 BLAS calls the banded Cholesky makes, and the bits are the same.
 The LAPACK solver is imported at the first solve, so importing the package
 or running another model never loads scipy.linalg.
-A batch's particles read curl psi only on the triangles they cross.
+
+Particles are tracked by forward Euler in one of two regimes that do the
+same IEEE operations per particle, so a travel time has the same bits in
+either.  A large batch runs in lockstep: each step is one pass of about 20
+numpy calls over the particles still inside, reading curl psi only on the
+triangles they cross, and costs about 17 us whatever the batch.  A small
+one walks one particle at a time: numpy tables every triangle's step once,
+at about 25 ns a triangle, and a float loop then takes a step in about
+0.4 us.  The walk is the cheaper while its rows' steps and tables cost less
+than the lockstep's fixed price per step: up to about 20 rows at m = 16 and
+10 at m = 64, so batches of at most 16 rows and 512 rows x m walk.
 
 The flow cell is the paper's: the log-permeability is a standard Gaussian
 field with exponential covariance of correlation length CORR_LENGTH = 0.5 in
@@ -54,6 +64,17 @@ START = (0.0, 0.5)
 # needs fewer than 6 m^2 steps.
 STEPS_PER_CELL = 16
 
+# Largest batch that `trace_particle` tracks one particle at a time: at most
+# _WALK_MAX_ROWS samples and _WALK_MAX_CELLS samples x m (cells per side), so
+# 16 rows up to level 4 (m = 32), 8 at level 5 and 4 at level 6.  A lockstep
+# step costs 14-17 us of numpy calls whatever the batch; a walk step costs
+# about 0.4 us per particle, plus tables over the particle's 2 m^2 triangles
+# (about 25 ns each) and 5 us for its exit.  Timed on one BLAS thread of a
+# 2-vCPU Intel Xeon host, the walk is the faster up to about 17, 20, 22, 14,
+# 10 and 5 rows at m = 4, 8, 16, 32, 64 and 128.
+_WALK_MAX_ROWS = 16
+_WALK_MAX_CELLS = 512
+
 # Triangle values (samples x triangles) one `travel_time` call holds at once.
 _CHUNK_VALUES = 1 << 20
 
@@ -74,6 +95,7 @@ class FlowMesh:
     tri_signs: np.ndarray       # (n_tri, 3) +-1: global normal vs outward normal
     offsets: np.ndarray         # (2, 3, 2) centroid minus opposite vertex, lower/upper
     centroids: np.ndarray       # (n_tri, 2)
+    curl_vertices: np.ndarray   # (n_tri, 2, 2) vertex pairs whose psi differences are h curl psi
 
     @property
     def n_tri(self) -> int:
@@ -82,13 +104,6 @@ class FlowMesh:
     @property
     def area(self) -> float:
         return 0.5 * self.h * self.h
-
-    def locate(self, points):
-        """Triangles containing the (..., 2) points; ties on the diagonal go to the lower triangle."""
-        s = np.asarray(points) / self.h
-        ij = np.minimum(np.maximum(s.astype(int), 0), self.m - 1)
-        frac = s - ij                                      # position within the cell
-        return ij @ (2, 2 * self.m) + (frac[..., 1] > frac[..., 0])  # 2 (j m + i) + upper
 
 
 @lru_cache(maxsize=None)
@@ -116,10 +131,16 @@ def build_mesh(m: int) -> FlowMesh:
     # opposite vertices: lower C, A, B = (h,h), (0,0), (h,0); upper C, A, B = (0,h), (0,0), (h,h)
     opposite = h * np.array([[[1, 1], [0, 0], [1, 0]], [[0, 1], [0, 0], [1, 1]]])
     offsets = centroids[0][:, None, :] - opposite
+    # vertex (i, j) is psi entry j (m + 1) + i; the pairs of `curl`'s differences are
+    # lower (c - b, a - b) and upper (d - a, d - c), with b, c, d at a + 1, m + 2, m + 1
+    # from a = (i, j)
+    corner = ((m + 1) * j + i)[:, None, None, None]
+    curl_vertices = corner + [[[m + 2, 1], [0, 1]], [[m + 1, 0], [m + 1, m + 2]]]
     return FlowMesh(
         h=h, m=m, n_edges=n_h + n_v + n_d,
         tri_edges=tri_edges.reshape(-1, 3), tri_signs=tri_signs.reshape(-1, 3).copy(),
         offsets=offsets, centroids=centroids.reshape(-1, 2),
+        curl_vertices=curl_vertices.reshape(-1, 2, 2),
     )
 
 
@@ -185,25 +206,11 @@ class _StreamFunctionSolver:
         psi[:, m] = sols[:, -1:]
         return psi
 
-    def velocities(self, psi: np.ndarray) -> np.ndarray:
-        """Constant per-triangle velocities curl psi, shape (samples, n_tri, 2)."""
-        h = self.mesh.h
-        a, b = psi[:, :-1, :-1], psi[:, :-1, 1:]       # vertices (i, j), (i+1, j)
-        c, d = psi[:, 1:, 1:], psi[:, 1:, :-1]         # vertices (i+1, j+1), (i, j+1)
-        # lower (a, b, c): psi_y = (c - b)/h, psi_x = (b - a)/h; upper (a, c, d):
-        # psi_y = (d - a)/h, psi_x = (c - d)/h; velocity (psi_y, -psi_x)
-        u = np.empty(a.shape + (2, 2))                 # (samples, j, i, half, xy)
-        u[..., 0, 0] = (c - b) / h
-        u[..., 0, 1] = (a - b) / h
-        u[..., 1, 0] = (d - a) / h
-        u[..., 1, 1] = (d - c) / h
-        return u.reshape(psi.shape[0], -1, 2)
-
     def solve(self, a_tri: np.ndarray) -> "DiscreteVelocity":
         mesh = self.mesh
         m = mesh.m
         psi = self.stream_functions(a_tri[None])
-        u = self.velocities(psi)[0]
+        u = curl(psi, mesh.h)[0]
         psi = psi[0]
         fluxes = np.concatenate([
             -(psi[:, 1:] - psi[:, :-1]).ravel(),       # H(i,j): normal (0, 1)
@@ -265,6 +272,21 @@ def solve_darcy_rt0(a, h: float) -> DiscreteVelocity:
     return _StreamFunctionSolver(mesh).solve(a_tri)
 
 
+def curl(psi: np.ndarray, h: float) -> np.ndarray:
+    """Constant per-triangle velocities curl psi, shape (samples, n_tri, 2), of
+    stream functions psi[s, j, i] on cells of size h."""
+    a, b = psi[:, :-1, :-1], psi[:, :-1, 1:]       # vertices (i, j), (i+1, j)
+    c, d = psi[:, 1:, 1:], psi[:, 1:, :-1]         # vertices (i+1, j+1), (i, j+1)
+    # lower (a, b, c): psi_y = (c - b)/h, psi_x = (b - a)/h; upper (a, c, d):
+    # psi_y = (d - a)/h, psi_x = (c - d)/h; velocity (psi_y, -psi_x)
+    u = np.empty(a.shape + (2, 2))                 # (samples, j, i, half, xy)
+    u[..., 0, 0] = (c - b) / h
+    u[..., 0, 1] = (a - b) / h
+    u[..., 1, 0] = (d - a) / h
+    u[..., 1, 1] = (d - c) / h
+    return u.reshape(psi.shape[0], -1, 2)
+
+
 @dataclass(frozen=True)
 class StreamFunctionBatch:
     """Vertex stream functions psi[s, j, i] of a batch, whose velocities are curl psi."""
@@ -276,12 +298,11 @@ def trace_particle(vel, start, h: float, max_steps: int | None = None):
     """Forward-Euler travel times from `start` to the first boundary crossing.
 
     `vel` is a `DiscreteVelocity`, for which the time is returned as a float,
-    or a batch, for which all particles advance in lockstep and an array of
-    times is returned: (samples, n_tri, 2) per-triangle velocities, or a
-    `StreamFunctionBatch`, whose curl psi is read only on the triangles the
-    particles cross.  The velocity is read as one constant vector per
-    triangle (the centroid value of a `DiscreteVelocity`), which is the whole
-    field when it is divergence-free, as every flow-cell solution is.
+    or a batch, for which an array of times is returned: (samples, n_tri, 2)
+    per-triangle velocities, or a `StreamFunctionBatch`, whose velocities are
+    curl psi.  The velocity is read as one constant vector per triangle (the
+    centroid value of a `DiscreteVelocity`), which is the whole field when it
+    is divergence-free, as every flow-cell solution is.
 
     Step size is h / (2 ||q||), where h must be the field's mesh size 1/m;
     the final step is clipped to the exact exit point.  A crossing requires a
@@ -289,28 +310,33 @@ def trace_particle(vel, start, h: float, max_steps: int | None = None):
     boundary (or a path grazing a no-flow boundary tangentially) keeps moving
     instead of terminating at time zero.
     A particle still inside after `max_steps` steps (default STEPS_PER_CELL
-    per mesh cell) raises NonconvergenceError; a zero velocity on any path
-    raises StagnationError.
+    per mesh cell) raises NonconvergenceError, a zero velocity on any path
+    StagnationError and a non-finite one ModelEvaluationError; of several, the
+    one met at the earliest step is raised.
+
+    A batch of at most _WALK_MAX_ROWS samples and _WALK_MAX_CELLS samples x m
+    is walked one particle at a time (`_walk`), a larger one runs in lockstep
+    (`_lockstep`).  A lockstep step costs about 17 us of numpy calls whatever
+    the batch, a walk step about 0.4 us per particle after tables of every
+    triangle's step, so a small call walks.  Both do the same IEEE operations
+    per particle, so the times and the error raised do not depend on the path.
     """
     x0 = float(start[0])
     y0 = float(start[1])
     if not (0.0 <= x0 <= 1.0 and 0.0 <= y0 <= 1.0):
         raise ValueError("start point must lie in the closed unit square")
     single = isinstance(vel, DiscreteVelocity)
-    if isinstance(vel, StreamFunctionBatch):
+    stream = isinstance(vel, StreamFunctionBatch)
+    if stream:
         psi = np.asarray(vel.psi, dtype=float)
         m = psi.shape[2] - 1 if psi.ndim == 3 else 0
         if m < 1 or psi.shape[1] != m + 1:
             raise ValueError("expected stream functions of shape (samples, m + 1, m + 1)")
         n_samples, rows = psi.shape[0], (m + 1) ** 2
         flat = psi.reshape(-1)               # sample s, vertex (i, j) at s rows + j (m + 1) + i
-        # per triangle, the vertex pairs of `velocities`' differences: lower (c - b, a - b) and
-        # upper (d - a, d - c), with b, c, d at a + 1, m + 2, m + 1 from a = (i, j)
-        corner = np.add.outer((m + 1) * np.arange(m), np.arange(m))[..., None, None, None]
-        vertices = (corner + [[[m + 2, 1], [0, 1]], [[m + 1, 0], [m + 1, m + 2]]]).reshape(-1, 2, 2)
 
         def velocity(first, tri):
-            v = flat[first[:, None, None] + vertices[tri]]
+            v = flat[first[:, None, None] + mesh.curl_vertices[tri]]
             return (v[..., 0] - v[..., 1]) / mesh.h
     else:
         u = vel.triangle_velocities()[None] if single else np.asarray(vel, dtype=float)
@@ -327,40 +353,131 @@ def trace_particle(vel, start, h: float, max_steps: int | None = None):
     mesh = build_mesh(m)
     if max_steps is None:
         max_steps = STEPS_PER_CELL * m * m
+    # a zero or non-finite velocity makes an infinite or NaN step and NaN
+    # positions, which fail the test for staying inside, so it is caught with
+    # the exits
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if n_samples <= min(_WALK_MAX_ROWS, _WALK_MAX_CELLS // m):
+            times = _walk(curl(psi, mesh.h) if stream else u, x0, y0, mesh, 0.5 * h, max_steps)
+        else:
+            times = _lockstep(velocity, rows * np.arange(n_samples), x0, y0, mesh, 0.5 * h,
+                              max_steps)
+    return float(times[0]) if single else times
 
-    times = np.empty(n_samples)
-    moving = np.arange(n_samples)
-    first = moving * rows                    # each moving particle's first entry of `flat`
+
+def _lockstep(velocity, first, x0, y0, mesh: FlowMesh, half_h: float, max_steps: int):
+    """Travel times of all particles advanced together, one numpy pass per step.
+
+    `velocity(first, tri)` reads the velocities on triangles `tri` of the
+    particles whose rows start at entries `first` of the flat field.
+    """
+    times = np.empty(first.size)
+    moving = np.arange(first.size)
     p = np.tile([x0, y0], (moving.size, 1))  # positions, one row per moving particle
     time = np.zeros(moving.size)
-    half_h = 0.5 * h                         # the distance of every step
-    # a zero velocity makes an infinite step and NaN positions, which fail the
-    # test for staying inside, so it is caught with the exits
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_steps):
-            q = velocity(first, mesh.locate(p))
-            speed = np.hypot(q[:, 0], q[:, 1])
-            dt = half_h / speed
-            new = p + dt[:, None] * q
-            if 0.0 < new.min() and new.max() < 1.0:    # no particle reaches a face
-                p = new
-                time += dt
-                continue
-            if not speed.all():
-                k = np.flatnonzero(speed == 0.0)[0]
-                raise StagnationError(f"zero velocity at ({p[k, 0]:.6g}, {p[k, 1]:.6g})")
-            # fraction of the step to the exit face, inf on an axis not crossed;
-            # the face is 1 where `high` holds and 0 otherwise
-            high = (q > 0) & (new >= 1.0)
-            hit = high | ((q < 0) & (new <= 0.0))
-            s = np.where(hit, (high - p) / (dt[:, None] * q), np.inf).min(axis=1)
-            out = np.isfinite(s)
-            times[moving[out]] = time[out] + np.minimum(np.maximum(s[out], 0.0), 1.0) * dt[out]
-            stay = ~out
-            moving, first, p, time = moving[stay], first[stay], new[stay], time[stay] + dt[stay]
-            if moving.size == 0:
-                return float(times[0]) if single else times
+    weights = np.array([2, 2 * mesh.m])      # cell (i, j) holds triangles 2 (j m + i) + upper
+    for _ in range(max_steps):
+        s = p / mesh.h
+        ij = np.minimum(s.astype(int), mesh.m - 1)     # positions are never negative
+        frac = s - ij                                  # position within the cell
+        q = velocity(first, ij @ weights + (frac[:, 1] > frac[:, 0]))
+        speed = np.hypot(q[:, 0], q[:, 1])
+        dt = half_h / speed
+        new = p + dt[:, None] * q
+        if 0.0 < new.min() and new.max() < 1.0:    # no particle reaches a face
+            p = new
+            time += dt
+            continue
+        if not speed.all():
+            k = np.flatnonzero(speed == 0.0)[0]
+            raise StagnationError(f"zero velocity at ({p[k, 0]:.6g}, {p[k, 1]:.6g})")
+        finite = np.isfinite(q).all(axis=1)
+        if not finite.all():
+            k = np.flatnonzero(~finite)[0]
+            raise ModelEvaluationError(f"non-finite velocity at ({p[k, 0]:.6g}, {p[k, 1]:.6g})")
+        # fraction of the step to the exit face, inf on an axis not crossed;
+        # the face is 1 where `high` holds and 0 otherwise
+        high = (q > 0) & (new >= 1.0)
+        hit = high | ((q < 0) & (new <= 0.0))
+        s = np.where(hit, (high - p) / (dt[:, None] * q), np.inf).min(axis=1)
+        out = np.isfinite(s)
+        times[moving[out]] = time[out] + np.minimum(np.maximum(s[out], 0.0), 1.0) * dt[out]
+        stay = ~out
+        moving, first, p, time = moving[stay], first[stay], new[stay], time[stay] + dt[stay]
+        if moving.size == 0:
+            return times
     raise NonconvergenceError(f"particle did not exit within {max_steps} steps")
+
+
+def _walk(q, x0, y0, mesh: FlowMesh, half_h: float, max_steps: int):
+    """Travel times of the (samples, n_tri, 2) velocities `q`, one particle at a time.
+
+    numpy builds each triangle's step (dx, dy) and duration dt with the
+    lockstep's operations, and a float loop does its locate, step and bound
+    test, so every time keeps the lockstep's bits.  The exit branch divides
+    with numpy scalars, which give inf or NaN at a zero step as the lockstep
+    does.  A failing particle's error is kept, and the lockstep's is raised:
+    the earliest step's, stagnation before a non-finite velocity, then the
+    lowest row's.
+    """
+    n_samples, n_tri = q.shape[:2]
+    m, h = mesh.m, mesh.h
+    last = m - 1
+    dt = half_h / np.hypot(q[..., 0], q[..., 1])
+    step = dt[..., None] * q
+    # memoryviews index as Python floats without copying the tables
+    qs, steps, dts = (memoryview(a.reshape(-1)) for a in (q, step, dt))
+    times = np.empty(n_samples)
+    failures = []                            # (step index, kind, row, error)
+    for r in range(n_samples):
+        x, y, time = x0, y0, 0.0
+        base = r * n_tri
+        for k in range(max_steps):
+            sx = x / h
+            sy = y / h
+            i = int(sx)
+            j = int(sy)
+            if i > last:
+                i = last
+            if j > last:
+                j = last
+            t = base + 2 * (j * m + i) + (sy - j > sx - i)
+            nx = x + steps[2 * t]
+            ny = y + steps[2 * t + 1]
+            if 0.0 < nx < 1.0 and 0.0 < ny < 1.0:
+                x, y = nx, ny
+                time += dts[t]
+                continue
+            qx, qy = qs[2 * t], qs[2 * t + 1]
+            if qx == 0.0 and qy == 0.0:
+                failures.append((k, 0, r, StagnationError(f"zero velocity at ({x:.6g}, {y:.6g})")))
+                break
+            if not (math.isfinite(qx) and math.isfinite(qy)):
+                failures.append((k, 1, r, ModelEvaluationError(
+                    f"non-finite velocity at ({x:.6g}, {y:.6g})")))
+                break
+            s = np.minimum(_face_fraction(x, qx, nx, steps[2 * t]),
+                           _face_fraction(y, qy, ny, steps[2 * t + 1]))
+            if np.isfinite(s):
+                times[r] = time + np.minimum(np.maximum(s, 0.0), 1.0) * dts[t]
+                break
+            x, y = nx, ny
+            time += dts[t]
+        else:
+            failures.append((max_steps, 2, r, NonconvergenceError(
+                f"particle did not exit within {max_steps} steps")))
+    if failures:
+        raise min(failures, key=lambda f: f[:3])[3]
+    return times
+
+
+def _face_fraction(p, q, new, step):
+    """The lockstep's fraction of a step to the face it crosses on one axis, inf if none."""
+    if q > 0.0 and new >= 1.0:
+        return np.divide(1.0 - p, step)
+    if q < 0.0 and new <= 0.0:
+        return np.divide(0.0 - p, step)
+    return math.inf
 
 
 class FlowCellModel(LimitStateModel):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rareevent.errors import NonconvergenceError, StagnationError
+from rareevent.errors import ModelEvaluationError, NonconvergenceError, StagnationError
 from rareevent.fem2d import (
     DiscreteVelocity,
     FlowCellModel,
@@ -25,9 +25,9 @@ def uniform_vertical_flow(mesh):
     return DiscreteVelocity(mesh=mesh, fluxes=fluxes, pressures=np.zeros(mesh.n_tri))
 
 
-def velocities_at(vel, points):
-    """A divergence-free field's velocity at points: its triangle's constant value."""
-    return vel.triangle_velocities()[vel.mesh.locate(points)]
+def tilings(u):
+    """A (1, n_tri, 2) field as 1 row, which is walked, and as 40, which run in lockstep."""
+    return [np.repeat(u, rows, axis=0) for rows in (1, 40)]
 
 
 def east_and_west_fluxes(vel):
@@ -40,14 +40,13 @@ def east_and_west_fluxes(vel):
 class TestDarcySolver:
     def test_uniform_permeability_exact_flow(self):
         vel = solve_darcy_rt0(lambda p: np.ones(len(p)), 1 / 8)
-        mesh = vel.mesh
-        points = [(0.13, 0.7), (0.51, 0.49), (0.9, 0.05)]
-        assert np.allclose(velocities_at(vel, points), [1.0, 0.0], atol=1e-10)
-        assert np.allclose(vel.pressures, 1 - mesh.centroids[:, 0], atol=1e-10)
+        # divergence-free, so RT0 is constant per triangle: the whole field
+        assert np.allclose(vel.triangle_velocities(), [1.0, 0.0], atol=1e-10)
+        assert np.allclose(vel.pressures, 1 - vel.mesh.centroids[:, 0], atol=1e-10)
 
     def test_constant_scaling(self):
         vel = solve_darcy_rt0(lambda p: 3.0 * np.ones(len(p)), 1 / 8)
-        assert np.allclose(velocities_at(vel, [(0.4, 0.6)]), [3.0, 0.0], atol=1e-9)
+        assert np.allclose(vel.triangle_velocities(), [3.0, 0.0], atol=1e-9)
 
     def test_mass_conservation_random_field(self, rng):
         mesh = build_mesh(8)
@@ -72,8 +71,7 @@ class TestDarcySolver:
         col = np.minimum((mesh.centroids[:, 0] * m).astype(int), m - 1)
         vel = solve_darcy_rt0(column_a[col], 1.0 / m)
         q_exact = 1.0 / np.mean(1.0 / column_a)
-        points = [(0.21, 0.33), (0.72, 0.9)]
-        assert np.allclose(velocities_at(vel, points), [q_exact, 0.0], atol=1e-9)
+        assert np.allclose(vel.triangle_velocities(), [q_exact, 0.0], atol=1e-9)
         assert east_and_west_fluxes(vel)[0] == pytest.approx(q_exact, abs=1e-9)
 
     def test_no_flow_edges_exactly_zero(self, rng):
@@ -103,6 +101,8 @@ class TestParticleTracking:
             u = vel.triangle_velocities() @ np.array(turn, dtype=float)
             tau = trace_particle(u[None], start, h)
             assert tau.shape == (1,) and abs(tau[0] - tau_exact) < 1e-12
+            for field in tilings(u[None]):
+                assert np.array_equal(trace_particle(field, start, h), np.full(len(field), tau[0]))
             if turn == [[1, 0], [0, 1]]:
                 assert trace_particle(vel, start, h) == tau[0]
 
@@ -113,7 +113,9 @@ class TestParticleTracking:
         u = np.zeros((1, mesh.n_tri, 2))
         u[0, 0::2] = [-1.0, 0.0]
         u[0, 1::2] = [1.0, 0.0]
-        assert trace_particle(u, (0.875, 0.7), mesh.h) == [0.125]
+        for field in tilings(u):
+            assert np.array_equal(trace_particle(field, (0.875, 0.7), mesh.h),
+                                  np.full(len(field), 0.125))
 
     def test_scaling(self):
         vel = solve_darcy_rt0(lambda p: 2.0 * np.ones(len(p)), 1 / 8)
@@ -122,7 +124,7 @@ class TestParticleTracking:
     def test_vertical_synthetic_field(self):
         mesh = build_mesh(8)
         vel = uniform_vertical_flow(mesh)
-        assert np.allclose(velocities_at(vel, [(0.3, 0.2)]), [0.0, 1.0], atol=1e-12)
+        assert np.allclose(vel.triangle_velocities(), [0.0, 1.0], atol=1e-12)
         tau = trace_particle(vel, (0.0, 0.5), mesh.h)
         assert tau == pytest.approx(0.5, abs=1e-12)
 
@@ -139,20 +141,37 @@ class TestParticleTracking:
         mesh = build_mesh(4)
         vel = DiscreteVelocity(mesh=mesh, fluxes=np.zeros(mesh.n_edges),
                                pressures=np.zeros(mesh.n_tri))
-        with pytest.raises(StagnationError):
-            trace_particle(vel, (0.5, 0.5), mesh.h)
+        for field in [vel] + tilings(vel.triangle_velocities()[None]):
+            with pytest.raises(StagnationError, match=r"zero velocity at \(0.5, 0.5\)"):
+                trace_particle(field, (0.5, 0.5), mesh.h)
+
+    def test_nonfinite_velocity_raises_an_evaluation_error(self):
+        # a NaN or infinite velocity on the path is an evaluation error, not a
+        # walk to the step cap
+        mesh = build_mesh(16)
+        for bad in (np.nan, np.inf, -np.inf):
+            u = np.ones((1, mesh.n_tri, 2))
+            u[0, 200:260] = bad
+            for field in tilings(u):
+                with pytest.raises(ModelEvaluationError, match=r"non-finite velocity at \(0, 0.5"):
+                    trace_particle(field, (0.0, 0.5), mesh.h)
+            u[0, 200:260, 1] = 1.0                       # one component is enough
+            for field in tilings(u):
+                with pytest.raises(ModelEvaluationError, match="non-finite velocity"):
+                    trace_particle(field, (0.0, 0.5), mesh.h)
 
     @pytest.mark.parametrize("h", [1 / 8, 1 / 32, 2.0, 1 / 16 + 1e-9])
     def test_mesh_size_must_match_the_field(self, h):
         vel = solve_darcy_rt0(lambda p: np.ones(len(p)), 1 / 16)
-        for field in (vel, vel.triangle_velocities()[None]):
+        for field in [vel] + tilings(vel.triangle_velocities()[None]):
             with pytest.raises(ValueError, match="mesh size"):
                 trace_particle(field, (0.0, 0.5), h)
 
     def test_step_cap_enforced(self):
         vel = solve_darcy_rt0(lambda p: np.ones(len(p)), 1 / 8)
-        with pytest.raises(NonconvergenceError):
-            trace_particle(vel, (0.0, 0.5), 1 / 8, max_steps=3)
+        for field in [vel] + tilings(vel.triangle_velocities()[None]):
+            with pytest.raises(NonconvergenceError, match="within 3 steps"):
+                trace_particle(field, (0.0, 0.5), 1 / 8, max_steps=3)
 
 
 class TestFlowCellModel:

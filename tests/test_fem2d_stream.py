@@ -1,5 +1,5 @@
 """Regression tests for the stream-function flow-cell solver, its one-thread
-BLAS scope and the lockstep tracker.
+BLAS scope and the particle tracker.
 
 `data/fem2d_rt0_golden.json` holds travel times and every `stride`-th
 triangle pressure for five fixed coefficient vectors on levels 1-4, computed
@@ -9,6 +9,7 @@ so the values agree at roundoff.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,8 @@ from scipy.linalg.lapack import dpbsv
 
 from rareevent import _blas, fem2d
 from rareevent.errors import ModelEvaluationError, NonconvergenceError, StagnationError
-from rareevent.fem2d import START, FlowCellModel, StreamFunctionBatch, build_mesh, trace_particle
+from rareevent.fem2d import (START, FlowCellModel, StreamFunctionBatch, build_mesh, curl,
+                             trace_particle)
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "fem2d_rt0_golden.json").read_text())
 
@@ -95,7 +97,7 @@ def _upper_band_travel_times(solver, a, h):
         assert info == 0
         psi_s[1:m] = sol[:-1].reshape(m - 1, m + 1)
         psi_s[m] = sol[-1]
-    return trace_particle(solver.velocities(psi), START, h)
+    return trace_particle(curl(psi, h), START, h)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
@@ -116,10 +118,10 @@ def test_stream_function_tracking_equals_velocity_tracking(level, batch):
     xis = np.random.default_rng([28, level, batch]).standard_normal((batch, model.dim(level)))
     psi = solver.stream_functions(np.array([model.permeability(xi, level) for xi in xis]))
     times = trace_particle(StreamFunctionBatch(psi), START, h)
-    assert np.array_equal(times, trace_particle(solver.velocities(psi), START, h))
+    assert np.array_equal(times, trace_particle(curl(psi, h), START, h))
     assert np.array_equal(model.travel_time(xis, level), times)
     psi[-1] = 0.0                                # the last particle stagnates
-    for field in (StreamFunctionBatch(psi), solver.velocities(psi)):
+    for field in (StreamFunctionBatch(psi), curl(psi, h)):
         with pytest.raises(StagnationError, match=r"zero velocity at \(0, 0.5\)"):
             trace_particle(field, START, h)
 
@@ -130,11 +132,12 @@ def test_stream_function_tracking_keeps_the_step_cap(level):
     model = FlowCellModel()
     solver = model._level_form(level)[0]
     m, h = solver.mesh.m, model.mesh_size(level)
-    psi = np.broadcast_to(np.arange(m + 1)[:, None] * h, (2, m + 1, m + 1))
-    for field in (StreamFunctionBatch(psi), solver.velocities(psi)):
-        assert np.array_equal(trace_particle(field, START, h, max_steps=2 * m), [1.0, 1.0])
-        with pytest.raises(NonconvergenceError, match=f"within {2 * m - 1} steps"):
-            trace_particle(field, START, h, max_steps=2 * m - 1)
+    for rows in (2, 40):                         # walked, and in lockstep
+        psi = np.broadcast_to(np.arange(m + 1)[:, None] * h, (rows, m + 1, m + 1))
+        for field in (StreamFunctionBatch(psi), curl(psi, h)):
+            assert np.array_equal(trace_particle(field, START, h, max_steps=2 * m), np.ones(rows))
+            with pytest.raises(NonconvergenceError, match=f"within {2 * m - 1} steps"):
+                trace_particle(field, START, h, max_steps=2 * m - 1)
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (3, 4, 5), (3, 1, 1)])
@@ -144,22 +147,29 @@ def test_stream_functions_of_another_shape_rejected(shape):
 
 
 def test_lockstep_times_equal_single_particle_times(rng):
-    # random level-3 fields after the uniform fields (1, 0) and (1, 1), whose
-    # particles leave through the east face on step 32 and the top on step 23
+    # random fields after the uniform fields (1, 0) and (1, 1), whose particles
+    # leave through the east face on step 2 m and the top on step ceil(m sqrt 2),
+    # in batches that run in lockstep; one row alone is walked
     model = FlowCellModel()
-    solver = model._level_form(3)[0]
-    h = model.mesh_size(3)
-    xis = rng.standard_normal((6, model.dim(3))) * np.linspace(0.5, 2.0, 6)[:, None]
-    a = np.array([model.permeability(xi, 3) for xi in xis])
-    u = np.concatenate([np.empty((2, solver.mesh.n_tri, 2)),
-                        solver.velocities(solver.stream_functions(a))])
-    u[0], u[1] = [1.0, 0.0], [1.0, 1.0]
-    times = trace_particle(u, model.start, h)
-    for k in range(len(u)):
-        assert np.array_equal(trace_particle(u[k:k + 1], model.start, h), times[k:k + 1])
-    trace_particle(u[1:2], model.start, h, max_steps=23)
-    with pytest.raises(NonconvergenceError):
-        trace_particle(u[:1], model.start, h, max_steps=31)
+    for level, rows in [(3, 40), (5, 12)]:
+        solver = model._level_form(level)[0]
+        m, h = solver.mesh.m, model.mesh_size(level)
+        assert 1 <= min(fem2d._WALK_MAX_ROWS, fem2d._WALK_MAX_CELLS // m) < rows
+        xis = (rng.standard_normal((rows - 2, model.dim(level)))
+               * np.linspace(0.5, 2.0, rows - 2)[:, None])
+        a = np.array([model.permeability(xi, level) for xi in xis])
+        u = np.concatenate([np.empty((2, solver.mesh.n_tri, 2)),
+                            curl(solver.stream_functions(a), h)])
+        u[0], u[1] = [1.0, 0.0], [1.0, 1.0]
+        times = trace_particle(u, model.start, h)
+        for k in range(len(u)):
+            assert np.array_equal(trace_particle(u[k:k + 1], model.start, h), times[k:k + 1])
+        diagonal = math.ceil(m * math.sqrt(2))
+        trace_particle(u[1:2], model.start, h, max_steps=diagonal)
+        with pytest.raises(NonconvergenceError):
+            trace_particle(u[1:2], model.start, h, max_steps=diagonal - 1)
+        with pytest.raises(NonconvergenceError):
+            trace_particle(u[:1], model.start, h, max_steps=2 * m - 1)
 
 
 @pytest.mark.parametrize("level", [2, 3])
@@ -176,11 +186,12 @@ def test_evaluate_batch_equals_single_evaluations(level, rng, monkeypatch):
 def test_zero_field_in_batch_stagnates():
     model = FlowCellModel()
     solver = model._level_form(2)[0]
-    u = solver.velocities(solver.stream_functions(np.ones((2, solver.mesh.n_tri))))
-    assert np.allclose(trace_particle(u, model.start, solver.mesh.h), 1.0, atol=1e-12)
-    u[1] = 0.0
-    with pytest.raises(StagnationError):
-        trace_particle(u, model.start, solver.mesh.h)
+    for rows in (2, 40):                         # walked, and in lockstep
+        u = curl(solver.stream_functions(np.ones((rows, solver.mesh.n_tri))), solver.mesh.h)
+        assert np.allclose(trace_particle(u, model.start, solver.mesh.h), 1.0, atol=1e-12)
+        u[-1] = 0.0
+        with pytest.raises(StagnationError, match=r"zero velocity at \(0, 0.5\)"):
+            trace_particle(u, model.start, solver.mesh.h)
 
 
 def test_default_step_cap_scales_with_mesh():
