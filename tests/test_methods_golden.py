@@ -1,6 +1,6 @@
 """Golden outputs of all five estimators, frozen before the estimator-core refactor.
 
-`tests/data/methods_golden.json` holds, for a set of small configurations,
+`tests/data/methods_golden.json` holds, for a set of configurations,
 the stable-timing CSV of each harness run and the bit patterns of direct
 `sus_estimate`/`mlsus_estimate` calls (estimate, per-step threshold, factor,
 denominator and evaluation count, per-level evaluation counts).  The file was
@@ -8,6 +8,13 @@ written by this module's `__main__` before SuS became the MLSuS loop on a
 pinned view and models kept a single batch primitive; both changes must
 leave every number here unchanged.  `TraceStep.level` is not
 recorded: a pinned SuS run reports the view's level 1, as pinned SIS does.
+
+The entries named bench-* run the benchmark's configurations at full scale,
+one seed each (perfbench/workloads.py; 1D SIS and flow-cell MLSIS at L=4
+beside them), so they reach what only those sizes reach: the 1D model's
+1024-row chunks, level-8 GEMMs over 150 modes, the look-ahead over many
+chain blocks and flow-cell calls on both sides of the walk's crossover.
+Their level-8 bits may depend on the CPU's OpenBLAS kernel.
 
 Its "trace" entries pin SIS and MLSIS runs step by step: every field of every
 `TraceStep` (`step_record`), the final correction, the estimate and the
@@ -88,6 +95,7 @@ DIRECT_CASES = {
     "mlsus-diffusion1d-l4": (mlsus_estimate, lambda: Diffusion1dModel(max_level=4),
                              4, 200, 0.1, 5, 34),
     "mlsus-linear": (mlsus_estimate, lambda: LinearLsfModel(3.0, 10), 1, 200, 0.1, 4, 35),
+    "bench-mlsus-diffusion1d-l8": (mlsus_estimate, Diffusion1dModel, 8, 2000, 0.1, 40, 36),
 }
 
 
@@ -105,6 +113,16 @@ TRACE_CASES = {
         {"subset_fraction": 0.2}),
     "mlsis-flowcell2d-l2-vmfn": (mlsis_estimate, lambda: FlowCellModel(tau0=0.2, max_level=2),
                                  2, 100, 0.5, "vmfn", 0.1, 45, {}),
+    "bench-sis-linear-vmfn": (sis_estimate, lambda: LinearLsfModel(3.5, 150), 1, 2000, 0.5,
+                              "vmfn", 0.1, 46, {}),
+    "bench-mlsis-diffusion1d-l8-vmfn": (mlsis_estimate, Diffusion1dModel, 8, 2000, 0.25,
+                                        "vmfn", 0.1, 47, {}),
+    "bench-sis-diffusion1d-l8-vmfn": (sis_estimate, Diffusion1dModel, 8, 2000, 0.25,
+                                      "vmfn", 0.1, 48, {}),
+    "bench-sis-flowcell2d-l3-vmfn": (sis_estimate, lambda: FlowCellModel(tau0=0.2), 3, 250, 0.5,
+                                     "vmfn", 0.1, 49, {}),
+    "bench-mlsis-flowcell2d-l4-vmfn": (mlsis_estimate, lambda: FlowCellModel(
+        tau0=0.2, max_level=4), 4, 250, 0.5, "vmfn", 0.1, 50, {}),
 }
 
 
