@@ -13,10 +13,10 @@ computed from an SPD P1 problem instead of the indefinite saddle point: psi
 is 0 on the bottom row, the top row shares one value (the total flux), the
 stiffness has coefficient 1/a per triangle and the load is one on the top
 value.  Edge fluxes are psi differences, so the divergence and the no-flow
-fluxes vanish by construction, and the pressures follow exactly from the
-flux rows of the mixed system.  Numbering the vertex rows bottom to top, top
-value last, keeps the matrix banded for LAPACK's banded Cholesky, with m + 1
-subdiagonals: the P1 coupling across each triangle's SW-NE diagonal is
+fluxes vanish by construction.  The limit state reads only the velocity, so
+the pressures, which the flux rows of the mixed system would give, are not
+recovered.  Numbering the vertex rows bottom to top, top value last, keeps
+the matrix banded for LAPACK's banded Cholesky, with m + 1 subdiagonals: the P1 coupling across each triangle's SW-NE diagonal is
 zero, so the band is the 5-point stencil's, whose farthest neighbours (the
 vertex above, and the top value from the first vertex below it) sit m + 1
 rows away; it is stored lower, which LAPACK factors at unit stride.  Those
@@ -90,7 +90,6 @@ class FlowMesh:
 
     h: float
     m: int                      # cells per side
-    n_edges: int
     tri_edges: np.ndarray       # (n_tri, 3) edge ids
     tri_signs: np.ndarray       # (n_tri, 3) +-1: global normal vs outward normal
     offsets: np.ndarray         # (2, 3, 2) centroid minus opposite vertex, lower/upper
@@ -111,7 +110,6 @@ def build_mesh(m: int) -> FlowMesh:
     h = 1.0 / m
     n_h = m * (m + 1)           # horizontal edges H(i,j): j*m + i
     n_v = (m + 1) * m           # vertical edges V(i,j): n_h + j*(m+1) + i
-    n_d = m * m                 # diagonal edges D(i,j): n_h + n_v + j*m + i
 
     jj, ii = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
     i = ii.ravel()
@@ -137,7 +135,7 @@ def build_mesh(m: int) -> FlowMesh:
     corner = ((m + 1) * j + i)[:, None, None, None]
     curl_vertices = corner + [[[m + 2, 1], [0, 1]], [[m + 1, 0], [m + 1, m + 2]]]
     return FlowMesh(
-        h=h, m=m, n_edges=n_h + n_v + n_d,
+        h=h, m=m,
         tri_edges=tri_edges.reshape(-1, 3), tri_signs=tri_signs.reshape(-1, 3).copy(),
         offsets=offsets, centroids=centroids.reshape(-1, 2),
         curl_vertices=curl_vertices.reshape(-1, 2, 2),
@@ -207,40 +205,21 @@ class _StreamFunctionSolver:
         return psi
 
     def solve(self, a_tri: np.ndarray) -> "DiscreteVelocity":
-        mesh = self.mesh
-        m = mesh.m
-        psi = self.stream_functions(a_tri[None])
-        u = curl(psi, mesh.h)[0]
-        psi = psi[0]
+        psi = self.stream_functions(a_tri[None])[0]
         fluxes = np.concatenate([
             -(psi[:, 1:] - psi[:, :-1]).ravel(),       # H(i,j): normal (0, 1)
             (psi[1:] - psi[:-1]).ravel(),              # V(i,j): normal (1, 0)
             (psi[1:, 1:] - psi[:-1, :-1]).ravel(),     # D(i,j): normal (1, -1)/sqrt 2
         ])
-        # flux rows of the mixed system: (M(a) u)_e - sum_T sign_Te p_T is 1 on
-        # a west edge and 0 elsewhere.  u is constant per triangle, so the RT0
-        # mass product of triangle T with basis function e is
-        # sign_Te (u_T . offset_e) / (2 a_T).
-        offsets = np.tile(mesh.offsets, (m * m, 1, 1))
-        mass_u = mesh.tri_signs * np.einsum("tc,tec->te", u, offsets) / (2.0 * a_tri[:, None])
-        mass_u = np.bincount(mesh.tri_edges.ravel(), weights=mass_u.ravel(),
-                             minlength=mesh.n_edges)
-        n_h = m * (m + 1)
-        vertical = mass_u[n_h:2 * n_h].reshape(m, m + 1)[:, :m]
-        diagonal = mass_u[2 * n_h:].reshape(m, m)
-        # along a cell row, V(0,j), D(0,j), V(1,j), ... give upper(0,j), lower(0,j), upper(1,j), ...
-        along = 1.0 - np.cumsum(np.stack([vertical, diagonal], axis=-1).reshape(m, 2 * m), axis=1)
-        pressures = along.reshape(m, m, 2)[:, :, ::-1].ravel()
-        return DiscreteVelocity(mesh=mesh, fluxes=fluxes, pressures=pressures)
+        return DiscreteVelocity(mesh=self.mesh, fluxes=fluxes)
 
 
 @dataclass
 class DiscreteVelocity:
-    """RT0 velocity field: per-edge normal fluxes plus per-triangle pressures."""
+    """RT0 velocity field as per-edge normal fluxes; the pressures are not recovered."""
 
     mesh: FlowMesh
     fluxes: np.ndarray
-    pressures: np.ndarray
 
     def _signed(self) -> np.ndarray:
         return self.fluxes[self.mesh.tri_edges] * self.mesh.tri_signs

@@ -13,7 +13,7 @@ proposal failing the MH test with 0 in its place is rejected unsolved; a
 vMFN proposal is solved ahead of its iteration only if it passes against
 every state its chain can still hold), its `log_smooth` computed once when
 solved, and overwritten by its kept state once swept.  The aCS kernel's
-tuning is fixed by its class constants TARGET_RATE, ADAPT_FRACTION,
+tuning is fixed by its class constants LAMBDA0, TARGET_RATE, ADAPT_FRACTION,
 RHO_BOUNDS and LAMBDA_BOUNDS.
 
 Kernels declare the class attribute STATE_INDEPENDENT and implement
@@ -130,7 +130,6 @@ class TemperingTarget:
 class KernelStats:
     proposals: int = 0
     accepted: int = 0
-    rho: float | None = None
 
     @property
     def acceptance_rate(self) -> float:
@@ -142,23 +141,24 @@ class AcsKernel:
 
     The proposal rho*u + sqrt(1-rho^2)*eps leaves phi_n invariant, so prior
     and proposal terms cancel in the acceptance ratio.  The noise scale
-    lambda is adjusted in Robbins-Monro fashion toward TARGET_RATE acceptance,
-    once per ADAPT_FRACTION of a step's chain length; the adaptation state
-    persists across tempering and bridging steps.
+    lambda starts at LAMBDA0 and is adjusted in Robbins-Monro fashion toward
+    TARGET_RATE acceptance, once per ADAPT_FRACTION of a step's chain length;
+    the adaptation state persists across tempering and bridging steps.
     """
 
     STATE_INDEPENDENT = False  # a proposal starts from the chain's current state
+    LAMBDA0 = 0.6
     TARGET_RATE = 0.44
     ADAPT_FRACTION = 0.1
     RHO_BOUNDS = (0.001, 0.999)
     LAMBDA_BOUNDS = (1e-4, 2.0)  # keeps the scale responsive after saturation
 
-    def __init__(self, lambda0: float = 0.6):
-        self._lambda = float(lambda0)
+    def __init__(self):
+        self._lambda = self.LAMBDA0
         self._batch_index = 0
         self._pending: list[float] = []
         self._adapt_every = 1
-        self.stats = KernelStats(rho=self._rho())
+        self.stats = KernelStats()
 
     def _rho(self) -> float:
         noise = min(self._lambda, 1.0 - 1e-12)
@@ -197,7 +197,6 @@ class AcsKernel:
             step = (rate - self.TARGET_RATE) / np.sqrt(self._batch_index)
             proposal = self._lambda * np.exp(step)
             self._lambda = float(np.clip(proposal, *self.LAMBDA_BOUNDS))
-            self.stats.rho = self._rho()
 
 
 class VmfnIndependentKernel:

@@ -169,10 +169,19 @@ class TestMhChain:
         assert model.counter.counts() == {1: 50}
 
 
+def acs_starting_at(lambda0):
+    """An aCS kernel whose noise scale starts at lambda0 instead of LAMBDA0."""
+
+    class Acs(AcsKernel):
+        LAMBDA0 = lambda0
+
+    return Acs()
+
+
 class TestAcsKernel:
     def test_near_unit_correlation_keeps_proposal_close(self, rng):
-        kernel = AcsKernel(lambda0=1e-6)  # rho clipped to 0.999
-        assert kernel.stats.rho == pytest.approx(0.999)
+        kernel = acs_starting_at(1e-6)  # rho clipped to 0.999
+        assert kernel._rho() == pytest.approx(0.999)
         current = rng.standard_normal((100, 5))
         proposal = np.empty_like(current)
         kernel.propose(current, rng, proposal)
@@ -180,8 +189,8 @@ class TestAcsKernel:
 
     @pytest.mark.parametrize("rho", [0.3, 0.9, 0.999])
     def test_proposal_is_pcn_formula_bit_for_bit(self, rng, rho):
-        kernel = AcsKernel(lambda0=np.sqrt(1.0 - rho * rho))
-        rho = kernel.stats.rho
+        kernel = acs_starting_at(np.sqrt(1.0 - rho * rho))
+        rho = kernel._rho()
         current = rng.standard_normal((200, 150))
         # drawn into a row block of a larger buffer, as run_chains does
         buffer = np.full((600, 150), np.nan)
@@ -429,6 +438,8 @@ class TestIndependentProposalsBatched:
 class CutOffAcs(AcsKernel):
     """aCS on the target cut off at u_1 > 1: a proposal there scores -inf."""
 
+    LAMBDA0 = 0.9
+
     def log_score(self, states):
         return np.where(states[:, 0] > 1.0, -np.inf, 0.0)
 
@@ -449,7 +460,7 @@ class TestContainedFailure:
     def test_proposals_that_cannot_be_accepted_are_never_solved(self, rng):
         # a proposal scored -inf fails every MH test, so the model never sees
         # the region where it cannot be evaluated
-        model, kernel = NanBeyondOne(), CutOffAcs(lambda0=0.9)
+        model, kernel = NanBeyondOne(), CutOffAcs()
         seeds = rng.standard_normal((50, 3))
         seeds[:, 0] = np.minimum(seeds[:, 0], 1.0)
         drawn = []

@@ -1,12 +1,25 @@
-"""Every function, class and method in the package has a reader outside the unit tests.
+"""Every definition, field and defaulted parameter in the package has a reader outside the unit tests.
 
-A definition is read when its name appears as a loaded name, an attribute or a
-string (perfbench patches by string) in the package itself, not counting the
-`__init__` re-exports, in the acceptance suite or in the benchmark scripts.  A
-name that only unit tests read belongs in the tests.
+The readers are the package itself, not counting the `__init__` re-exports,
+the acceptance suite and the benchmark scripts.  Three rules hold over them:
+
+- a function, class or method is read when its name appears as a loaded
+  name, an attribute or a string (perfbench patches by string);
+- a field, that is a dataclass field or an attribute that a method stores on
+  `self`, is read when it is loaded as an attribute or named as a string;
+- a defaulted parameter of a function, or of a class through its
+  `__init__`, is passed when some call of that name passes it by position or
+  by keyword; a call with `*` or `**` arguments passes all of them.  A
+  dataclass field with a default is a field, checked by the second rule.
+
+A name that only unit tests read or pass belongs in the tests.  A name that
+must stay anyway goes into the rule's exemption set with a comment that says
+why; `test_exemptions_are_still_needed` fails once the exemption is no longer
+needed.
 """
 
 import ast
+from functools import lru_cache
 from pathlib import Path
 
 import rareevent
@@ -24,9 +37,33 @@ EXEMPT = {
     "solve_diffusion_1d",
 }
 
+FIELD_EXEMPT = {
+    # the realised COV and the subset boundary of a step: the run trace that
+    # ROADMAP item 4 writes reads them, and tests/data/methods_golden.json
+    # pins them step by step until then
+    "TraceStep.delta",
+    "TraceStep.boundary",
+}
 
+PARAMETER_EXEMPT = {
+    # the step cap is a safety check; a smaller cap is the only way a test
+    # reaches it at a chosen count
+    "trace_particle(max_steps)",
+    # a test seam: a fitted proposal injected without `prepare`
+    "VmfnIndependentKernel(params)",
+}
+
+
+@lru_cache(maxsize=None)
 def _parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _classes():
+    for path in SOURCES:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ClassDef):
+                yield path, node
 
 
 def _defined():
@@ -40,11 +77,65 @@ def _defined():
     return found
 
 
-def _read():
+def _is_dataclass(cls):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _fields():
+    """{'Class.field': 'module.py:line'} of every dataclass field and every
+    attribute a method stores on `self`."""
+    found = {}
+    for path, cls in _classes():
+        if _is_dataclass(cls):
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    found.setdefault(f"{cls.name}.{node.target.id}", f"{path.name}:{node.lineno}")
+        for node in ast.walk(cls):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                found.setdefault(f"{cls.name}.{node.attr}", f"{path.name}:{node.lineno}")
+    return found
+
+
+def _parameters():
+    """{'callee(parameter)': (callee, position or None, 'module.py:line')} of
+    every defaulted parameter; the callee of an `__init__` is its class, and
+    the position counts the arguments a call writes, without `self`."""
+    found = {}
+
+    def add(path, callee, func, drop_first):
+        positional = func.args.posonlyargs + func.args.args
+        for i, arg in enumerate(positional[len(positional) - len(func.args.defaults):],
+                                start=len(positional) - len(func.args.defaults)):
+            found.setdefault(f"{callee}({arg.arg})",
+                             (callee, i - drop_first, f"{path.name}:{arg.lineno}"))
+        for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults):
+            if default is not None:
+                found.setdefault(f"{callee}({arg.arg})", (callee, None, f"{path.name}:{arg.lineno}"))
+
+    methods = set()
+    for path, cls in _classes():
+        for func in cls.body:
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                methods.add(func)
+                static = any(getattr(d, "id", None) == "staticmethod" for d in func.decorator_list)
+                add(path, cls.name if func.name == "__init__" else func.name, func, not static)
+    for path in SOURCES:
+        for func in ast.walk(_parse(path)):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and func not in methods:
+                add(path, func.name, func, False)
+    return found
+
+
+def _read(loaded_names=True):
+    """Attributes loaded and strings named by the readers, and with
+    `loaded_names` the names they load."""
     names = set()
     for path in READERS:
         for node in ast.walk(_parse(path)):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and loaded_names:
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 names.add(node.attr)
@@ -53,8 +144,51 @@ def _read():
     return names
 
 
+def _passed():
+    """{callee: (positional arguments of its widest call, keywords passed)};
+    a call with `*` or `**` arguments passes every position and the keyword '*'."""
+    passed = {}
+    for path in READERS:
+        for node in ast.walk(_parse(path)):
+            callee = (getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                      if isinstance(node, ast.Call) else None)
+            if callee is None:
+                continue
+            n_positional, keywords = passed.get(callee, (0, set()))
+            n_positional = max(n_positional, len(node.args))
+            keywords = keywords | {k.arg for k in node.keywords if k.arg is not None}
+            if (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords)):
+                n_positional, keywords = float("inf"), keywords | {"*"}
+            passed[callee] = (n_positional, keywords)
+    return passed
+
+
+def _unread_fields():
+    read = _read(loaded_names=False)
+    return {name: where for name, where in _fields().items()
+            if name.split(".")[1] not in read}
+
+
+def _unpassed_parameters():
+    passed = _passed()
+    unpassed = {}
+    for name, (callee, position, where) in _parameters().items():
+        n_positional, keywords = passed.get(callee, (0, set()))
+        parameter = name[len(callee) + 1:-1]
+        if not {parameter, "*"} & keywords and (position is None or n_positional <= position):
+            unpassed[name] = where
+    return unpassed
+
+
 def test_readers_found():
     assert len(SOURCES) > 10 and len(READERS) > len(SOURCES)
+
+
+def test_rules_find_what_they_check():
+    fields, parameters = _fields(), _parameters()
+    assert {"DiscreteVelocity.fluxes", "AcsKernel._lambda"} <= fields.keys()
+    assert {"FlowCellModel(tau0)", "sis_estimate(burn_in)"} <= parameters.keys()
 
 
 def test_every_definition_has_a_reader():
@@ -64,7 +198,20 @@ def test_every_definition_has_a_reader():
     assert unread == [], "read only by unit tests: " + ", ".join(unread)
 
 
+def test_every_field_has_a_reader():
+    unread = sorted(f"{where} {name}" for name, where in _unread_fields().items()
+                    if name not in FIELD_EXEMPT)
+    assert unread == [], "fields read only by unit tests: " + ", ".join(unread)
+
+
+def test_every_defaulted_parameter_is_passed():
+    unpassed = sorted(f"{where} {name}" for name, where in _unpassed_parameters().items()
+                      if name not in PARAMETER_EXEMPT)
+    assert unpassed == [], "parameters passed only by unit tests: " + ", ".join(unpassed)
+
+
 def test_exemptions_are_still_needed():
-    defined, read = _defined(), _read()
-    assert EXEMPT <= defined.keys()
-    assert not EXEMPT & read
+    unread = _defined().keys() - _read()
+    stale = ((EXEMPT - unread) | (FIELD_EXEMPT - _unread_fields().keys())
+             | (PARAMETER_EXEMPT - _unpassed_parameters().keys()))
+    assert not stale, "exempt but no longer flagged: " + ", ".join(sorted(stale))
