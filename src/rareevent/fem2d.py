@@ -16,13 +16,14 @@ value.  Edge fluxes are psi differences, so the divergence and the no-flow
 fluxes vanish by construction.  The limit state reads only the velocity, so
 the pressures, which the flux rows of the mixed system would give, are not
 recovered.  Numbering the vertex rows bottom to top, top value last, keeps
-the matrix banded for LAPACK's banded Cholesky, with m + 1 subdiagonals: the P1 coupling across each triangle's SW-NE diagonal is
-zero, so the band is the 5-point stencil's, whose farthest neighbours (the
-vertex above, and the top value from the first vertex below it) sit m + 1
-rows away; it is stored lower, which LAPACK factors at unit stride.  Those
-solves run with OpenBLAS set to one thread for the whole process, and the
-caller's thread counts come back when they end: threading only slows the
-small level-2 BLAS calls the banded Cholesky makes, and the bits are the same.
+the matrix banded for LAPACK's banded Cholesky, with m + 1 subdiagonals:
+the P1 coupling across each triangle's SW-NE diagonal is zero, so the band
+is the 5-point stencil's, whose farthest neighbours (the vertex above, and
+the top value from the first vertex below it) sit m + 1 rows away; it is
+stored lower, which LAPACK factors at unit stride.  Those solves run with
+OpenBLAS set to one thread for the whole process, and the caller's thread
+counts come back when they end: threading only slows the small level-2 BLAS
+calls the banded Cholesky makes, and the bits are the same.
 The LAPACK solver is imported at the first solve, so importing the package
 or running another model never loads scipy.linalg.
 

@@ -1,4 +1,4 @@
-"""Every definition, field and defaulted parameter in the package has a reader outside the unit tests.
+"""Every definition, field and defaulted parameter of the package is used outside the unit tests.
 
 The readers are the package itself, not counting the `__init__` re-exports,
 the acceptance suite and the benchmark scripts.  Three rules hold over them:
@@ -100,20 +100,22 @@ def _fields():
 
 
 def _parameters():
-    """{'callee(parameter)': (callee, position or None, 'module.py:line')} of
-    every defaulted parameter; the callee of an `__init__` is its class, and
-    the position counts the arguments a call writes, without `self`."""
+    """{'callee(parameter)': (callee, parameter, position, 'module.py:line')} of
+    every defaulted parameter.  The callee of an `__init__` is its class; the
+    position counts the arguments a call writes, so a method's skips `self`,
+    and is None for a keyword-only parameter."""
     found = {}
 
-    def add(path, callee, func, drop_first):
-        positional = func.args.posonlyargs + func.args.args
-        for i, arg in enumerate(positional[len(positional) - len(func.args.defaults):],
-                                start=len(positional) - len(func.args.defaults)):
+    def add(path, callee, func, skip):
+        args = func.args
+        positional = args.posonlyargs + args.args
+        defaulted = [(i - skip, arg) for i, arg in enumerate(positional)
+                     if i >= len(positional) - len(args.defaults)]
+        defaulted += [(None, arg) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                      if default is not None]
+        for position, arg in defaulted:
             found.setdefault(f"{callee}({arg.arg})",
-                             (callee, i - drop_first, f"{path.name}:{arg.lineno}"))
-        for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults):
-            if default is not None:
-                found.setdefault(f"{callee}({arg.arg})", (callee, None, f"{path.name}:{arg.lineno}"))
+                             (callee, arg.arg, position, f"{path.name}:{arg.lineno}"))
 
     methods = set()
     for path, cls in _classes():
@@ -125,7 +127,7 @@ def _parameters():
     for path in SOURCES:
         for func in ast.walk(_parse(path)):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and func not in methods:
-                add(path, func.name, func, False)
+                add(path, func.name, func, 0)
     return found
 
 
@@ -173,9 +175,8 @@ def _unread_fields():
 def _unpassed_parameters():
     passed = _passed()
     unpassed = {}
-    for name, (callee, position, where) in _parameters().items():
+    for name, (callee, parameter, position, where) in _parameters().items():
         n_positional, keywords = passed.get(callee, (0, set()))
-        parameter = name[len(callee) + 1:-1]
         if not {parameter, "*"} & keywords and (position is None or n_positional <= position):
             unpassed[name] = where
     return unpassed
