@@ -38,8 +38,8 @@ EXEMPT = {
 }
 
 FIELD_EXEMPT = {
-    # the realised COV and the subset boundary of a step: the run trace that
-    # ROADMAP item 4 writes reads them, and tests/data/methods_golden.json
+    # the realised COV and the subset boundary of a step: the planned
+    # per-repetition run trace reports them, and tests/data/methods_golden.json
     # pins them step by step until then
     "TraceStep.delta",
     "TraceStep.boundary",
