@@ -88,7 +88,7 @@ class Diffusion1dModel(LimitStateModel):
             h = self.mesh_size(level)
             m = round(1.0 / h)
             x_mid = (np.arange(m) + 0.5) * h
-            theta = self.basis.eigenfunction_matrix(x_mid, self.basis.truncation)
+            theta = self.basis.eigenfunction_matrix(x_mid)
             mu, zeta2 = lognormal_params(MEAN_A, STD_A)
             scale = -np.sqrt(zeta2) * np.sqrt(self.basis.eigenvalues)
             weights = h * (1.0 - x_mid) * np.exp(-mu)

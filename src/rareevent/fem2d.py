@@ -12,15 +12,17 @@ function psi (the discrete de Rham complex).  So the same discrete field is
 computed from an SPD P1 problem instead of the indefinite saddle point: psi
 is 0 on the bottom row, the top row shares one value (the total flux), the
 stiffness has coefficient 1/a per triangle and the load is one on the top
-value.  Edge fluxes are psi differences, so the divergence and the no-flow
-fluxes vanish by construction.  The limit state reads only the velocity, so
-the pressures, which the flux rows of the mixed system would give, are not
-recovered.  Numbering the vertex rows bottom to top, top value last, keeps
-the matrix banded for LAPACK's banded Cholesky, with m + 1 subdiagonals:
-the P1 coupling across each triangle's SW-NE diagonal is zero, so the band
-is the 5-point stencil's, whose farthest neighbours (the vertex above, and
-the top value from the first vertex below it) sit m + 1 rows away; it is
-stored lower, which LAPACK factors at unit stride.  Those solves run with
+value.  A solved field is held as psi alone (`DiscreteVelocity`): its edge
+fluxes are psi differences, so the divergence and the no-flow fluxes vanish
+by construction, and its velocity is curl psi, constant per triangle.  The
+limit state reads only the velocity, so the pressures, which the flux rows of
+the mixed system would give, are not recovered.  Numbering the vertex rows
+bottom to top, top value last, keeps the matrix banded for LAPACK's banded
+Cholesky, with m + 1 subdiagonals: the P1 coupling across each triangle's
+SW-NE diagonal is zero, so the band is the 5-point stencil's, whose farthest
+neighbours (the vertex above, and the top value from the first vertex below
+it) sit m + 1 rows away; it is stored lower, which LAPACK factors at unit
+stride.  Those solves run with
 OpenBLAS set to one thread for the whole process, and the caller's thread
 counts come back when they end: threading only slows the small level-2 BLAS
 calls the banded Cholesky makes, and the bits are the same.
@@ -85,15 +87,16 @@ class FlowMesh:
     """Uniform triangulation of the unit square with RT0 edge bookkeeping.
 
     Triangle 2 (j m + i) is the lower and 2 (j m + i) + 1 the upper half of
-    cell (i, j); `offsets` holds, per half, the centroid minus the vertex
-    opposite each local edge.
+    cell (i, j); edges are numbered H(i, j), then V(i, j), then D(i, j).  It
+    holds each triangle's edges and their orientation, which
+    `DiscreteVelocity.divergence` reads, its centroid and the vertex pairs of
+    its curl; `n_tri` and `area` derive from m and h.
     """
 
     h: float
     m: int                      # cells per side
     tri_edges: np.ndarray       # (n_tri, 3) edge ids
     tri_signs: np.ndarray       # (n_tri, 3) +-1: global normal vs outward normal
-    offsets: np.ndarray         # (2, 3, 2) centroid minus opposite vertex, lower/upper
     centroids: np.ndarray       # (n_tri, 2)
     curl_vertices: np.ndarray   # (n_tri, 2, 2) vertex pairs whose psi differences are h curl psi
 
@@ -127,9 +130,6 @@ def build_mesh(m: int) -> FlowMesh:
 
     corner = h * np.stack([i, j], axis=-1)
     centroids = np.stack([corner + [2 * h / 3, h / 3], corner + [h / 3, 2 * h / 3]], axis=1)
-    # opposite vertices: lower C, A, B = (h,h), (0,0), (h,0); upper C, A, B = (0,h), (0,0), (h,h)
-    opposite = h * np.array([[[1, 1], [0, 0], [1, 0]], [[0, 1], [0, 0], [1, 1]]])
-    offsets = centroids[0][:, None, :] - opposite
     # vertex (i, j) is psi entry j (m + 1) + i; the pairs of `curl`'s differences are
     # lower (c - b, a - b) and upper (d - a, d - c), with b, c, d at a + 1, m + 2, m + 1
     # from a = (i, j)
@@ -138,7 +138,7 @@ def build_mesh(m: int) -> FlowMesh:
     return FlowMesh(
         h=h, m=m,
         tri_edges=tri_edges.reshape(-1, 3), tri_signs=tri_signs.reshape(-1, 3).copy(),
-        offsets=offsets, centroids=centroids.reshape(-1, 2),
+        centroids=centroids.reshape(-1, 2),
         curl_vertices=curl_vertices.reshape(-1, 2, 2),
     )
 
@@ -205,35 +205,33 @@ class _StreamFunctionSolver:
         psi[:, m] = sols[:, -1:]
         return psi
 
-    def solve(self, a_tri: np.ndarray) -> "DiscreteVelocity":
-        psi = self.stream_functions(a_tri[None])[0]
-        fluxes = np.concatenate([
-            -(psi[:, 1:] - psi[:, :-1]).ravel(),       # H(i,j): normal (0, 1)
-            (psi[1:] - psi[:-1]).ravel(),              # V(i,j): normal (1, 0)
-            (psi[1:, 1:] - psi[:-1, :-1]).ravel(),     # D(i,j): normal (1, -1)/sqrt 2
-        ])
-        return DiscreteVelocity(mesh=self.mesh, fluxes=fluxes)
 
-
-@dataclass
+@dataclass(frozen=True)
 class DiscreteVelocity:
-    """RT0 velocity field as per-edge normal fluxes; the pressures are not recovered."""
+    """A solved RT0 field held as its vertex stream function psi[j, i] on `mesh`,
+    or psi[s, j, i] for a batch; its fluxes, velocities and divergence derive from psi."""
 
     mesh: FlowMesh
-    fluxes: np.ndarray
+    psi: np.ndarray
 
-    def _signed(self) -> np.ndarray:
-        return self.fluxes[self.mesh.tri_edges] * self.mesh.tri_signs
+    @property
+    def fluxes(self) -> np.ndarray:
+        """Normal flux per edge, shape ([samples,] n_edges)."""
+        psi = self.psi
+        return np.concatenate([d.reshape(psi.shape[:-2] + (-1,)) for d in (
+            -(psi[..., :, 1:] - psi[..., :, :-1]),         # H(i,j): normal (0, 1)
+            psi[..., 1:, :] - psi[..., :-1, :],            # V(i,j): normal (1, 0)
+            psi[..., 1:, 1:] - psi[..., :-1, :-1],         # D(i,j): normal (1, -1)/sqrt 2
+        )], axis=-1)
 
     def triangle_velocities(self) -> np.ndarray:
-        """Velocity at each centroid, shape (n_tri, 2); the whole field if divergence-free."""
-        mesh = self.mesh
-        offsets = np.tile(mesh.offsets, (mesh.m * mesh.m, 1, 1))
-        return np.einsum("te,tec->tc", self._signed(), offsets) / (2.0 * mesh.area)
+        """Velocity curl psi on each triangle, shape ([samples,] n_tri, 2)."""
+        return curl(self.psi, self.mesh.h)
 
     def divergence(self) -> np.ndarray:
         """Constant per-triangle divergence (net outflux over area)."""
-        return self._signed().sum(axis=1) / self.mesh.area
+        signed = self.fluxes[..., self.mesh.tri_edges] * self.mesh.tri_signs
+        return signed.sum(axis=-1) / self.mesh.area
 
 
 def solve_darcy_rt0(a, h: float) -> DiscreteVelocity:
@@ -249,40 +247,33 @@ def solve_darcy_rt0(a, h: float) -> DiscreteVelocity:
     a_tri = np.asarray(a(mesh.centroids) if callable(a) else a, dtype=float)
     if a_tri.shape != (mesh.n_tri,):
         raise ValueError(f"expected {mesh.n_tri} triangle values, got {a_tri.shape}")
-    return _StreamFunctionSolver(mesh).solve(a_tri)
+    return DiscreteVelocity(mesh, _StreamFunctionSolver(mesh).stream_functions(a_tri[None])[0])
 
 
 def curl(psi: np.ndarray, h: float) -> np.ndarray:
-    """Constant per-triangle velocities curl psi, shape (samples, n_tri, 2), of
-    stream functions psi[s, j, i] on cells of size h."""
-    a, b = psi[:, :-1, :-1], psi[:, :-1, 1:]       # vertices (i, j), (i+1, j)
-    c, d = psi[:, 1:, 1:], psi[:, 1:, :-1]         # vertices (i+1, j+1), (i, j+1)
+    """Constant per-triangle velocities curl psi, shape ([samples,] n_tri, 2), of
+    stream functions psi[[s,] j, i] on cells of size h."""
+    a, b = psi[..., :-1, :-1], psi[..., :-1, 1:]   # vertices (i, j), (i+1, j)
+    c, d = psi[..., 1:, 1:], psi[..., 1:, :-1]     # vertices (i+1, j+1), (i, j+1)
     # lower (a, b, c): psi_y = (c - b)/h, psi_x = (b - a)/h; upper (a, c, d):
     # psi_y = (d - a)/h, psi_x = (c - d)/h; velocity (psi_y, -psi_x)
-    u = np.empty(a.shape + (2, 2))                 # (samples, j, i, half, xy)
+    u = np.empty(a.shape + (2, 2))                 # ([samples,] j, i, half, xy)
     u[..., 0, 0] = (c - b) / h
     u[..., 0, 1] = (a - b) / h
     u[..., 1, 0] = (d - a) / h
     u[..., 1, 1] = (d - c) / h
-    return u.reshape(psi.shape[0], -1, 2)
-
-
-@dataclass(frozen=True)
-class StreamFunctionBatch:
-    """Vertex stream functions psi[s, j, i] of a batch, whose velocities are curl psi."""
-
-    psi: np.ndarray
+    return u.reshape(psi.shape[:-2] + (-1, 2))
 
 
 def trace_particle(vel, start, h: float, max_steps: int | None = None):
     """Forward-Euler travel times from `start` to the first boundary crossing.
 
-    `vel` is a `DiscreteVelocity`, for which the time is returned as a float,
-    or a batch, for which an array of times is returned: (samples, n_tri, 2)
-    per-triangle velocities, or a `StreamFunctionBatch`, whose velocities are
-    curl psi.  The velocity is read as one constant vector per triangle (the
-    centroid value of a `DiscreteVelocity`), which is the whole field when it
-    is divergence-free, as every flow-cell solution is.
+    `vel` is a `DiscreteVelocity`, whose velocities are curl psi, or a batch
+    of (samples, n_tri, 2) per-triangle velocities, which need not be
+    divergence-free.  The times come as an array, or as a float for a
+    `DiscreteVelocity` that holds one field.  The velocity is read as one
+    constant vector per triangle, which is the whole field of a
+    `DiscreteVelocity`.
 
     Step size is h / (2 ||q||), where h must be the field's mesh size 1/m;
     the final step is clipped to the exact exit point.  A crossing requires a
@@ -305,21 +296,21 @@ def trace_particle(vel, start, h: float, max_steps: int | None = None):
     y0 = float(start[1])
     if not (0.0 <= x0 <= 1.0 and 0.0 <= y0 <= 1.0):
         raise ValueError("start point must lie in the closed unit square")
-    single = isinstance(vel, DiscreteVelocity)
-    stream = isinstance(vel, StreamFunctionBatch)
+    stream = isinstance(vel, DiscreteVelocity)
     if stream:
+        m = vel.mesh.m
         psi = np.asarray(vel.psi, dtype=float)
-        m = psi.shape[2] - 1 if psi.ndim == 3 else 0
-        if m < 1 or psi.shape[1] != m + 1:
-            raise ValueError("expected stream functions of shape (samples, m + 1, m + 1)")
-        n_samples, rows = psi.shape[0], (m + 1) ** 2
+        if psi.ndim not in (2, 3) or psi.shape[-2:] != (m + 1, m + 1):
+            raise ValueError("expected stream functions of shape ([samples,] m + 1, m + 1)")
+        rows = (m + 1) ** 2
+        n_samples = psi.size // rows
         flat = psi.reshape(-1)               # sample s, vertex (i, j) at s rows + j (m + 1) + i
 
         def velocity(first, tri):
             v = flat[first[:, None, None] + mesh.curl_vertices[tri]]
             return (v[..., 0] - v[..., 1]) / mesh.h
     else:
-        u = vel.triangle_velocities()[None] if single else np.asarray(vel, dtype=float)
+        u = np.asarray(vel, dtype=float)
         m = math.isqrt(u.shape[1] // 2) if u.ndim == 3 else 0
         if u.ndim != 3 or u.shape[2] != 2 or m == 0 or 2 * m * m != u.shape[1]:
             raise ValueError("expected per-triangle velocities of shape (samples, 2 m^2, 2)")
@@ -330,7 +321,7 @@ def trace_particle(vel, start, h: float, max_steps: int | None = None):
             return flat[first + tri]
     if not abs(h * m - 1.0) <= 1e-12:
         raise ValueError(f"mesh size h={h} does not match the field's {m} x {m} mesh")
-    mesh = build_mesh(m)
+    mesh = vel.mesh if stream else build_mesh(m)
     if max_steps is None:
         max_steps = STEPS_PER_CELL * m * m
     # a zero or non-finite velocity makes an infinite or NaN step and NaN
@@ -338,11 +329,13 @@ def trace_particle(vel, start, h: float, max_steps: int | None = None):
     # the exits
     with np.errstate(divide="ignore", invalid="ignore"):
         if n_samples <= min(_WALK_MAX_ROWS, _WALK_MAX_CELLS // m):
-            times = _walk(curl(psi, mesh.h) if stream else u, x0, y0, mesh, 0.5 * h, max_steps)
+            if stream:
+                u = vel.triangle_velocities().reshape(n_samples, -1, 2)
+            times = _walk(u, x0, y0, mesh, 0.5 * h, max_steps)
         else:
             times = _lockstep(velocity, rows * np.arange(n_samples), x0, y0, mesh, 0.5 * h,
                               max_steps)
-    return float(times[0]) if single else times
+    return float(times[0]) if stream and psi.ndim == 2 else times
 
 
 def _lockstep(velocity, first, x0, y0, mesh: FlowMesh, half_h: float, max_steps: int):
@@ -478,7 +471,7 @@ class FlowCellModel(LimitStateModel):
     def _level_form(self, level: int) -> tuple[_StreamFunctionSolver, np.ndarray]:
         if level not in self._level_forms:
             mesh = build_mesh(round(1.0 / self.mesh_size(level)))
-            theta = self.basis.eigenfunction_matrix(mesh.centroids, self.basis.truncation)
+            theta = self.basis.eigenfunction_matrix(mesh.centroids)
             theta *= np.sqrt(self.basis.eigenvalues)
             self._level_forms[level] = (_StreamFunctionSolver(mesh), np.ascontiguousarray(theta.T))
         return self._level_forms[level]
@@ -493,8 +486,8 @@ class FlowCellModel(LimitStateModel):
         solver, modes_t = self._level_form(level)
         a = _mode_product(np.asarray(xis, dtype=float), modes_t)[: len(xis)]
         np.exp(a, out=a)
-        psi = StreamFunctionBatch(solver.stream_functions(a))
-        return trace_particle(psi, self.start, self.mesh_size(level))
+        vel = DiscreteVelocity(solver.mesh, solver.stream_functions(a))
+        return trace_particle(vel, self.start, self.mesh_size(level))
 
     def _evaluate_batch(self, xis, level):
         chunk = max(1, _CHUNK_VALUES // self._level_form(level)[0].mesh.n_tri)

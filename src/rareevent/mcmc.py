@@ -204,8 +204,8 @@ class VmfnIndependentKernel:
 
     STATE_INDEPENDENT = True  # proposals ignore the chain: run_chains batches a whole step
 
-    def __init__(self, params: VmfnParams | None = None):
-        self.params = params
+    def __init__(self):
+        self.params: VmfnParams | None = None
         self.stats = KernelStats()
 
     def prepare(self, samples, log_weights, n_steps: int) -> None:

@@ -70,23 +70,20 @@ class KlBasis:
     def truncation(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def eigenfunction_matrix(self, points, count: int | None = None) -> np.ndarray:
-        """theta_m(x) for the first `count` modes at each point; (npts, count)."""
-        m = self.truncation if count is None else int(count)
-        if m > self.truncation:
-            raise ValueError(f"requested {m} modes but basis holds {self.truncation}")
+    def eigenfunction_matrix(self, points) -> np.ndarray:
+        """theta_m(x) for every mode at each point; (npts, truncation)."""
         pts = np.atleast_1d(np.asarray(points, dtype=float))
         if self.domain_dim == 1:
             if np.any(pts < 0) or np.any(pts > 1):
                 raise ValueError("points must lie in [0, 1]")
-            return self._theta_1d(pts, np.arange(m))
+            return self._theta_1d(pts, np.arange(self.truncation))
         pts = np.atleast_2d(pts)
         if pts.shape[1] != 2:
             raise ValueError("2D basis expects points of shape (npts, 2)")
         if np.any(pts < 0) or np.any(pts > 1):
             raise ValueError("points must lie in [0, 1]^2")
         # a mesh's points share few coordinates: take cos/sin once per distinct one
-        idx = self._pair_idx[:m]
+        idx = self._pair_idx
         xs, ix = np.unique(pts[:, 0], return_inverse=True)
         ys, iy = np.unique(pts[:, 1], return_inverse=True)
         return self._theta_1d(xs, idx[:, 0])[ix] * self._theta_1d(ys, idx[:, 1])[iy]

@@ -11,8 +11,8 @@ def n_edges(mesh: FlowMesh) -> int:
 
 
 def rt0_pressures(vel: DiscreteVelocity, a_tri) -> np.ndarray:
-    """Per-triangle pressures of an RT0 field, in triangle order, from its fluxes
-    and the per-triangle permeability `a_tri` it was solved with.
+    """Per-triangle pressures of an RT0 field, in triangle order, from its
+    velocities and the per-triangle permeability `a_tri` it was solved with.
 
     The flux rows of the mixed system read (M(a) u)_e - sum_T sign_Te p_T = 1
     on a west edge and 0 elsewhere.  u is constant per triangle, so the RT0
@@ -24,7 +24,10 @@ def rt0_pressures(vel: DiscreteVelocity, a_tri) -> np.ndarray:
     mesh = vel.mesh
     m = mesh.m
     u = vel.triangle_velocities()
-    offsets = np.tile(mesh.offsets, (m * m, 1, 1))
+    # per half of a cell, the centroid minus the vertex opposite each local edge:
+    # lower C, A, B = (h,h), (0,0), (h,0); upper C, A, B = (0,h), (0,0), (h,h)
+    opposite = mesh.h * np.array([[[1, 1], [0, 0], [1, 0]], [[0, 1], [0, 0], [1, 1]]])
+    offsets = np.tile(mesh.centroids[:2, None, :] - opposite, (m * m, 1, 1))
     a_tri = np.asarray(a_tri, dtype=float)
     mass_u = mesh.tri_signs * np.einsum("tc,tec->te", u, offsets) / (2.0 * a_tri[:, None])
     mass_u = np.bincount(mesh.tri_edges.ravel(), weights=mass_u.ravel(), minlength=n_edges(mesh))

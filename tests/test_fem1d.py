@@ -14,7 +14,7 @@ def midpoint_coefficients(model, xis, level):
     x_mid = (np.arange(round(1 / h)) + 0.5) * h
     mu, zeta2 = lognormal_params(1.0, 0.1)
     n = xis.shape[1]
-    theta = model.basis.eigenfunction_matrix(x_mid, n)
+    theta = model.basis.eigenfunction_matrix(x_mid)[:, :n]
     sqrt_nu = np.sqrt(model.basis.eigenvalues[:n])
     return np.array([np.exp(mu + np.sqrt(zeta2) * (theta @ (sqrt_nu * xi))) for xi in xis])
 

@@ -10,21 +10,13 @@ from rareevent.fem2d import (
     trace_particle,
 )
 
-from helper_fem2d import n_edges, rt0_pressures
+from helper_fem2d import rt0_pressures
 
 
 def uniform_vertical_flow(mesh):
-    """Synthetic RT0 coefficients of the exact field q = (0, 1)."""
+    """The exact field q = (0, 1) as its stream function psi = -x."""
     m, h = mesh.m, mesh.h
-    fluxes = np.zeros(n_edges(mesh))
-    n_h = m * (m + 1)
-    for j in range(m + 1):
-        for i in range(m):
-            fluxes[j * m + i] = h            # horizontal edges, normal (0,1)
-    for j in range(m):
-        for i in range(m):
-            fluxes[n_h + (m + 1) * m + j * m + i] = -h   # diagonals, normal (1,-1)/sqrt2
-    return DiscreteVelocity(mesh=mesh, fluxes=fluxes)
+    return DiscreteVelocity(mesh, np.tile(-np.arange(m + 1) * h, (m + 1, 1)))
 
 
 def tilings(u):
@@ -60,10 +52,17 @@ class TestDarcySolver:
 
     def test_divergence_free_every_solve(self, rng):
         mesh = build_mesh(8)
+        fields = []
         for _ in range(5):
             a = np.exp(rng.standard_normal(mesh.n_tri))
-            vel = solve_darcy_rt0(a, 1 / 8)
-            assert np.max(np.abs(vel.divergence())) < 1e-10
+            fields.append(solve_darcy_rt0(a, 1 / 8))
+            assert np.max(np.abs(fields[-1].divergence())) < 1e-10
+        # a batch of stream functions derives each field's values
+        batch = DiscreteVelocity(mesh, np.stack([vel.psi for vel in fields]))
+        assert np.array_equal(batch.fluxes, [vel.fluxes for vel in fields])
+        assert np.array_equal(batch.divergence(), [vel.divergence() for vel in fields])
+        assert np.array_equal(batch.triangle_velocities(),
+                              [vel.triangle_velocities() for vel in fields])
 
     def test_layered_medium_harmonic_mean_flux(self, rng):
         # permeability constant per cell column: the exact velocity is
@@ -134,15 +133,14 @@ class TestParticleTracking:
     def test_travel_time_scales_inversely_with_field(self, rng):
         model = FlowCellModel()
         xi = rng.standard_normal(40)
-        a = model.permeability(xi, 3)
-        asm = model._level_form(3)[0]
-        t1 = trace_particle(asm.solve(a), model.start, model.mesh_size(3))
-        t3 = trace_particle(asm.solve(3.0 * a), model.start, model.mesh_size(3))
+        a, h = model.permeability(xi, 3), model.mesh_size(3)
+        t1 = trace_particle(solve_darcy_rt0(a, h), model.start, h)
+        t3 = trace_particle(solve_darcy_rt0(3.0 * a, h), model.start, h)
         assert t3 == pytest.approx(t1 / 3.0, rel=1e-9)
 
     def test_stagnation_detected(self):
         mesh = build_mesh(4)
-        vel = DiscreteVelocity(mesh=mesh, fluxes=np.zeros(n_edges(mesh)))
+        vel = DiscreteVelocity(mesh, np.zeros((mesh.m + 1, mesh.m + 1)))
         for field in [vel] + tilings(vel.triangle_velocities()[None]):
             with pytest.raises(StagnationError, match=r"zero velocity at \(0.5, 0.5\)"):
                 trace_particle(field, (0.5, 0.5), mesh.h)

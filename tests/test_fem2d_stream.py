@@ -6,8 +6,8 @@ triangle pressure for five fixed coefficient vectors on levels 1-4, computed
 by the mixed RT0 saddle-point solver (SuperLU) that this package used up to
 commit bd27f02.  The stream-function solve computes the same discrete field,
 so the values agree at roundoff.  The package does not recover pressures;
-`helper_fem2d.rt0_pressures` recovers them from the solved fluxes for that
-check.
+`helper_fem2d.rt0_pressures` recovers them from the solved velocities for
+that check.
 """
 
 import json
@@ -20,8 +20,8 @@ from scipy.linalg.lapack import dpbsv
 
 from rareevent import _blas, fem2d
 from rareevent.errors import ModelEvaluationError, NonconvergenceError, StagnationError
-from rareevent.fem2d import (START, FlowCellModel, StreamFunctionBatch, build_mesh, curl,
-                             trace_particle)
+from rareevent.fem2d import (START, DiscreteVelocity, FlowCellModel, build_mesh, curl,
+                             solve_darcy_rt0, trace_particle)
 
 from helper_fem2d import rt0_pressures
 
@@ -33,10 +33,9 @@ def test_matches_saddle_point_golden_values(level):
     model = FlowCellModel()
     ref = GOLDEN["levels"][str(level)]
     xis = np.array(GOLDEN["xi"])[:, : model.dim(level)]
-    solver = model._level_form(level)[0]
     for xi, tau_ref, p_ref in zip(xis, ref["travel_time"], ref["pressures"]):
         a = model.permeability(xi, level)
-        vel = solver.solve(a)
+        vel = solve_darcy_rt0(a, model.mesh_size(level))
         tau = trace_particle(vel, model.start, model.mesh_size(level))
         assert abs(tau / tau_ref - 1.0) <= 1e-10
         p = rt0_pressures(vel, a)[:: ref["stride"]]
@@ -122,13 +121,24 @@ def test_stream_function_tracking_equals_velocity_tracking(level, batch):
     h = model.mesh_size(level)
     xis = np.random.default_rng([28, level, batch]).standard_normal((batch, model.dim(level)))
     psi = solver.stream_functions(np.array([model.permeability(xi, level) for xi in xis]))
-    times = trace_particle(StreamFunctionBatch(psi), START, h)
+    times = trace_particle(DiscreteVelocity(solver.mesh, psi), START, h)
     assert np.array_equal(times, trace_particle(curl(psi, h), START, h))
     assert np.array_equal(model.travel_time(xis, level), times)
     psi[-1] = 0.0                                # the last particle stagnates
-    for field in (StreamFunctionBatch(psi), curl(psi, h)):
+    for field in (DiscreteVelocity(solver.mesh, psi), curl(psi, h)):
         with pytest.raises(StagnationError, match=r"zero velocity at \(0, 0.5\)"):
             trace_particle(field, START, h)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_rt0_solve_tracks_as_the_model(level):
+    # one permeability solved and tracked through the public RT0 entry point
+    # gives the travel time the estimators see, bit for bit
+    model = FlowCellModel()
+    h = model.mesh_size(level)
+    for xi in np.random.default_rng([29, level]).standard_normal((10, model.dim(level))):
+        tau = trace_particle(solve_darcy_rt0(model.permeability(xi, level), h), START, h)
+        assert tau == model.travel_time(xi[None], level)[0]
 
 
 @pytest.mark.parametrize("level", [1, 3])
@@ -139,7 +149,7 @@ def test_stream_function_tracking_keeps_the_step_cap(level):
     m, h = solver.mesh.m, model.mesh_size(level)
     for rows in (2, 40):                         # walked, and in lockstep
         psi = np.broadcast_to(np.arange(m + 1)[:, None] * h, (rows, m + 1, m + 1))
-        for field in (StreamFunctionBatch(psi), curl(psi, h)):
+        for field in (DiscreteVelocity(solver.mesh, psi), curl(psi, h)):
             assert np.array_equal(trace_particle(field, START, h, max_steps=2 * m), np.ones(rows))
             with pytest.raises(NonconvergenceError, match=f"within {2 * m - 1} steps"):
                 trace_particle(field, START, h, max_steps=2 * m - 1)
@@ -148,7 +158,7 @@ def test_stream_function_tracking_keeps_the_step_cap(level):
 @pytest.mark.parametrize("shape", [(3, 4), (3, 4, 5), (3, 1, 1)])
 def test_stream_functions_of_another_shape_rejected(shape):
     with pytest.raises(ValueError, match="stream functions of shape"):
-        trace_particle(StreamFunctionBatch(np.zeros(shape)), START, 0.25)
+        trace_particle(DiscreteVelocity(build_mesh(4), np.zeros(shape)), START, 0.25)
 
 
 def test_lockstep_times_equal_single_particle_times(rng):

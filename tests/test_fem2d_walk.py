@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rareevent import fem2d
-from rareevent.fem2d import StreamFunctionBatch, build_mesh, trace_particle
+from rareevent.fem2d import DiscreteVelocity, build_mesh, trace_particle
 
 
 def outcome(field, start, h, max_steps):
@@ -39,7 +39,8 @@ def test_small_batches_walk_and_larger_ones_run_in_lockstep(m, walked):
     with mock.patch.object(fem2d, "_walk", lambda *a: paths.append("walk")), \
             mock.patch.object(fem2d, "_lockstep", lambda *a: paths.append("lockstep")):
         for rows in (1, walked, walked + 1):
-            trace_particle(StreamFunctionBatch(np.zeros((rows, m + 1, m + 1))), (0, 0.5), 1 / m)
+            psi = np.zeros((rows, m + 1, m + 1))
+            trace_particle(DiscreteVelocity(build_mesh(m), psi), (0, 0.5), 1 / m)
     assert paths == ["walk", "walk", "lockstep"]
 
 

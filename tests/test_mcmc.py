@@ -53,6 +53,13 @@ class LockstepVmfn(VmfnIndependentKernel):
     STATE_INDEPENDENT = False
 
 
+def fitted_vmfn(params, kernel_class=VmfnIndependentKernel):
+    """A vMFN kernel that proposes from `params` without a `prepare` fit."""
+    kernel = kernel_class()
+    kernel.params = params
+    return kernel
+
+
 class IdentityKernel:
     """Proposes the current state; used to freeze chains."""
 
@@ -232,7 +239,7 @@ class TestAcsKernel:
 class TestVmfnKernel:
     def test_self_target_acceptance_one(self, rng):
         params = VmfnParams(nu=np.eye(3)[0], kappa=5.0, s=2.0, gamma=3.0)
-        kernel = VmfnIndependentKernel(params)
+        kernel = fitted_vmfn(params)
         u0 = sample_vmfn(params, 3, rng, size=200)
         u1 = sample_vmfn(params, 3, rng, size=200)
         # target whose full density is the proposal itself: smooth part
@@ -309,7 +316,7 @@ class TestVmfnKernel:
         # relative to the two terms (their difference can be 0 at n = 1)
         nu = np.zeros(n)
         nu[-1] = -1.0 if n == 1 else 1.0
-        kernel = VmfnIndependentKernel(VmfnParams(nu=nu, kappa=kappa, s=2.5, gamma=n))
+        kernel = fitted_vmfn(VmfnParams(nu=nu, kappa=kappa, s=2.5, gamma=n))
         out = np.empty((300, n))
         scores = kernel.propose(np.zeros((300, n)), np.random.default_rng(11), out)
         log_phi, log_q = std_normal_log_pdf(out), vmfn_log_density(out, kernel.params)
@@ -326,7 +333,7 @@ class TestVmfnKernel:
         expected_rng, rng = np.random.default_rng(12), np.random.default_rng(12)
         expected = sample_vmfn(params, n, expected_rng, size=70)
         buffer = np.full((3 * 70 + 1, n), np.nan)
-        VmfnIndependentKernel(params).propose(buffer[:70], rng, buffer[71:141])
+        fitted_vmfn(params).propose(buffer[:70], rng, buffer[71:141])
         assert np.array_equal(buffer[71:141], expected)
         assert np.isnan(buffer[:71]).all() and np.isnan(buffer[141:]).all()
         assert rng.bit_generator.state == expected_rng.bit_generator.state
@@ -375,7 +382,7 @@ class TestIndependentProposalsBatched:
                                                          np.random.default_rng(5))
         batched = VmfnIndependentKernel()
         batched.prepare(pool, log_w, 5)
-        lockstep = LockstepVmfn(batched.params)
+        lockstep = fitted_vmfn(batched.params, LockstepVmfn)
         runs = []
         for kernel in (batched, lockstep):
             rng = np.random.default_rng(6)

@@ -49,8 +49,6 @@ PARAMETER_EXEMPT = {
     # the step cap is a safety check; a smaller cap is the only way a test
     # reaches it at a chosen count
     "trace_particle(max_steps)",
-    # a test seam: a fitted proposal injected without `prepare`
-    "VmfnIndependentKernel(params)",
 }
 
 
@@ -188,7 +186,7 @@ def test_readers_found():
 
 def test_rules_find_what_they_check():
     fields, parameters = _fields(), _parameters()
-    assert {"DiscreteVelocity.fluxes", "AcsKernel._lambda"} <= fields.keys()
+    assert {"DiscreteVelocity.psi", "AcsKernel._lambda"} <= fields.keys()
     assert {"FlowCellModel(tau0)", "sis_estimate(burn_in)"} <= parameters.keys()
 
 
